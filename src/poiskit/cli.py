@@ -4,9 +4,9 @@
 prints a text report (``--json OUT`` additionally writes the machine-readable
 document). ``--trace`` integrates the Hamiltonian flows from a starting point
 and emits a CSV point cloud. Exit codes: 0 decision reached, 2 some stage
-inconclusive, 1 error. Batch inputs run in parallel, one report each, in
-input order; timing goes to stderr so reports stay byte-identical for a
-fixed seed.
+inconclusive, 1 error. Batch inputs run one after another, one report
+each, in input order; timing goes to stderr so reports stay byte-identical
+for a fixed seed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .polyalg import PolyParseError
 from .report import AnalysisOptions, AnalysisReport, InputError, analyze, parse_input
@@ -94,11 +93,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
 
     started = time.perf_counter()
-    if len(args.inputs) == 1:
-        results = [_run_one(args.inputs[0], options)]
-    else:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(lambda p: _run_one(p, options), args.inputs))
+    results = [_run_one(path, options) for path in args.inputs]
 
     exit_code = EXIT_OK
     for path, (report, error) in zip(args.inputs, results):

@@ -1,11 +1,22 @@
 """Emptiness certificates for polynomial zero sets.
 
-Real emptiness is deliberately incomplete: level (a) is complex emptiness
-(reduced basis {1}), level (b) a syntactic positivity certificate (sum of
-even-exponent terms with positive coefficients plus a positive constant),
-and otherwise an exact witness search over a deterministic integer grid
-followed by seeded random rational points in [-3, 3]^n. Anything unresolved
-is reported inconclusive with the ideal attached, never guessed.
+Real emptiness is deliberately incomplete. The origin is tried first,
+before any Groebner basis: a common zero there is returned at once as a
+rational witness (every homogeneous ideal of positive degree, such as the
+minor ideal of a linear structure, vanishes there). Then level (a) is
+complex emptiness (reduced basis {1}), level (b) a syntactic positivity
+certificate (sum of even-exponent terms with positive coefficients plus a
+positive constant), and otherwise an exact witness search over a
+deterministic integer grid followed by seeded random rational points in
+[-3, 3]^n. Anything unresolved is reported inconclusive with the ideal
+attached, never guessed. Over C the origin is not tried first, so that a
+``no`` keeps its reduced basis.
+
+Trying the origin first cannot turn a ``yes`` into a ``no``: a basis {1} or
+a positive polynomial in the ideal leaves no real zero. The grid yields the
+origin first, so wherever the grid runs the same witness comes out; beyond
+its reach (5^n > 20000) a zero at the origin no longer waits on the random
+samples.
 """
 
 from __future__ import annotations
@@ -64,6 +75,10 @@ def variety_emptiness(ideal_gens: Sequence[Polynomial], field: str = REAL,
         return Verdict.no(witness={"point": [QQ(0)] * nvars, "kind": "rational"})
     variables = gens[0].variables
     nvars = len(variables)
+    if field == REAL:
+        origin = [QQ(0)] * nvars
+        if _vanishes_at(gens, origin):
+            return Verdict.no(witness={"point": origin, "kind": "rational"})
     ideal = SubmodulePresentation.ideal(variables, gens)
     basis = ideal.groebner_basis()
     if _is_unit_basis(basis):

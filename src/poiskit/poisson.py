@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from operator import add
 from typing import Sequence
 
 from ._kernel import QQ, to_qq
@@ -60,6 +61,7 @@ __all__ = [
     "linear_bivector",
     "lie_jacobi_defect",
     "linear_poisson",
+    "center_check",
     "foliation_module",
     "foliation_inclusion",
 ]
@@ -211,21 +213,37 @@ def _monomials_up_to(variables: Sequence[str], degree: int) -> list[tuple[int, .
     return sorted(set(out))
 
 
+def _casimir_rows(mat: list[list[Polynomial]],
+                  monos: list[tuple[int, ...]]) -> dict[tuple, dict[int, object]]:
+    """Coefficients of ``sharp(d x^a)`` for each monomial ``x^a`` (column
+    ``monos.index(a)``), keyed by (component, exponent), read off the
+    component matrix: ``sharp(d x^a)_j = sum_i a_i x^(a - e_i) PI[i][j]``."""
+    n = len(mat)
+    # row i of PI as (j, exponent, coefficient) triples
+    pi_rows = [[(j, e, c) for j in range(n) for e, c in mat[i][j].terms.items()]
+               for i in range(n)]
+    rows: dict[tuple, dict[int, object]] = {}
+    for col, expo in enumerate(monos):
+        ham: dict[tuple, object] = {}
+        for i, a_i in enumerate(expo):
+            if not a_i:
+                continue
+            lowered = expo[:i] + (a_i - 1,) + expo[i + 1:]
+            for j, e, c in pi_rows[i]:
+                key = (j, tuple(map(add, lowered, e)))
+                ham[key] = ham.get(key, 0) + a_i * c
+        for key, c in ham.items():
+            if c:
+                rows.setdefault(key, {})[col] = c
+    return rows
+
+
 def casimir_search(structure: PoissonStructure, max_degree: int) -> list[Polynomial]:
     """Basis of the space of polynomial Casimirs of degree <= max_degree,
     found by an exact linear solve on the coefficients of ``sharp(df) = 0``."""
     variables = structure.variables
     monos = _monomials_up_to(variables, max_degree)
-    mat = structure.pi_matrix()
-    n = len(variables)
-    rows: dict[tuple, dict[int, object]] = {}
-    for col, expo in enumerate(monos):
-        mono_poly = Polynomial(variables, {expo: 1})
-        dmono = DifferentialForm.d_of(mono_poly)
-        ham = structure.bivector.sharp(dmono)
-        for (i,), poly in ham.components.items():
-            for e, c in poly.terms.items():
-                rows.setdefault((i, e), {})[col] = c
+    rows = _casimir_rows(structure.pi_matrix(), monos)
     row_list = [rows[key] for key in sorted(rows)]
     kernel = sparse_nullspace(row_list, len(monos))
     basis = []
@@ -322,7 +340,8 @@ def almost_regular_decide(structure: PoissonStructure, *, seed: int = 0,
     the regular-locus ideal and as the annihilator of the kernel module, and
     the two presentations are checked equal. No: a real witness point where
     the kernel dimension jumps. Inconclusive propagates from the emptiness
-    certificate.
+    certificate. Every verdict on a nonzero bivector carries the kernel
+    module in its payload as ``isotropy``.
     """
     variables = structure.variables
     n = len(variables)
@@ -446,14 +465,16 @@ def lie_jacobi_defect(constants) -> list[tuple]:
             for k in range(n):
                 if c[i][j][k] != -c[j][i][k]:
                     bad.append(("antisymmetry", i, j, k))
+    # nonzero constants per ordered pair: nz[i][j] = {m: c^m_ij}
+    nz = [[{m: v for m, v in enumerate(c[i][j]) if v} for j in range(n)] for i in range(n)]
     for i, j, k in combinations_with_replacement(range(n), 3):
-        for l in range(n):
-            total = QQ(0)
-            for m in range(n):
-                total += (c[i][j][m] * c[m][k][l]
-                          + c[j][k][m] * c[m][i][l]
-                          + c[k][i][m] * c[m][j][l])
-            if total:
+        total: dict[int, object] = {}
+        for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cm in nz[a][b].items():
+                for l, v in nz[m][d].items():
+                    total[l] = total.get(l, 0) + cm * v
+        for l in sorted(total):
+            if total[l]:
                 bad.append(("jacobi", i, j, k, l))
     return bad
 
@@ -496,10 +517,18 @@ def linear_poisson(constants, variables: Sequence[str] | None = None) -> LinearP
     if defects:
         raise ValueError(f"structure constants are not a Lie algebra: {defects[:3]}")
     c = _normalize_constants(constants)
-    n = len(c)
     bivector = linear_bivector(c, variables)
     structure = PoissonStructure(bivector)
+    iso = germinal_isotropy(structure)
+    center, verdict = center_check(c, iso)
+    return LinearPoissonData(structure, center, iso, verdict)
 
+
+def center_check(constants, iso: GerminalIsotropy) -> tuple[list[list], Verdict]:
+    """Center of the Lie algebra, and whether the kernel module of the linear
+    structure, evaluated at the origin, spans exactly the center."""
+    c = _normalize_constants(constants)
+    n = len(c)
     # center: v with sum_i v_i c^k_ij = 0 for all j, k
     rows = []
     for j in range(n):
@@ -507,7 +536,6 @@ def linear_poisson(constants, variables: Sequence[str] | None = None) -> LinearP
             rows.append([c[i][j][k] for i in range(n)])
     center = qq_nullspace(rows, ncols=n)
 
-    iso = germinal_isotropy(structure)
     origin = [QQ(0)] * n
     h0_vectors = []
     for g in iso.module.generators:
@@ -520,7 +548,7 @@ def linear_poisson(constants, variables: Sequence[str] | None = None) -> LinearP
         verdict = Verdict.yes(certificate={"dim": dim_z})
     else:
         verdict = Verdict.no(witness={"dim_h0": dim_h0, "dim_center": dim_z})
-    return LinearPoissonData(structure, center, iso, verdict)
+    return center, verdict
 
 
 # -- foliation modules -------------------------------------------------------------

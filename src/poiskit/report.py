@@ -20,11 +20,11 @@ from .poisson import (
     PoissonStructure,
     almost_regular_decide,
     casimir_search,
+    center_check,
     check_jacobi,
     germinal_isotropy,
     linear_bivector,
     lie_jacobi_defect,
-    linear_poisson,
     verify_distribution,
     DENSITY_RATIONALE,
     SMOOTHNESS_NOTE,
@@ -199,6 +199,15 @@ def _parse_constants(constants, n: int):
     raise InputError("structure_constants must be a dense array or a sparse entry list")
 
 
+def _lie_section(table, iso) -> dict:
+    center, h0_matches_center = center_check(table, iso)
+    return {
+        "center_dimension": len(center),
+        "center_basis": [[str(v) for v in vec] for vec in center],
+        "h0_matches_center": h0_matches_center.to_json(),
+    }
+
+
 def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisReport:
     """Full pipeline: jacobi, rank data, kernel module, constant-rank
     decision, distribution checks, log-type classification, Casimir search."""
@@ -220,16 +229,13 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
                 f"Jacobi identity fails: trivector component {jac.witness['indices']} "
                 f"has coefficient {jac.witness['coefficient']}")
 
+    table = None
     if document.get("mode") == "lie_algebra":
         table = _parse_constants(document["structure_constants"], len(echo["coordinates"]))
-        lp = linear_poisson(table, echo["coordinates"])
-        data["lie_algebra"] = {
-            "center_dimension": len(lp.center_basis),
-            "center_basis": [[str(v) for v in vec] for vec in lp.center_basis],
-            "h0_matches_center": lp.h0_matches_center.to_json(),
-        }
 
     if structure.is_zero:
+        if table is not None:
+            data["lie_algebra"] = _lie_section(table, germinal_isotropy(structure))
         data["zero_bivector"] = True
         data["k"] = 0
         data["almost_regular"] = {"outcome": "yes",
@@ -242,14 +248,17 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
     data["regular_locus_ideal"] = _poly_list(tp.coefficient_ideal)
     data["density_rationale"] = DENSITY_RATIONALE
 
-    iso = germinal_isotropy(structure)
+    # the decision computes the kernel module once; the report reuses it
+    decision = almost_regular_decide(structure, seed=options.seed, samples=options.samples)
+    iso = decision.payload["isotropy"]
+    if table is not None:
+        data["lie_algebra"] = _lie_section(table, iso)
     data["germinal_isotropy"] = {
         "generators": _gen_list(iso.module.generators),
         "generic_dimension": iso.generic_dimension,
         "drop_ideal": _poly_list(iso.drop_ideal),
     }
 
-    decision = almost_regular_decide(structure, seed=options.seed, samples=options.samples)
     ar: dict = {"outcome": decision.outcome}
     if decision.is_yes:
         dist: DistributionPresentation = decision.payload["distribution"]

@@ -54,6 +54,18 @@ def sl2_constants():
     return c
 
 
+def gl_constants(n: int):
+    """gl(n) in the basis E_ab (index n*a + b):
+    [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb."""
+    c = zero_constants(n * n)
+    for a in range(n):
+        for b in range(n):
+            for e in range(n):
+                c[n * a + b][n * b + e][n * a + e] += 1   # [E_ab, E_be] contains E_ae
+                c[n * a + b][n * e + a][n * e + b] -= 1   # [E_ab, E_ea] contains -E_eb
+    return c
+
+
 @pytest.fixture
 def su2():
     return su2_structure()

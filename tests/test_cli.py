@@ -8,6 +8,7 @@ import pytest
 
 from poiskit.cli import main
 from poiskit.report import AnalysisOptions, InputError, analyze, parse_input
+from conftest import gl_constants
 
 HEIS = {"coordinates": ["x", "y", "t"], "mode": "bivector",
         "bivector": [{"i": 0, "j": 1, "coeff": "t"}]}
@@ -98,6 +99,47 @@ def test_lie_algebra_mode_dense_constants():
            "structure_constants": dense}
     report = analyze(doc)
     assert report.data["lie_algebra"]["center_dimension"] == 1
+
+
+def gl3_document():
+    c = gl_constants(3)
+    entries = [{"i": i, "j": j, "k": k, "c": str(c[i][j][k])}
+               for i in range(9) for j in range(i + 1, 9) for k in range(9) if c[i][j][k]]
+    return {"coordinates": [f"x{i + 1}" for i in range(9)], "mode": "lie_algebra",
+            "structure_constants": entries}
+
+
+def test_gl3_dual_is_not_almost_regular_at_the_origin():
+    d = analyze(gl3_document()).data
+    assert d["jacobi"]["outcome"] == "yes"
+    assert d["k"] == 3
+    assert d["lie_algebra"]["center_dimension"] == 1
+    assert d["lie_algebra"]["h0_matches_center"]["outcome"] == "yes"
+    assert d["almost_regular"]["outcome"] == "no"
+    assert d["almost_regular"]["witness"] == ["0"] * 9
+    assert d["almost_regular"]["dims"] == {"at_witness": 1, "generic": 3}
+    # invariants tr X, tr X^2, tr X^3: 1 + 1 + 2 + 3 + 4 products up to degree 4
+    assert len(d["casimirs"]["basis"]) == 11
+
+
+@pytest.mark.parametrize("doc", [HEIS, SU2, {
+    "coordinates": ["x", "y", "z"], "mode": "lie_algebra",
+    "structure_constants": [{"i": 0, "j": 1, "k": 2, "c": "1"}]}])
+def test_kernel_module_is_computed_once_per_analysis(monkeypatch, doc):
+    import poiskit.poisson
+    import poiskit.report
+
+    calls = []
+    original = poiskit.poisson.germinal_isotropy
+
+    def counted(structure):
+        calls.append(structure)
+        return original(structure)
+
+    for module in (poiskit.poisson, poiskit.report):
+        monkeypatch.setattr(module, "germinal_isotropy", counted)
+    analyze(doc)
+    assert len(calls) == 1
 
 
 def test_declared_distribution_is_checked():

@@ -275,6 +275,34 @@ def test_inconclusive_when_zero_set_is_out_of_range():
     assert "ideal" in verdict.payload
 
 
+V7 = tuple(f"x{i}" for i in range(1, 8))
+# homogeneous, so the origin is a common zero; 7 variables put the grid out of reach
+HOMOGENEOUS_7 = ("x1*x2 - x3^2", "x4*x5 + x6*x7", "x1^3 - x7^3")
+
+
+def test_origin_witness_needs_no_groebner_basis(monkeypatch):
+    from poiskit.modcalc import engine
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Groebner basis was built")
+
+    monkeypatch.setattr(engine.ModuleEngine, "__init__", refuse)
+    gens = [parse_polynomial(V7, t) for t in HOMOGENEOUS_7]
+    verdict = variety_emptiness(gens, "real")
+    assert verdict.is_no
+    assert verdict.witness == {"point": [QQ(0)] * 7, "kind": "rational"}
+
+
+def test_complex_field_keeps_the_nullstellensatz_basis():
+    gens = [parse_polynomial(V7, t) for t in HOMOGENEOUS_7]
+    verdict = variety_emptiness(gens, "complex")
+    assert verdict.is_no
+    assert verdict.witness == {"kind": "nullstellensatz",
+                               "reason": "reduced basis is not {1}",
+                               "basis": ideal_basis_strings(V7, gens)}
+    assert variety_emptiness([P2("x^2 + y^2")], "complex").witness["basis"] == ["x^2 + y^2"]
+
+
 def test_sparse_nullspace_matches_dense():
     from poiskit.modcalc.linalg import qq_nullspace, sparse_nullspace
 

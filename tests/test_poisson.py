@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -18,6 +19,8 @@ from poiskit.poisson import (
     DistributionPresentation,
     PoissonStructure,
     ZeroBivectorError,
+    _casimir_rows,
+    _monomials_up_to,
     almost_regular_decide,
     casimir_search,
     casimir_test,
@@ -34,6 +37,7 @@ from poiskit.poisson import (
 )
 from conftest import (
     aff1_plus_r_constants,
+    gl_constants,
     heis3_constants,
     sl2_constants,
     su2_constants,
@@ -332,6 +336,71 @@ def test_jacobi_equivalence_randomized():
         checked_yes += bracket
         checked_no += not bracket
     assert checked_no > 0  # the sample hits non-Lie tables
+
+
+def _dense_lie_jacobi_defect(c):
+    """Reference: the defect list of ``lie_jacobi_defect`` by the dense
+    formula, summing over every index m."""
+    n = len(c)
+    bad = [("antisymmetry", i, j, k) for i in range(n) for j in range(n) for k in range(n)
+           if c[i][j][k] != -c[j][i][k]]
+    for i, j, k in combinations_with_replacement(range(n), 3):
+        for l in range(n):
+            total = sum(c[i][j][m] * c[m][k][l] + c[j][k][m] * c[m][i][l]
+                        + c[k][i][m] * c[m][j][l] for m in range(n))
+            if total:
+                bad.append(("jacobi", i, j, k, l))
+    return bad
+
+
+def test_sparse_lie_jacobi_defect_matches_dense_formula():
+    lie = [zero_constants(3), su2_constants(), heis3_constants(), aff1_plus_r_constants(),
+           sl2_constants(), gl_constants(2)]
+    rng = random.Random(2024)
+    tables = list(lie)
+    for base in lie:
+        n = len(base)
+        for _ in range(4):
+            c = [[[QQ(v) for v in row] for row in plane] for plane in base]
+            i, j = rng.sample(range(n), 2)
+            k = rng.randrange(n)
+            v = QQ(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+            c[i][j][k] += v
+            if rng.random() < 0.5:
+                c[j][i][k] -= v     # keep antisymmetry, break only Jacobi
+            tables.append(c)
+    failing = 0
+    for c in tables:
+        assert lie_jacobi_defect(c) == _dense_lie_jacobi_defect(c)
+        failing += bool(lie_jacobi_defect(c))
+    assert all(not lie_jacobi_defect(c) for c in lie)
+    assert failing > (len(tables) - len(lie)) // 2   # most perturbations break a law
+
+
+def _casimir_rows_via_sharp(structure, monos):
+    """Reference: the Casimir system built from ``sharp(d x^a)`` itself."""
+    rows = {}
+    for col, expo in enumerate(monos):
+        mono = Polynomial(structure.variables, {expo: 1})
+        ham = structure.sharp(DifferentialForm.d_of(mono))
+        for (j,), poly in ham.components.items():
+            for e, coeff in poly.terms.items():
+                rows.setdefault((j, e), {})[col] = coeff
+    return rows
+
+
+@pytest.mark.parametrize("variables,components", [
+    (("x", "y", "t"), {(0, 1): "t"}),                                    # Heisenberg
+    (V3, {(0, 1): "z", (1, 2): "x", (0, 2): "-y"}),                      # su(2)
+    (("x1", "y1", "x2", "y2"), {(0, 1): "x1", (2, 3): "x2"}),            # log-symplectic R^4
+    (V3, {(0, 1): "x^2*z - 2*y^3 + 1/3*x*y*z"}),                         # cubic
+])
+def test_direct_casimir_rows_match_sharp(variables, components):
+    structure = PoissonStructure.from_components(variables, components)
+    monos = _monomials_up_to(variables, 4)
+    direct = _casimir_rows(structure.pi_matrix(), monos)
+    assert direct == _casimir_rows_via_sharp(structure, monos)
+    assert direct
 
 
 # -- foliation modules -----------------------------------------------------------------------
