@@ -24,6 +24,8 @@ QQ_ONE = QQ(1)
 
 def to_qq(value) -> "QQ":
     """Coerce ints, strings like ``3/4``, Fractions and mpqs to ``QQ``."""
+    if type(value) is QQ:
+        return value          # immutable, so no copy is needed
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a rational or a string")
     if hasattr(value, "numerator") and not isinstance(value, (int, str)):

@@ -17,7 +17,8 @@ import sys
 import time
 
 from .polyalg import PolyParseError
-from .report import AnalysisOptions, AnalysisReport, InputError, analyze, parse_input
+from .poisson import casimir_search
+from .report import AnalysisOptions, AnalysisReport, InputError, analyze
 from .trace import TraceBlowupError, trace_leaf, trace_to_csv
 
 EXIT_OK = 0
@@ -62,18 +63,18 @@ def _run_one(path: str, options: AnalysisOptions) -> tuple[AnalysisReport | None
         return None, f"{path}: {exc}"
 
 
-def _run_trace(args, document: dict) -> tuple[str | None, str | None]:
-    structure, _ = parse_input(document)
+def _run_trace(args, report: AnalysisReport) -> tuple[str | None, str | None]:
+    structure = report.structure
     try:
         x0 = [float(v) for v in args.trace.split(",")]
     except ValueError:
         return None, f"bad --trace point {args.trace!r}"
     try:
-        # conserve whatever the Casimir search finds (degree bound from options)
-        from .poisson import casimir_search
-
-        invariants = [p for p in casimir_search(structure, args.max_degree)
-                      if p.total_degree() > 0]
+        # conserve the Casimirs of the analysis (it runs no search on the zero bivector)
+        casimirs = report.casimirs
+        if casimirs is None:
+            casimirs = casimir_search(structure, args.max_degree)
+        invariants = [p for p in casimirs if p.total_degree() > 0]
         result = trace_leaf(structure, x0, steps=args.steps, dt=args.dt,
                             invariants=invariants)
     except (TraceBlowupError, ValueError) as exc:
@@ -114,9 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         if len(args.inputs) > 1:
             print("--trace requires a single input file", file=sys.stderr)
             return EXIT_ERROR
-        with open(args.inputs[0], "r", encoding="utf-8") as fh:
-            document = json.load(fh)
-        csv, note = _run_trace(args, document)
+        csv, note = _run_trace(args, results[0][0])
         if csv is None:
             print(note, file=sys.stderr)
             return EXIT_ERROR

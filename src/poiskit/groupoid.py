@@ -15,7 +15,10 @@ The monodromy integrator evaluates the kernel-valued curvature of the
 minimal-norm splitting of ``sharp`` over a 2-sphere inside a regular leaf,
 with the curvature assembled symbolically on a chart extended by one
 variable ``_u`` standing for ``1/<alpha, alpha>`` (a Casimir for the
-built-in family, hence leaf-constant).
+built-in family, hence leaf-constant).  ``alpha``, the matrix of ``pi`` and
+the curvature scalars are compiled once to float evaluators, and the
+Gauss-Legendre quadrature evaluates one theta-row of the mesh (all phi
+nodes) per numpy call, with every per-point guard applied to each row.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 from ._kernel import QQ, to_qq
 from .polyalg import (
     DifferentialForm,
+    FloatEvaluator,
     MultivectorField,
     Polynomial,
 )
@@ -79,20 +83,26 @@ class LinearGroupoidModel:
         if len(f.variables) != 1:
             raise ValueError("f must be a polynomial in the single variable t")
         self.f = f
+        # nonzero entries of each column of pi, the terms of sharp(xi)_j
+        self._columns = [[(i, self.pi[i][j]) for i in range(self.d) if self.pi[i][j]]
+                         for j in range(self.d)]
+        self._columns_float = [[(i, float(c)) for i, c in col] for col in self._columns]
 
     def f_at(self, t):
         return self.f.eval([t])
 
     def sharp(self, xi: Sequence):
         """``PI^T xi`` with exact arithmetic for rational input."""
-        exact = not any(_is_float_entry(x) for x in xi)
-        vals = [to_qq(x) for x in xi] if exact else [float(x) for x in xi]
+        if any(_is_float_entry(x) for x in xi):
+            vals, columns = [float(x) for x in xi], self._columns_float
+        else:
+            vals, columns = [to_qq(x) for x in xi], self._columns
         out = []
-        for j in range(self.d):
-            acc = QQ(0) if exact else 0.0
-            for i in range(self.d):
-                if self.pi[i][j]:
-                    acc = acc + vals[i] * (self.pi[i][j] if exact else float(self.pi[i][j]))
+        for col in columns:       # full rank: no column is empty
+            (i, c), rest = col[0], col[1:]
+            acc = vals[i] * c
+            for i, c in rest:
+                acc = acc + vals[i] * c
             out.append(acc)
         return out
 
@@ -411,7 +421,8 @@ class MonodromyProblem:
                 betas[i] = betas[i] + alpha_ext.scale(inner)
         pi_mat_ext = pi_ext.component_matrix()
 
-        self._scalar: dict[tuple[int, int], list[Polynomial]] = {}
+        # <R(V_i, V_j), dx_a> for pairs i < j in row-major order, then a
+        self.curvature_scalars: list[Polynomial] = []
         for i in range(n):
             for j in range(i + 1, n):
                 bracket_ham = pi_mat_ext[i][j]        # {x_i, x_j}
@@ -423,25 +434,37 @@ class MonodromyProblem:
                                 Polynomial.zero(ext))
                     sigma_bracket = sigma_bracket + alpha_ext.scale(inner)
                 curv = sigma_bracket - koszul_bracket(betas[i], betas[j], pi_ext)
-                self._scalar[(i, j)] = curv.coefficients()
-        self._pi_mat = self.structure.pi_matrix()
+                self.curvature_scalars.extend(curv.coefficients()[:n])
+        self._pairs = np.triu_indices(n, 1)
+        self._scalar_eval = FloatEvaluator(ext, self.curvature_scalars)
+        self._alpha_eval = FloatEvaluator(base, self.alpha)
+        self._pi_eval = FloatEvaluator(
+            base, [p for row in self.structure.pi_matrix() for p in row])
 
     def curvature_matrix(self, x: np.ndarray) -> np.ndarray:
         """Pairings <R(V_i, V_j), alpha>/|alpha| at a point (floats)."""
+        return self._curvature_rows(np.asarray(x, dtype=float)[None, :])[0]
+
+    def _curvature_rows(self, xs: np.ndarray) -> np.ndarray:
+        """``curvature_matrix`` at each point of a stack ``(P, n)``."""
         n = self.n
-        alpha_val = np.array([float(p.eval(list(x))) for p in self.alpha])
-        norm = float(np.linalg.norm(alpha_val))
-        qval = float(norm * norm)
-        pt = list(x) + [1.0 / qval]
-        out = np.zeros((n, n))
-        for (i, j), coeffs in self._scalar.items():
-            vec = np.array([float(p.eval(pt)) for p in coeffs[:n]])
-            tangential = vec - (vec @ alpha_val) / qval * alpha_val
-            if np.linalg.norm(tangential) > 1e-8 * max(1.0, np.linalg.norm(vec)):
-                raise AssertionError("curvature value is not kernel-valued on the leaf")
-            s = float(vec @ alpha_val) / norm
-            out[i, j] = s
-            out[j, i] = -s
+        alpha_val = self._alpha_eval(xs)                       # (P, n)
+        norm = np.linalg.norm(alpha_val, axis=1)
+        qval = norm * norm
+        if not np.all(qval > 0.0):
+            raise ValueError("alpha vanishes: the point is outside the regular locus")
+        vec = self._scalar_eval(np.column_stack([xs, 1.0 / qval]))
+        vec = vec.reshape(len(xs), -1, n)                      # (P, pairs, n)
+        pairing = (vec @ alpha_val[:, :, None])[:, :, 0]       # (P, pairs)
+        tangential = vec - (pairing / qval[:, None])[:, :, None] * alpha_val[:, None, :]
+        if np.any(np.linalg.norm(tangential, axis=2)
+                  > 1e-8 * np.maximum(1.0, np.linalg.norm(vec, axis=2))):
+            raise AssertionError("curvature value is not kernel-valued on the leaf")
+        s = pairing / norm[:, None]
+        i, j = self._pairs
+        out = np.zeros((len(xs), n, n))
+        out[:, i, j] = s
+        out[:, j, i] = -s
         return out
 
 
@@ -462,29 +485,31 @@ def _integrate(problem: MonodromyProblem, mesh: int) -> tuple[float, float]:
     phi = np.pi * (nodes_t + 1.0)
     wp = np.pi * weights_t
 
-    pi_rows = problem._pi_mat
     n = problem.n
-    contributions = []
+    rank = 2 * problem.structure.k
+    rcond = n * np.finfo(float).eps       # the cutoff lstsq uses by default
+    contributions: list[float] = []
     max_residual = 0.0
     for a, th in enumerate(theta):
-        for b, ph in enumerate(phi):
-            x = problem.sphere.point(th, ph)
-            jac = problem.sphere.jacobian(th, ph)
-            pival = np.array([[float(p.eval(list(x))) for p in row] for row in pi_rows])
-            sharp_mat = pival.T
-            rank = np.linalg.matrix_rank(sharp_mat, tol=1e-9)
-            if rank != 2 * problem.structure.k:
+        xs = np.array([problem.sphere.point(th, ph) for ph in phi])
+        jac = np.array([problem.sphere.jacobian(th, ph) for ph in phi])      # (P, n, 2)
+        sharp_mat = problem._pi_eval(xs).reshape(-1, n, n).transpose(0, 2, 1)
+        ranks = np.linalg.matrix_rank(sharp_mat, tol=1e-9)
+        sol = np.linalg.pinv(sharp_mat, rcond=rcond) @ jac                    # minimal norm
+        residual = np.max(np.abs(sharp_mat @ sol - jac), axis=(1, 2))
+        scale = np.maximum(1.0, np.max(np.abs(jac), axis=(1, 2)))
+        bad_rank = ranks != rank
+        bad = bad_rank | (residual > problem.splitting_tol * scale * 10)
+        if np.any(bad):
+            b = int(np.argmax(bad))       # the first failing point, in mesh order
+            if bad_rank[b]:
                 raise ValueError("leaf hits the singular locus on the sphere")
-            sol, res, *_ = np.linalg.lstsq(sharp_mat, jac, rcond=None)
-            residual = float(np.max(np.abs(sharp_mat @ sol - jac)))
-            scale = max(1.0, float(np.max(np.abs(jac))))
-            if residual > problem.splitting_tol * scale * 10:
-                raise ValueError(
-                    f"splitting residual too large ({residual:.2e}); sphere not tangent to the leaf")
-            max_residual = max(max_residual, residual / scale)
-            smat = problem.curvature_matrix(x)
-            integrand = float(sol[:, 0] @ smat @ sol[:, 1])
-            contributions.append(wt[a] * wp[b] * integrand)
+            raise ValueError(
+                f"splitting residual too large ({residual[b]:.2e}); sphere not tangent to the leaf")
+        max_residual = max(max_residual, float(np.max(residual / scale)))
+        smat = problem._curvature_rows(xs)
+        integrand = np.einsum("pi,pij,pj->p", sol[:, :, 0], smat, sol[:, :, 1])
+        contributions.extend((wt[a] * wp * integrand).tolist())
     return pairwise_sum(contributions), max_residual
 
 

@@ -11,6 +11,7 @@ from .polynomial import (
     poly_gcd,
     poly_gcd_all,
 )
+from .floateval import FloatEvaluator
 from .multivector import (
     DifferentialForm,
     MultivectorField,
@@ -31,6 +32,7 @@ __all__ = [
     "Polynomial",
     "degrevlex_key",
     "divides_exactly",
+    "FloatEvaluator",
     "parse_polynomial",
     "poly_gcd",
     "poly_gcd_all",

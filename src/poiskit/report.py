@@ -71,6 +71,10 @@ class AnalysisOptions:
 class AnalysisReport:
     data: dict
     inconclusive: bool
+    # the parsed structure and the Casimir basis, for callers that go on to
+    # trace leaves; neither is rendered (None where no Casimir search ran)
+    structure: PoissonStructure | None = None
+    casimirs: list[Polynomial] | None = None
 
     def to_json(self) -> str:
         return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
@@ -241,7 +245,7 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
         data["almost_regular"] = {"outcome": "yes",
                                   "note": "zero bivector: rank-0 distribution"}
         data["assumptions"] = [SMOOTHNESS_NOTE]
-        return AnalysisReport(data, inconclusive=False)
+        return AnalysisReport(data, inconclusive=False, structure=structure)
 
     tp = top_power(structure)
     data["k"] = tp.k
@@ -318,4 +322,5 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
         SMOOTHNESS_NOTE,
         "density of the maximal-rank locus is certified structurally: " + DENSITY_RATIONALE,
     ]
-    return AnalysisReport(data, inconclusive=inconclusive)
+    return AnalysisReport(data, inconclusive=inconclusive, structure=structure,
+                          casimirs=basis)

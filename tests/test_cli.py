@@ -208,6 +208,66 @@ def test_cli_trace_csv(tmp_path, capsys):
     assert len(lines) == 102
 
 
+def reference_trace(structure, x0, invariants, steps=10000, dt=1e-3):
+    """RK4 on the coordinate fields with ``Polynomial.eval`` at every stage,
+    returning the CSV and the drift note."""
+    import numpy as np
+
+    from poiskit.polyalg import DifferentialForm, Polynomial
+
+    variables = structure.variables
+    fields = [structure.sharp(DifferentialForm.d_of(Polynomial.variable(variables, v)))
+              .coefficients() for v in variables]
+
+    def ev(coeffs, x):
+        return np.array([float(p.eval([float(v) for v in x])) for p in coeffs])
+
+    x = np.array(x0, dtype=float)
+    points = [x]
+    for s in range(steps):
+        coeffs = fields[s % len(fields)]
+        k1 = ev(coeffs, x)
+        k2 = ev(coeffs, x + 0.5 * dt * k1)
+        k3 = ev(coeffs, x + 0.5 * dt * k2)
+        k4 = ev(coeffs, x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        points.append(x)
+    csv = "step," + ",".join(variables) + "\n" + "".join(
+        f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n" for i, row in enumerate(points))
+    drifts = []
+    for f in invariants:
+        values = [float(f.eval(list(points[i]))) for i in range(0, steps + 1, steps // 100)]
+        drifts.append(f"drift[{f}] = {max(abs(v - values[0]) for v in values) / abs(values[0]):.3e}")
+    return csv, "# dimension estimate: 2; " + "; ".join(drifts)
+
+
+def test_cli_trace_reuses_the_analysis(tmp_path, capsys, monkeypatch):
+    import poiskit.cli
+    import poiskit.poisson
+    import poiskit.report
+
+    calls = []
+    original = poiskit.poisson.casimir_search
+
+    def counted(structure, max_degree):
+        calls.append(max_degree)
+        return original(structure, max_degree)
+
+    for module in (poiskit.poisson, poiskit.report, poiskit.cli):
+        monkeypatch.setattr(module, "casimir_search", counted)
+    su2 = write(tmp_path, "su2.json", SU2)
+    csv_path = tmp_path / "trace.csv"
+    assert main(["analyze", su2, "--trace", "1,0,0", "--trace-out", str(csv_path)]) == 0
+    note = capsys.readouterr().err.splitlines()[0]
+    assert calls == [4]
+
+    structure, _ = parse_input(SU2)
+    invariants = [p for p in original(structure, 4) if p.total_degree() > 0]
+    expected_csv, expected_note = reference_trace(structure, [1.0, 0.0, 0.0], invariants)
+    assert csv_path.read_text() == expected_csv
+    assert note == expected_note
+
+
 def test_round_trip_parse_print_parse():
     from poiskit.polyalg import parse_polynomial
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from poiskit._kernel import QQ
@@ -207,3 +208,67 @@ def test_monodromy_requires_single_generator_kernel():
     ps = PoissonStructure.from_components(("x", "y", "z", "w"), {(0, 1): "1"})
     with pytest.raises(ValueError):
         MonodromyProblem(ps, round_sphere(1.0, 4))
+
+
+@pytest.mark.parametrize("structure, sphere, message", [
+    # a round sphere off the origin crosses the su(2) leaves
+    (su2_structure(), round_sphere(1.0, 3, center=[0, 0, 3]), "splitting residual too large"),
+    # the plane t = 0 is where t dx ^ dy vanishes
+    (PoissonStructure.from_components(("x", "y", "t"), {(0, 1): "t"}),
+     planar_sphere(1.0, 3, axes=(0, 1), center=[0, 0, 0]), "singular locus"),
+])
+def test_monodromy_guards_name_the_failure(structure, sphere, message):
+    with pytest.raises(ValueError, match=message):
+        monodromy_period(MonodromyProblem(structure, sphere), meshes=(8, 12))
+
+
+def reference_curvature(problem: MonodromyProblem, x) -> np.ndarray:
+    """The per-point formula on the exact polynomials, with ``Polynomial.eval``."""
+    n = problem.n
+    alpha = np.array([float(p.eval(list(x))) for p in problem.alpha])
+    norm = float(np.linalg.norm(alpha))
+    pt = list(x) + [1.0 / (norm * norm)]
+    out = np.zeros((n, n))
+    for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
+        vec = np.array([float(p.eval(pt)) for p in problem.curvature_scalars[k * n:(k + 1) * n]])
+        out[i, j] = float(vec @ alpha) / norm
+        out[j, i] = -out[i, j]
+    return out
+
+
+def reference_period(problem: MonodromyProblem, mesh: int) -> float:
+    """The quadrature one point at a time, solving with ``lstsq``."""
+    nodes, weights = np.polynomial.legendre.leggauss(mesh)
+    pi_rows = problem.structure.pi_matrix()
+    contributions = []
+    for a, th in enumerate(0.5 * np.pi * (nodes + 1.0)):
+        for b, ph in enumerate(np.pi * (nodes + 1.0)):
+            x = problem.sphere.point(th, ph)
+            sharp = np.array([[float(p.eval(list(x))) for p in row] for row in pi_rows]).T
+            sol = np.linalg.lstsq(sharp, problem.sphere.jacobian(th, ph), rcond=None)[0]
+            integrand = float(sol[:, 0] @ reference_curvature(problem, x) @ sol[:, 1])
+            contributions.append(0.5 * np.pi * weights[a] * np.pi * weights[b] * integrand)
+    return pairwise_sum(contributions)
+
+
+def gauged_su2_problem() -> MonodromyProblem:
+    gauge = [QQ(3, 100), QQ(-7, 100), QQ(1, 20)]
+    return MonodromyProblem(su2_structure(), round_sphere(1.5, 3, axes=(2, 0, 1)), gauge=gauge)
+
+
+def test_row_curvature_matches_exact_per_point_evaluation():
+    problem = gauged_su2_problem()
+    theta = 0.7
+    xs = np.array([problem.sphere.point(theta, ph) for ph in np.linspace(0.1, 6.0, 17)])
+    rows = problem._curvature_rows(xs)
+    for x, got in zip(xs, rows):
+        expected = reference_curvature(problem, x)
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+        assert np.array_equal(problem.curvature_matrix(x), got)
+
+
+def test_row_quadrature_matches_per_point_quadrature():
+    problem = gauged_su2_problem()
+    expected = reference_period(problem, 12)
+    value = monodromy_period(problem, meshes=(8, 12)).value
+    assert value == pytest.approx(expected, rel=1e-12)
