@@ -25,6 +25,7 @@ from .polyalg import (
 )
 from .modcalc import REAL, SubmodulePresentation, Verdict, variety_emptiness
 from .modcalc.linalg import qq_nullspace, qq_solve
+from .modcalc.rank import _det
 from .poisson import (
     DistributionPresentation,
     PoissonStructure,
@@ -161,12 +162,6 @@ def _sharp_columns(structure: PoissonStructure, covectors: Sequence[Sequence]) -
     return out
 
 
-def _poly_det(rows: list[list[Polynomial]]) -> Polynomial:
-    from .modcalc.rank import _det
-
-    return _det(rows)
-
-
 def induced_bivector_at(structure: PoissonStructure, w_basis, point: Sequence,
                         *, cutoff: float = 1e-10):
     """Pointwise cosymplectic reduction: the induced skew matrix on W in the
@@ -239,7 +234,7 @@ def cosymplectic_reduce(structure: PoissonStructure, w_basis,
     const = lambda c: Polynomial.constant(variables, c)
     bmat = [[sharp_cols[j][i] for j in range(q)] + [const(w[a][i]) for a in range(p)]
             for i in range(n)]
-    det = _poly_det(bmat)
+    det = _det(bmat)
     if det.is_zero:
         raise CosymplecticError("sharp(W°) ⊕ W fails identically", {"determinant": "0"})
     cert = variety_emptiness([det], REAL, seed=seed)
@@ -257,7 +252,7 @@ def cosymplectic_reduce(structure: PoissonStructure, w_basis,
     for i in range(n):
         for j in range(n):
             minor = [[bmat[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            cof = _poly_det(minor) if minor else Polynomial.one(variables)
+            cof = _det(minor) if minor else Polynomial.one(variables)
             adj[i][j] = cof if (i + j) % 2 == 0 else -cof
     # numerator of the projection onto W along sharp(W°): B J adj(B)
     zero = Polynomial.zero(variables)

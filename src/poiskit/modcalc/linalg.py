@@ -1,7 +1,14 @@
-"""Exact linear algebra over the rationals (dense, small matrices)."""
+"""Exact linear algebra over the rationals.
+
+The ``qq_*`` routines work on small dense matrices of rationals.
+``sparse_nullspace`` solves large sparse systems (the Casimir system has one
+column per monomial) in Python integers and builds rationals only for the
+kernel vectors it returns.
+"""
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Sequence
 
 from .._kernel import QQ, to_qq
@@ -104,48 +111,93 @@ def span_equal(a: Sequence[Sequence], b: Sequence[Sequence], ncols: int) -> bool
     return ra == rb == rab
 
 
+def _integer_row(row: dict) -> dict[int, int]:
+    """The nonzero entries of ``row`` as integers: a row with a rational entry
+    is scaled by the lcm of its denominators, which keeps its kernel."""
+    r = {c: v for c, v in row.items() if v}
+    if all(type(v) is int for v in r.values()):
+        return r
+    r = {c: to_qq(v) for c, v in r.items()}
+    den = lcm(*(int(v.denominator) for v in r.values()))
+    return {c: int(v.numerator) * (den // int(v.denominator)) for c, v in r.items()}
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
 def sparse_nullspace(rows: Sequence[dict], ncols: int) -> list[list]:
-    """Kernel basis for a sparse row list (dicts column -> coefficient)."""
-    pivots: dict[int, dict] = {}
+    """Kernel basis for a sparse row list (dicts column -> coefficient).
+
+    Returns what ``qq_nullspace`` returns: one vector per free column, in
+    column order, with 1 at its own free column and 0 at the others. That
+    basis and the pivot columns (the leading columns of the reduced echelon
+    form) depend only on the row space, so the order of ``rows`` does not
+    change the result.
+
+    Elimination is fraction-free: every row is kept as primitive integers
+    (leading column = its smallest column) and reduced against a pivot by
+    ``r <- a*r - b*pivot``, then divided by its content. Each kernel vector
+    is then back-substituted over only the pivot rows that reach its free
+    column, with one common denominator; its entries become ``QQ`` last.
+    """
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        r = {c: to_qq(v) for c, v in row.items() if v}
+        r = _integer_row(row)
         while r:
             lead = min(r)
             piv = pivots.get(lead)
             if piv is None:
-                inv = 1 / r[lead]
-                pivots[lead] = {c: v * inv for c, v in r.items()}
+                pivots[lead] = _primitive(r)
                 break
-            f = r[lead]
+            a, b = piv[lead], r[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                r = {c: a * v for c, v in r.items()}
             for c, v in piv.items():
-                s = r.get(c, QQ(0)) - f * v
+                s = r.get(c, 0) - b * v
                 if s:
                     r[c] = s
-                elif c in r:
-                    del r[c]
-    # back-substitute to reduced form
-    for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        for other_lead, other in pivots.items():
-            if other_lead >= lead:
-                continue
-            f = other.get(lead)
-            if not f:
-                continue
-            for c, v in row.items():
-                s = other.get(c, QQ(0)) - f * v
-                if s:
-                    other[c] = s
-                elif c in other:
-                    del other[c]
-    free = [c for c in range(ncols) if c not in pivots]
+                else:
+                    r.pop(c, None)
+            if r:
+                r = _primitive(r)
+    # users[c]: leading columns of the pivot rows with an entry in column c
+    users: dict[int, list[int]] = {}
+    for lead, piv in pivots.items():
+        for c in piv:
+            if c != lead:
+                users.setdefault(c, []).append(lead)
+    zero = QQ(0)
     basis = []
-    for f in free:
-        v = [QQ(0)] * ncols
-        v[f] = QQ(1)
-        for lead, row in pivots.items():
-            coeff = row.get(f)
-            if coeff:
-                v[lead] = -coeff
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        reached, stack = set(), [f]
+        while stack:
+            for lead in users.get(stack.pop(), ()):
+                if lead not in reached:
+                    reached.add(lead)
+                    stack.append(lead)
+        # the vector is w / den; a pivot row's other columns all lie to the
+        # right of its lead, so descending leads see every column they need
+        w, den = {f: 1}, 1
+        for lead in sorted(reached, reverse=True):
+            piv = pivots[lead]
+            s = sum(v * w[c] for c, v in piv.items() if c in w)
+            if not s:
+                continue
+            a = piv[lead]
+            g = gcd(a, s)
+            m = a // g
+            if m != 1:
+                w = {c: m * v for c, v in w.items()}
+                den *= m
+            w[lead] = -s // g
+        v = [zero] * ncols
+        for c, x in w.items():
+            v[c] = QQ(x, den)
         basis.append(v)
     return basis

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from math import lcm
 from operator import add
 from typing import Sequence
 
@@ -210,17 +211,20 @@ def _monomials_up_to(variables: Sequence[str], degree: int) -> list[tuple[int, .
             for i in combo:
                 e[i] += 1
             out.append(tuple(e))
-    return sorted(set(out))
+    return sorted(out)
 
 
-def _casimir_rows(mat: list[list[Polynomial]],
-                  monos: list[tuple[int, ...]]) -> dict[tuple, dict[int, object]]:
+def _casimir_rows(mat: list[list[Polynomial]], monos: list[tuple[int, ...]],
+                  scale: int | None = None) -> dict[tuple, dict[int, object]]:
     """Coefficients of ``sharp(d x^a)`` for each monomial ``x^a`` (column
     ``monos.index(a)``), keyed by (component, exponent), read off the
-    component matrix: ``sharp(d x^a)_j = sum_i a_i x^(a - e_i) PI[i][j]``."""
+    component matrix: ``sharp(d x^a)_j = sum_i a_i x^(a - e_i) PI[i][j]``.
+    With ``scale`` (a common denominator of the matrix) the rows are those of
+    ``scale * PI``, in Python integers; scaling keeps the kernel."""
     n = len(mat)
     # row i of PI as (j, exponent, coefficient) triples
-    pi_rows = [[(j, e, c) for j in range(n) for e, c in mat[i][j].terms.items()]
+    pi_rows = [[(j, e, c if scale is None else int(c * scale))
+                for j in range(n) for e, c in mat[i][j].terms.items()]
                for i in range(n)]
     rows: dict[tuple, dict[int, object]] = {}
     for col, expo in enumerate(monos):
@@ -239,13 +243,20 @@ def _casimir_rows(mat: list[list[Polynomial]],
 
 
 def casimir_search(structure: PoissonStructure, max_degree: int) -> list[Polynomial]:
-    """Basis of the space of polynomial Casimirs of degree <= max_degree,
-    found by an exact linear solve on the coefficients of ``sharp(df) = 0``."""
+    """Basis of the space of polynomial Casimirs of degree <= max_degree.
+
+    ``sharp(df) = 0`` is a linear system on the coefficients of ``f``, one
+    column per monomial. It is built from the component matrix times the lcm
+    of its coefficient denominators, so every entry is an integer, and solved
+    fraction-free by ``sparse_nullspace``. The rows go in unsorted: the
+    kernel basis, normalised at the free columns, does not depend on their
+    order."""
     variables = structure.variables
     monos = _monomials_up_to(variables, max_degree)
-    rows = _casimir_rows(structure.pi_matrix(), monos)
-    row_list = [rows[key] for key in sorted(rows)]
-    kernel = sparse_nullspace(row_list, len(monos))
+    mat = structure.pi_matrix()
+    scale = lcm(*(int(c.denominator) for row in mat for p in row for c in p.terms.values()))
+    rows = _casimir_rows(mat, monos, scale)
+    kernel = sparse_nullspace(list(rows.values()), len(monos))
     basis = []
     for vec in kernel:
         terms = {monos[i]: c for i, c in enumerate(vec) if c}

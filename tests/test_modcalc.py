@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poiskit._kernel import QQ
 from poiskit.polyalg import Polynomial, parse_polynomial
@@ -16,6 +18,7 @@ from poiskit.modcalc import (
     syzygies,
     variety_emptiness,
 )
+from poiskit.modcalc.linalg import qq_nullspace, sparse_nullspace
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -312,3 +315,35 @@ def test_sparse_nullspace_matches_dense():
     assert len(dense) == len(sparse) == 2
     for v in sparse:
         assert all(sum(r[i] * v[i] for i in range(4)) == 0 for r in rows_dense)
+
+
+@st.composite
+def sparse_systems(draw):
+    """A sparse system with integer and rational entries, explicit zeros,
+    duplicate rows and all-zero rows, plus a shuffled copy of its rows."""
+    ncols = draw(st.integers(1, 9))
+    entry = st.one_of(st.integers(-4, 4), st.builds(QQ, st.integers(-9, 9), st.integers(1, 6)))
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols)
+    rows = draw(st.lists(row, max_size=10))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))     # duplicates
+    rows += draw(st.lists(st.sampled_from([{}, {0: 0}, {ncols - 1: QQ(0)}]), max_size=2))
+    return ncols, rows, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_sparse_nullspace_equals_dense_on_random_systems(case):
+    ncols, rows, shuffled = case
+    dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
+    expected = qq_nullspace(dense, ncols=ncols)
+    for order in (rows, shuffled):
+        got = sparse_nullspace(order, ncols)
+        assert got == expected
+        assert all(type(x) is QQ for v in got for x in v)
+
+
+def test_sparse_nullspace_without_rows_is_the_identity():
+    got = sparse_nullspace([], 3)
+    assert got == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] == qq_nullspace([], ncols=3)
+    assert all(type(x) is QQ for v in got for x in v)

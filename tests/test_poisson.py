@@ -15,6 +15,7 @@ from poiskit.polyalg import (
     wedge,
 )
 from poiskit.modcalc import SubmodulePresentation
+from poiskit.modcalc.linalg import qq_nullspace
 from poiskit.poisson import (
     DistributionPresentation,
     PoissonStructure,
@@ -402,6 +403,43 @@ def test_direct_casimir_rows_match_sharp(variables, components):
     assert direct == _casimir_rows_via_sharp(structure, monos)
     assert direct
 
+
+
+def _casimir_basis_via_dense(structure, degree):
+    """Reference: the dense kernel of the ``sharp``-built Casimir system."""
+    monos = _monomials_up_to(structure.variables, degree)
+    rows = _casimir_rows_via_sharp(structure, monos)
+    dense = [[row.get(c, 0) for c in range(len(monos))] for row in rows.values()]
+    basis = [Polynomial(structure.variables, {monos[i]: c for i, c in enumerate(v) if c})
+             for v in qq_nullspace(dense, ncols=len(monos))]
+    return sorted(basis, key=lambda p: (p.total_degree(), str(p)))
+
+
+@pytest.mark.parametrize("components,scale", [
+    ({(0, 1): "3/7*z", (1, 2): "3/7*x", (0, 2): "-3/7*y"}, 7),           # su(2) times 3/7
+    ({(0, 1): "x^2*z - 2*y^3 + 1/3*x*y*z"}, 3),                          # cubic
+])
+def test_casimir_search_on_rational_charts_matches_dense(components, scale):
+    structure = PoissonStructure.from_components(V3, components)
+    basis = casimir_search(structure, 4)
+    assert basis == _casimir_basis_via_dense(structure, 4)
+    assert len(basis) > 1
+    assert all(type(c) is QQ for p in basis for c in p.terms.values())
+    # the solve runs on integer rows: the exact rows times the common denominator
+    monos = _monomials_up_to(V3, 4)
+    exact = _casimir_rows(structure.pi_matrix(), monos)
+    scaled = _casimir_rows(structure.pi_matrix(), monos, scale)
+    assert all(type(c) is int for row in scaled.values() for c in row.values())
+    assert scaled == {k: {c: v * scale for c, v in row.items()} for k, row in exact.items()}
+
+
+def test_casimir_search_on_the_zero_bivector_returns_every_monomial():
+    structure = PoissonStructure.from_components(V3, {})
+    basis = casimir_search(structure, 3)
+    monomials = [Polynomial(V3, {e: 1}) for e in _monomials_up_to(V3, 3)]
+    assert basis == sorted(monomials, key=lambda p: (p.total_degree(), str(p)))
+    assert len(basis) == 20
+    assert all(type(c) is QQ for p in basis for c in p.terms.values())
 
 # -- foliation modules -----------------------------------------------------------------------
 
