@@ -6,7 +6,9 @@ document). ``--trace`` integrates the Hamiltonian flows from a starting point
 and emits a CSV point cloud. Exit codes: 0 decision reached, 2 some stage
 inconclusive, 1 error. Batch inputs run one after another, one report
 each, in input order; timing goes to stderr so reports stay byte-identical
-for a fixed seed.
+for a fixed seed. A usage error (a missing input, a malformed or negative
+``--max-degree``, ``--samples`` or ``--steps``) prints argparse's message to
+stderr and exits 1, so that 2 keeps meaning inconclusive.
 """
 
 from __future__ import annotations
@@ -26,8 +28,31 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors reach ``main`` as exceptions
+    instead of argparse's exit code 2, which here means inconclusive."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="poiskit",
         description="Analyze polynomial Poisson bivectors on a coordinate chart.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -35,16 +60,17 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("inputs", nargs="+", help="input JSON files")
     an.add_argument("--json", dest="json_out", metavar="OUT",
                     help="write the machine-readable report (single input only)")
-    an.add_argument("--max-degree", type=int, default=4,
+    an.add_argument("--max-degree", type=_non_negative_int, default=4,
                     help="degree bound for the Casimir search (default 4)")
-    an.add_argument("--samples", type=int, default=10000,
+    an.add_argument("--samples", type=_non_negative_int, default=10000,
                     help="witness-search sample count (default 10000)")
     an.add_argument("--seed", type=int, default=0, help="witness-search seed (default 0)")
     an.add_argument("--skip-jacobi", action="store_true",
                     help="skip Jacobi verification (flagged in the report)")
     an.add_argument("--trace", metavar="X0",
                     help="comma-separated starting point for the leaf tracer")
-    an.add_argument("--steps", type=int, default=10000, help="tracer steps (default 10000)")
+    an.add_argument("--steps", type=_non_negative_int, default=10000,
+                    help="tracer steps (default 10000)")
     an.add_argument("--dt", type=float, default=1e-3, help="tracer step size (default 1e-3)")
     an.add_argument("--trace-out", metavar="CSV",
                     help="write the trace point cloud to a CSV file (default stdout)")
@@ -86,7 +112,11 @@ def _run_trace(args, report: AnalysisReport) -> tuple[str | None, str | None]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_ERROR
     options = AnalysisOptions(max_degree=args.max_degree, samples=args.samples,
                               seed=args.seed, skip_jacobi=args.skip_jacobi)
     if args.json_out and len(args.inputs) > 1:

@@ -10,6 +10,12 @@ full-rank constant bivector scaled by a one-variable profile ``f(t)``:
 ``sharp`` uses the same transpose convention as the rest of the package
 (``sharp(xi) = PI^T xi``), which is what makes the slice target map Poisson
 and the target-source map into the fiberwise pair groupoid anti-Poisson.
+The model checks these laws in exact arithmetic, so it compiles its data
+once: the profile to its terms (``f_at`` returns what ``f.eval`` would,
+value and type, without calling it) and ``pi`` to the nonzero entries of
+each column.  Exact input is used as is: a vector whose entries are all
+``QQ`` goes straight into the sums, and an entry of ``pi`` equal to +-1
+costs no product.  ``target`` forms ``v + f(t) sharp(xi)`` in one pass.
 
 The monodromy integrator evaluates the kernel-valued curvature of the
 minimal-norm splitting of ``sharp`` over a 2-sphere inside a regular leaf,
@@ -56,10 +62,11 @@ __all__ = [
 ]
 
 FLOAT_COMPOSABILITY_TOL = 1e-12
+_FLOAT_TYPES = (float, np.floating)
 
 
 def _is_float_entry(x) -> bool:
-    return isinstance(x, float) or isinstance(x, np.floating)
+    return isinstance(x, _FLOAT_TYPES)
 
 
 GroupoidElement = tuple  # (xi, v, t)
@@ -67,7 +74,14 @@ GroupoidElement = tuple  # (xi, v, t)
 
 class LinearGroupoidModel:
     """Action groupoid of ``(V*, +)`` on ``V x R`` translating by
-    ``f(t) sharp(xi)``; ``pi`` must be a full-rank skew rational matrix."""
+    ``f(t) sharp(xi)``; ``pi`` must be a full-rank skew rational matrix.
+
+    The profile is compiled once to its ``(exponent, coefficient)`` terms and
+    ``pi`` to the nonzero entries of each column.  Exact input (every entry of
+    ``xi`` already ``QQ``) is used as is, with no per-entry type scan or
+    coercion; float and mixed input keep the float path and the
+    composability tolerance.
+    """
 
     def __init__(self, pi_matrix: Sequence[Sequence], f: Polynomial):
         self.pi = [[to_qq(x) for x in row] for row in pi_matrix]
@@ -83,26 +97,63 @@ class LinearGroupoidModel:
         if len(f.variables) != 1:
             raise ValueError("f must be a polynomial in the single variable t")
         self.f = f
-        # nonzero entries of each column of pi, the terms of sharp(xi)_j
-        self._columns = [[(i, self.pi[i][j]) for i in range(self.d) if self.pi[i][j]]
-                         for j in range(self.d)]
-        self._columns_float = [[(i, float(c)) for i, c in col] for col in self._columns]
+        # the terms of f in f.terms order (which holds no zero coefficient);
+        # for exact t a coefficient of 1 becomes None and costs no product
+        self._profile = [(e, c) for (e,), c in f.terms.items()]
+        self._profile_exact = [(e, None if e and c == 1 else c) for e, c in self._profile]
+        # nonzero entries of each column of pi, the terms of sharp(xi)_j; an
+        # exact term (i, sign, c) has sign 1 or -1 for an entry c of +-1 and
+        # sign 0 for any other entry
+        columns = [[(i, self.pi[i][j]) for i in range(self.d) if self.pi[i][j]]
+                   for j in range(self.d)]
+        self._columns_float = [[(i, float(c)) for i, c in col] for col in columns]
+        self._columns_exact = [[(i, 1 if c == 1 else -1 if c == -1 else 0, c) for i, c in col]
+                               for col in columns]
+        self._zero = tuple(QQ(0) for _ in range(self.d))
 
     def f_at(self, t):
-        return self.f.eval([t])
+        """``f(t)``, equal in value and type to ``self.f.eval([t])``: exact for
+        rational or int ``t``, bit for bit the same float for float ``t``, and
+        the int 0 for the zero profile."""
+        if isinstance(t, float):
+            terms = self._profile             # c * t**e, as Polynomial.eval forms it
+        else:
+            t, terms = to_qq(t), self._profile_exact
+        total = None
+        for e, c in terms:
+            if not e:
+                term = c
+            else:
+                term = t if e == 1 else t ** e
+                if c is not None:
+                    term = c * term
+            total = term if total is None else total + term
+        return 0 if total is None else total
 
     def sharp(self, xi: Sequence):
         """``PI^T xi`` with exact arithmetic for rational input."""
-        if any(_is_float_entry(x) for x in xi):
-            vals, columns = [float(x) for x in xi], self._columns_float
-        else:
-            vals, columns = [to_qq(x) for x in xi], self._columns
+        if all(type(x) is QQ for x in xi):
+            return self._sharp_exact(xi)
+        if not any(_is_float_entry(x) for x in xi):
+            return self._sharp_exact([to_qq(x) for x in xi])
+        vals = [float(x) for x in xi]
         out = []
-        for col in columns:       # full rank: no column is empty
+        for col in self._columns_float:       # full rank: no column is empty
             (i, c), rest = col[0], col[1:]
             acc = vals[i] * c
             for i, c in rest:
                 acc = acc + vals[i] * c
+            out.append(acc)
+        return out
+
+    def _sharp_exact(self, vals: Sequence) -> list:
+        out = []
+        for col in self._columns_exact:
+            acc = None
+            for i, sign, c in col:
+                x = vals[i]
+                term = x if sign > 0 else -x if sign else x * c
+                acc = term if acc is None else acc + term
             out.append(acc)
         return out
 
@@ -117,13 +168,13 @@ class LinearGroupoidModel:
         return (tuple(v), t)
 
     def target(self, g: GroupoidElement):
+        """``(v + f(t) sharp(xi), t)``."""
         xi, v, t = g
-        tr = self.translation(xi, t)
-        return (tuple(a + b for a, b in zip(v, tr)), t)
+        c = self.f_at(t)
+        return (tuple(a + c * s for a, s in zip(v, self.sharp(xi))), t)
 
     def unit(self, v: Sequence, t) -> GroupoidElement:
-        zero = tuple(QQ(0) for _ in range(self.d))
-        return (zero, tuple(v), t)
+        return (self._zero, tuple(v), t)
 
     def inverse(self, g: GroupoidElement) -> GroupoidElement:
         xi, v, t = g
@@ -133,8 +184,8 @@ class LinearGroupoidModel:
     def composable(self, g: GroupoidElement, h: GroupoidElement) -> bool:
         (sv, st) = self.source(g)
         (tv, tt) = self.target(h)
-        exact = not any(_is_float_entry(x) for x in (*sv, st, *tv, tt))
-        if exact:
+        types = set(map(type, (*sv, st, *tv, tt)))
+        if not any(issubclass(tp, _FLOAT_TYPES) for tp in types):
             return st == tt and all(a == b for a, b in zip(sv, tv))
         if abs(float(st) - float(tt)) > FLOAT_COMPOSABILITY_TOL:
             return False

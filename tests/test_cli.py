@@ -275,3 +275,47 @@ def test_round_trip_parse_print_parse():
     again = parse_polynomial(("x", "y", "t"), echo["bivector"][0]["coeff"])
     assert again == structure.bivector.components[(0, 1)]
     assert str(structure.bivector) == echo["bivector_pretty"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze"], "the following arguments are required: inputs"),
+    (["analyze", "{su2}", "--steps", "x"], "argument --steps: invalid int value: 'x'"),
+    (["analyze", "{su2}", "--bogus"], "unrecognized arguments: --bogus"),
+    (["wat"], "invalid choice: 'wat'"),
+])
+def test_cli_usage_errors_exit_with_error_code(tmp_path, capsys, argv, message):
+    su2 = write(tmp_path, "su2.json", SU2)
+    assert main([a.format(su2=su2) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: poiskit" in captured.err and message in captured.err
+
+
+def test_cli_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["analyze", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: poiskit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-degree", "-1"), ("--samples", "-5"), ("--steps", "-1"),
+])
+def test_cli_rejects_negative_bounds_at_parse_time(tmp_path, capsys, flag, value):
+    su2 = write(tmp_path, "su2.json", SU2)
+    assert main(["analyze", su2, "--trace", "1,0,0", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""          # nothing was analyzed or traced
+    assert f"argument {flag}: must be non-negative, got {value}" in captured.err
+
+
+def test_cli_accepts_zero_bounds_and_a_backward_step(tmp_path, capsys):
+    su2 = write(tmp_path, "su2.json", SU2)
+    assert main(["analyze", su2, "--max-degree", "0", "--samples", "0"]) == 0
+    assert "polynomial casimirs up to degree 0" in capsys.readouterr().out
+    code = main(["analyze", su2, "--trace", "1,0,0", "--steps", "3", "--dt", "-0.001"])
+    assert code == 0
+    out = capsys.readouterr().out
+    rows = out[out.index("step,x,y,z"):].strip().splitlines()
+    assert [r.split(",")[0] for r in rows] == ["step", "0", "1", "2", "3"]

@@ -272,3 +272,103 @@ def test_row_quadrature_matches_per_point_quadrature():
     expected = reference_period(problem, 12)
     value = monodromy_period(problem, meshes=(8, 12)).value
     assert value == pytest.approx(expected, rel=1e-12)
+
+
+# -- the model beyond pi = +-1 and f = t, against a dense reference ---------------------
+
+WIDE_PI = [[0, QQ(3, 2)], [QQ(-3, 2), 0]]
+# Pfaffian 1*1 - (-2)(-2) + (1/3)(1/3) != 0, several nonzero entries per column
+DENSE_PI = [[0, 1, -2, QQ(1, 3)],
+            [-1, 0, QQ(1, 3), -2],
+            [2, QQ(-1, 3), 0, 1],
+            [QQ(-1, 3), 2, -1, 0]]
+PROFILES = ["2*t^3 - t + 1/2", "1", "t"]
+
+
+def same(got, expected) -> bool:
+    """Equal value and type; floats bit for bit."""
+    if type(got) is not type(expected):
+        return False
+    if isinstance(expected, float):
+        return got.hex() == expected.hex()
+    return got == expected
+
+
+def same_seq(got, expected) -> bool:
+    return len(got) == len(expected) and all(same(a, b) for a, b in zip(got, expected))
+
+
+def reference_sharp(pi, xi):
+    """Dense ``PI^T xi``, over every entry of each column."""
+    d = len(pi)
+    if any(isinstance(x, float) for x in xi):
+        out = []
+        for j in range(d):
+            acc = 0.0
+            for i in range(d):
+                acc += float(xi[i]) * float(pi[i][j])
+            out.append(acc)
+        return out
+    return [sum((QQ(xi[i]) * QQ(pi[i][j]) for i in range(d)), QQ(0)) for j in range(d)]
+
+
+def draw(rng, kind, d):
+    """A triple (xi, v, t) of QQ entries, Python ints or floats."""
+    if kind == "qq":
+        return rvec(rng, d), rvec(rng, d), QQ(rng.randint(-9, 9), rng.randint(1, 5))
+    if kind == "int":
+        return (tuple(rng.randint(-20, 20) for _ in range(d)),
+                tuple(rng.randint(-20, 20) for _ in range(d)), rng.randint(-4, 4))
+    return (tuple(rng.uniform(-5, 5) for _ in range(d)),
+            tuple(rng.uniform(-5, 5) for _ in range(d)), rng.uniform(-2, 2))
+
+
+@pytest.mark.parametrize("pi", [WIDE_PI, DENSE_PI], ids=["wide2", "dense4"])
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("kind", ["qq", "int", "float"])
+def test_model_maps_match_dense_reference(pi, profile, kind):
+    f = Polynomial.parse(T, profile)
+    model = LinearGroupoidModel(pi, f)
+    d = len(pi)
+    rng = random.Random(f"{d}:{profile}:{kind}")
+    for _ in range(40):
+        xi, v, t = draw(rng, kind, d)
+        c = f.eval([t])
+        assert same(model.f_at(t), c)
+        sharp = reference_sharp(pi, xi)
+        assert same_seq(model.sharp(xi), sharp)
+        assert same_seq(model.translation(xi, t), [c * s for s in sharp])
+        w = tuple(a + c * s for a, s in zip(v, sharp))
+        got_w, got_t = model.target((xi, v, t))
+        assert same_seq(got_w, w) and got_t is t
+        inv_xi, inv_w, inv_t = model.inverse((xi, v, t))
+        assert same_seq(inv_xi, [-x for x in xi]) and same_seq(inv_w, w) and inv_t is t
+
+
+@pytest.mark.parametrize("profile", PROFILES + ["0", "t^2", "-t + 3", "7/3*t^4"])
+def test_profile_matches_polynomial_eval(profile):
+    f = Polynomial.parse(T, profile)
+    model = LinearGroupoidModel(DENSE_PI, f)
+    points = [QQ(-7, 3), QQ(0), QQ(5, 2), -3, 0, 4, 0.0, -1.25, 0.1, 3.0000001, np.float64(0.3)]
+    for t in points:
+        assert same(model.f_at(t), f.eval([t])), t
+    if profile == "0":
+        assert all(model.f_at(t) == 0 and type(model.f_at(t)) is int for t in points)
+
+
+def test_exact_model_keeps_its_checks_beyond_unit_entries():
+    model = LinearGroupoidModel(DENSE_PI, Polynomial.parse(T, "2*t^3 - t + 1/2"))
+    rng = random.Random(17)
+    for _ in range(30):
+        t = QQ(rng.randint(-9, 9), rng.randint(1, 5))
+        h = (rvec(rng, 4), rvec(rng, 4), t)
+        g = (rvec(rng, 4), model.target(h)[0], t)
+        gh = model.multiply(g, h)
+        assert model.target(gh) == model.target(g) and model.source(gh) == model.source(h)
+        assert model.pair_slice_inverse(model.pair_map(h)) == h
+        with pytest.raises(ValueError, match="non-composable"):
+            model.multiply(h, h)
+    assert pair_morphism_check(model, samples=50, seed=3).morphism_exact
+    vanishing = LinearGroupoidModel(DENSE_PI, Polynomial.parse(T, "2*t^3 - t"))
+    with pytest.raises(ValueError, match="f\\(t\\) = 0"):
+        vanishing.pair_slice_inverse(vanishing.pair_map((rvec(rng, 4), rvec(rng, 4), QQ(0))))
