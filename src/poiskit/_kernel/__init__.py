@@ -1,22 +1,13 @@
-"""Kernel backend selection.
+"""Exact term kernel: the term-map arithmetic and its rational type.
 
-The compiled extension is preferred; ``POISKIT_PURE=1`` forces the Python
-fallback (used by the backend-consistency tests and the benchmark).
+``termops`` is the pure-Python term arithmetic and ``QQ`` is
+``fractions.Fraction``; ``BACKEND`` names the kernel for benchmark headers.
 """
 
 from __future__ import annotations
 
-import os
-
+from . import _termops_py as termops
 from .rational import QQ, QQ_ONE, QQ_ZERO, qq_str, to_qq
-
-if os.environ.get("POISKIT_PURE"):
-    from . import _termops_py as termops
-else:
-    try:
-        from . import _termops_cy as termops  # type: ignore[no-redef]
-    except ImportError:
-        from . import _termops_py as termops  # type: ignore[no-redef]
 
 BACKEND = termops.BACKEND
 

@@ -2,8 +2,8 @@
 
 A polynomial is a dict mapping exponent tuples to nonzero rational
 coefficients; a free-module element maps ``(position, exponent tuple)`` keys.
-These functions are the hot loop of Groebner reduction and are mirrored in
-``_termops_cy.pyx``; both backends must agree exactly.
+These functions are the hot loop of Groebner reduction. None of them mutates
+its inputs.
 """
 
 from __future__ import annotations

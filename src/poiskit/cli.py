@@ -7,14 +7,17 @@ and emits a CSV point cloud. Exit codes: 0 decision reached, 2 some stage
 inconclusive, 1 error. Batch inputs run one after another, one report
 each, in input order; timing goes to stderr so reports stay byte-identical
 for a fixed seed. A usage error (a missing input, a malformed or negative
-``--max-degree``, ``--samples`` or ``--steps``) prints argparse's message to
-stderr and exits 1, so that 2 keeps meaning inconclusive.
+``--max-degree``, ``--samples`` or ``--steps``, a malformed ``--trace`` point,
+a non-finite ``--dt``, or ``--json`` or ``--trace`` with several inputs) prints
+argparse's message to stderr and exits 1 before any analysis runs, so that 2
+keeps meaning inconclusive.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -51,6 +54,20 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _point(text: str) -> list[float]:
+    return [_finite_float(v) for v in text.split(",")]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="poiskit",
@@ -67,14 +84,25 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--seed", type=int, default=0, help="witness-search seed (default 0)")
     an.add_argument("--skip-jacobi", action="store_true",
                     help="skip Jacobi verification (flagged in the report)")
-    an.add_argument("--trace", metavar="X0",
+    an.add_argument("--trace", metavar="X0", type=_point,
                     help="comma-separated starting point for the leaf tracer")
     an.add_argument("--steps", type=_non_negative_int, default=10000,
                     help="tracer steps (default 10000)")
-    an.add_argument("--dt", type=float, default=1e-3, help="tracer step size (default 1e-3)")
+    an.add_argument("--dt", type=_finite_float, default=1e-3,
+                    help="tracer step size (default 1e-3)")
     an.add_argument("--trace-out", metavar="CSV",
                     help="write the trace point cloud to a CSV file (default stdout)")
     return parser
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if len(args.inputs) > 1:
+        for flag, value in (("--json", args.json_out), ("--trace", args.trace)):
+            if value is not None:
+                parser.error(f"{flag} requires a single input file")
+    return args
 
 
 def _run_one(path: str, options: AnalysisOptions) -> tuple[AnalysisReport | None, str | None]:
@@ -92,16 +120,12 @@ def _run_one(path: str, options: AnalysisOptions) -> tuple[AnalysisReport | None
 def _run_trace(args, report: AnalysisReport) -> tuple[str | None, str | None]:
     structure = report.structure
     try:
-        x0 = [float(v) for v in args.trace.split(",")]
-    except ValueError:
-        return None, f"bad --trace point {args.trace!r}"
-    try:
         # conserve the Casimirs of the analysis (it runs no search on the zero bivector)
         casimirs = report.casimirs
         if casimirs is None:
             casimirs = casimir_search(structure, args.max_degree)
         invariants = [p for p in casimirs if p.total_degree() > 0]
-        result = trace_leaf(structure, x0, steps=args.steps, dt=args.dt,
+        result = trace_leaf(structure, args.trace, steps=args.steps, dt=args.dt,
                             invariants=invariants)
     except (TraceBlowupError, ValueError) as exc:
         return None, f"trace failed: {exc}"
@@ -113,15 +137,12 @@ def _run_trace(args, report: AnalysisReport) -> tuple[str | None, str | None]:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_ERROR
     options = AnalysisOptions(max_degree=args.max_degree, samples=args.samples,
                               seed=args.seed, skip_jacobi=args.skip_jacobi)
-    if args.json_out and len(args.inputs) > 1:
-        print("--json requires a single input file", file=sys.stderr)
-        return EXIT_ERROR
 
     started = time.perf_counter()
     results = [_run_one(path, options) for path in args.inputs]
@@ -141,10 +162,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.json_out, "w", encoding="utf-8") as fh:
                 fh.write(report.to_json())
 
-    if args.trace and exit_code != EXIT_ERROR:
-        if len(args.inputs) > 1:
-            print("--trace requires a single input file", file=sys.stderr)
-            return EXIT_ERROR
+    if args.trace is not None and exit_code != EXIT_ERROR:
         csv, note = _run_trace(args, results[0][0])
         if csv is None:
             print(note, file=sys.stderr)

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic and graded multivector/form calculus."""
 
 from .polynomial import (
+    IDENTIFIER,
     Chart,
     ChartMismatchError,
     PolyParseError,
@@ -26,6 +27,7 @@ from .multivector import (
 )
 
 __all__ = [
+    "IDENTIFIER",
     "Chart",
     "ChartMismatchError",
     "PolyParseError",

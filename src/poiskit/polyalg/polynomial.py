@@ -260,7 +260,8 @@ class Polynomial:
 
 # -- parser ------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^/()]))")
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({IDENTIFIER.pattern})|([-+*^/()]))")
 
 
 def _tokenize(text: str):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._kernel import to_qq
-from .polyalg import MultivectorField, Polynomial, degrevlex_key
+from .polyalg import IDENTIFIER, MultivectorField, Polynomial, degrevlex_key
 from .modcalc import SubmodulePresentation
 from .poisson import (
     DistributionPresentation,
@@ -141,9 +141,15 @@ class AnalysisReport:
 
 def parse_input(document: dict) -> tuple[PoissonStructure, dict]:
     """Build the structure from the JSON document; returns (structure, echo)."""
+    if not isinstance(document, dict):
+        raise InputError(f"input must be a JSON object, got {type(document).__name__}")
     if "coordinates" not in document:
         raise InputError("missing 'coordinates'")
-    coords = tuple(document["coordinates"])
+    coords = document["coordinates"]
+    if not isinstance(coords, list) or not all(
+            isinstance(name, str) and IDENTIFIER.fullmatch(name) for name in coords):
+        raise InputError(f"'coordinates' must be a list of identifiers, got {coords!r}")
+    coords = tuple(coords)
     if len(set(coords)) != len(coords):
         raise InputError("duplicate coordinate names")
     mode = document.get("mode", "bivector")
@@ -168,7 +174,7 @@ def parse_input(document: dict) -> tuple[PoissonStructure, dict]:
         echo_entries = []
         for entry in entries:
             try:
-                i, j, coeff = int(entry["i"]), int(entry["j"]), str(entry["coeff"])
+                i, j, coeff = _index(entry, "i"), _index(entry, "j"), str(entry["coeff"])
             except (KeyError, TypeError) as exc:
                 raise InputError(f"bad bivector entry {entry!r}: {exc}") from None
             if not 0 <= i < j < len(coords):
@@ -185,16 +191,40 @@ def parse_input(document: dict) -> tuple[PoissonStructure, dict]:
     return structure, echo
 
 
+def _index(entry: dict, key: str) -> int:
+    """The integer at ``entry[key]``; JSON floats and booleans are refused."""
+    value = entry[key]
+    if type(value) is not int:
+        raise InputError(f"bad entry {entry!r}: {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _is_cube(value, n: int, depth: int) -> bool:
+    """Whether ``value`` is nested lists of length ``n``, ``depth`` levels deep."""
+    if depth == 0:
+        return True
+    return (isinstance(value, list) and len(value) == n
+            and all(_is_cube(v, n, depth - 1) for v in value))
+
+
 def _parse_constants(constants, n: int):
     table = [[[0] * n for _ in range(n)] for _ in range(n)]
-    if isinstance(constants, list) and constants and isinstance(constants[0], dict):
+    if isinstance(constants, list) and (not constants or isinstance(constants[0], dict)):
         for entry in constants:
-            i, j, k = int(entry["i"]), int(entry["j"]), int(entry["k"])
-            c = to_qq(str(entry["c"]))
+            try:
+                i, j, k = _index(entry, "i"), _index(entry, "j"), _index(entry, "k")
+                c = to_qq(str(entry["c"]))
+            except (KeyError, TypeError) as exc:
+                raise InputError(f"bad structure constant {entry!r}: {exc}") from None
+            if not all(0 <= v < n for v in (i, j, k)):
+                raise InputError(f"structure constant needs indices in [0, {n}), "
+                                 f"got ({i},{j},{k})")
             table[i][j][k] = c
             table[j][i][k] = -c
         return table
     if isinstance(constants, list):
+        if not _is_cube(constants, n, depth=3):
+            raise InputError(f"dense structure_constants must be an {n}x{n}x{n} array")
         for i, plane in enumerate(constants):
             for j, row in enumerate(plane):
                 for k, v in enumerate(row):

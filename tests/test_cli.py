@@ -164,6 +164,29 @@ def test_input_errors():
                      "bivector": [{"i": 1, "j": 0, "coeff": "1"}]})
     with pytest.raises(InputError):
         parse_input({"coordinates": ["x", "y"], "mode": "wat"})
+    with pytest.raises(InputError):  # the document must be a JSON object
+        parse_input(5)
+    with pytest.raises(InputError):  # names must be strings
+        parse_input({"coordinates": [1, 2], "mode": "bivector",
+                     "bivector": [{"i": 0, "j": 1, "coeff": "1"}]})
+    with pytest.raises(InputError):  # a string is not a list of names
+        parse_input({"coordinates": "xy", "mode": "bivector",
+                     "bivector": [{"i": 0, "j": 1, "coeff": "1"}]})
+    with pytest.raises(InputError):  # names must be parser identifiers
+        parse_input({"coordinates": ["x*y", "z"], "mode": "bivector",
+                     "bivector": [{"i": 0, "j": 1, "coeff": "1"}]})
+    with pytest.raises(InputError):  # indices must be JSON integers, not floats
+        parse_input({"coordinates": ["x", "y"], "mode": "bivector",
+                     "bivector": [{"i": 0.9, "j": 1.7, "coeff": "1"}]})
+    with pytest.raises(InputError):  # nor booleans
+        parse_input({"coordinates": ["x", "y"], "mode": "bivector",
+                     "bivector": [{"i": False, "j": True, "coeff": "1"}]})
+    with pytest.raises(InputError):  # sparse structure constants stay in range
+        parse_input({"coordinates": ["x", "y"], "mode": "lie_algebra",
+                     "structure_constants": [{"i": 0, "j": 1, "k": -1, "c": "1"}]})
+    with pytest.raises(InputError):  # dense structure constants are n x n x n
+        parse_input({"coordinates": ["x", "y"], "mode": "lie_algebra",
+                     "structure_constants": [[[0, 0, 0], [0, 0, 1]], [[0, 0], [0, 0]]]})
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -282,6 +305,9 @@ def test_round_trip_parse_print_parse():
     (["analyze", "{su2}", "--steps", "x"], "argument --steps: invalid int value: 'x'"),
     (["analyze", "{su2}", "--bogus"], "unrecognized arguments: --bogus"),
     (["wat"], "invalid choice: 'wat'"),
+    (["analyze", "{su2}", "{su2}", "--trace", "1,0,0"], "--trace requires a single input file"),
+    (["analyze", "{su2}", "--trace", "1,0,0", "--dt", "nan"], "argument --dt: must be finite"),
+    (["analyze", "{su2}", "--trace", "1,0,0", "--dt", "inf"], "argument --dt: must be finite"),
 ])
 def test_cli_usage_errors_exit_with_error_code(tmp_path, capsys, argv, message):
     su2 = write(tmp_path, "su2.json", SU2)
