@@ -2,11 +2,14 @@
 
 ``Polynomial.eval`` is the exact evaluator: it walks the term map and
 multiplies rational coefficients one term at a time.  Numeric callers (the
-leaf tracer, the curvature quadrature) evaluate the same few polynomials at
-thousands of float points, so they compile the list once: the union of the
-exponent vectors becomes a ``(k, n)`` matrix and the coefficients a float
-``(m, k)`` matrix, and a point costs one power, one product and one
-matrix-vector product in numpy.
+curvature quadrature, the leaf tracer's rank probe and invariant samples)
+evaluate the same few polynomials at many float points, so they compile the
+list once: the union of the exponent vectors becomes a ``(k, n)`` matrix and
+the coefficients a float ``(m, k)`` matrix, and a point or a stack of points
+costs one power, one product and one matrix product in numpy.  That per-call
+overhead dominates on a single small point, so the tracer's RK4 steps run on
+straight-line functions generated from these two matrices instead
+(``poiskit.trace.compile_rk4_step``).
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from .polynomial import ChartMismatchError, Polynomial
 class FloatEvaluator:
     """Evaluates ``m`` polynomials on an ``n``-coordinate chart at float
     points: a point ``(n,)`` gives ``(m,)``, a stack ``(P, n)`` gives
-    ``(P, m)``.  Values agree with ``float(p.eval(x))`` up to rounding."""
+    ``(P, m)``.  Values agree with ``float(p.eval(x))`` up to rounding.
+    A coefficient outside the float range raises ``ValueError``."""
 
     __slots__ = ("variables", "exponents", "coefficients")
 
@@ -38,18 +42,11 @@ class FloatEvaluator:
         self.coefficients = np.zeros((len(polys), len(column)))
         for r, p in enumerate(polys):
             for expo, c in p.terms.items():
-                self.coefficients[r, column[expo]] = float(c)
-
-    def rows(self, start: int, stop: int) -> "FloatEvaluator":
-        """Evaluator of the polynomials ``start:stop`` alone, keeping only
-        the monomials they use."""
-        sub = object.__new__(FloatEvaluator)
-        coefficients = self.coefficients[start:stop]
-        used = np.any(coefficients != 0.0, axis=0)
-        sub.variables = self.variables
-        sub.exponents = self.exponents[used]
-        sub.coefficients = np.ascontiguousarray(coefficients[:, used])
-        return sub
+                try:
+                    self.coefficients[r, column[expo]] = float(c)
+                except OverflowError:
+                    raise ValueError(f"polynomial {r} has a coefficient outside "
+                                     "the float range") from None
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -345,3 +345,15 @@ def test_cli_accepts_zero_bounds_and_a_backward_step(tmp_path, capsys):
     out = capsys.readouterr().out
     rows = out[out.index("step,x,y,z"):].strip().splitlines()
     assert [r.split(",")[0] for r in rows] == ["step", "0", "1", "2", "3"]
+
+
+def test_cli_trace_blowup_is_a_trace_failure(tmp_path, capsys):
+    # the flow of y overflows x within one step: the trace stops at the norm
+    # guard instead of handing a non-finite point to the rank probe's SVD
+    doc = {"coordinates": ["x", "y"], "mode": "bivector",
+           "bivector": [{"i": 0, "j": 1, "coeff": "x^6 - x^5"}]}
+    path = write(tmp_path, "blowup.json", doc)
+    assert main(["analyze", path, "--trace", "10,0", "--dt", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert "trace failed: trajectory norm exceeded" in captured.err
+    assert "step,x,y" not in captured.out

@@ -79,9 +79,6 @@ def test_disjoint_supports_and_row_selection():
     points = np.array([[0.5, -1.25, 2.0], [-3.0, 0.0, 1.5], [1e-3, 7.0, -0.25]])
     for point, row in zip(points, ev(points)):
         assert_close(polys, row, point)
-        assert_close(polys[1:3], ev.rows(1, 3)(point), point)
-    sub = ev.rows(1, 2)
-    assert sub.exponents.tolist() == [[0.0, 0.0, 3.0]]     # only the monomial z^3 is kept
 
 
 def test_rejects_other_charts_and_bad_shapes():
