@@ -1,16 +1,17 @@
 """Commutative algebra over the polynomial ring: Groebner bases for ideals
-and submodules, syzygies, saturation, membership, rank stratification, and
-emptiness certificates."""
+and submodules, syzygies, colon and saturation, membership with
+certificates, rank stratification, and emptiness certificates.
+
+``SubmodulePresentation`` holds a submodule of ``R^rank`` by generators and
+answers membership (``contains``) from one Groebner engine built on first
+use. ``syzygies`` is the one kernel computation: ``colon_by_ideal`` is the
+syzygy module of one block matrix, and ``saturate`` iterates that colon."""
 
 from .verdict import Verdict
 from .presentation import (
     SaturationResult,
     SubmodulePresentation,
     colon_by_ideal,
-    colon_by_poly,
-    groebner_basis,
-    intersect,
-    module_membership,
     saturate,
     syzygies,
 )
@@ -22,13 +23,9 @@ __all__ = [
     "Verdict",
     "SubmodulePresentation",
     "SaturationResult",
-    "groebner_basis",
     "syzygies",
     "saturate",
-    "colon_by_poly",
     "colon_by_ideal",
-    "intersect",
-    "module_membership",
     "RankProfile",
     "rank_profile",
     "variety_emptiness",

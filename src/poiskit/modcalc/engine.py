@@ -175,7 +175,6 @@ class ModuleEngine:
         for g in self.generators:
             if len(g) != rank:
                 raise ValueError(f"generator of length {len(g)} in a rank-{rank} module")
-        m = len(self.generators)
         zero_e = (0,) * len(variables)
         augmented = []
         for i, g in enumerate(self.generators):
@@ -192,7 +191,6 @@ class ModuleEngine:
                 self._basis.append(top)
             else:
                 self._syz.append({(pos - rank, e): c for (pos, e), c in g.items()})
-        self._basis_leads = [leading_key(g) for g in self._basis]
 
     # -- queries ------------------------------------------------------------
 
@@ -200,8 +198,7 @@ class ModuleEngine:
         return [polys_from_vec(g, self.rank, self.variables) for g in self._basis]
 
     def syzygy_vectors(self) -> list[list[Polynomial]]:
-        out = [polys_from_vec(s, len(self.generators), self.variables) for s in self._syz]
-        return out
+        return [polys_from_vec(s, len(self.generators), self.variables) for s in self._syz]
 
     def normal_form(self, element: Sequence[Polynomial]) -> tuple[list[Polynomial], list[Polynomial]]:
         """Return ``(remainder, certificate)`` with
@@ -212,12 +209,3 @@ class ModuleEngine:
         tag = {(pos - self.rank, e): -c for (pos, e), c in nf.items() if pos >= self.rank}
         return (polys_from_vec(rem, self.rank, self.variables),
                 polys_from_vec(tag, len(self.generators), self.variables))
-
-    def reduce_only(self, element: Sequence[Polynomial]) -> list[Polynomial]:
-        v = vec_from_polys(element)
-        nf = _normal_form(v, self._basis, self._basis_leads)
-        return polys_from_vec(nf, self.rank, self.variables)
-
-    def contains(self, element: Sequence[Polynomial]) -> bool:
-        rem = self.reduce_only(element)
-        return all(p.is_zero for p in rem)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..polyalg.polynomial import Polynomial
+from ..polyalg.polynomial import ChartMismatchError, Polynomial
 from .engine import ModuleEngine
 from .verdict import Verdict
 
@@ -21,22 +21,21 @@ class SubmodulePresentation:
     """
 
     def __init__(self, variables: Sequence[str], rank: int,
-                 generators: Sequence[Sequence[Polynomial]],
-                 order: str = "position-over-term/degrevlex"):
+                 generators: Sequence[Sequence[Polynomial]]):
         self.variables = tuple(variables)
         self.rank = rank
-        gens = []
-        for g in generators:
-            g = tuple(g)
-            if len(g) != rank:
-                raise ValueError(f"generator of length {len(g)} in rank-{rank} module")
-            if any(p.variables != self.variables for p in g):
-                raise ValueError("generator entry on a different chart")
-            if any(not p.is_zero for p in g):
-                gens.append(g)
-        self.generators = tuple(gens)
-        self.order = order
+        gens = (self._vector(g, "generator") for g in generators)
+        self.generators = tuple(g for g in gens if any(not p.is_zero for p in g))
         self._engine: ModuleEngine | None = None
+
+    def _vector(self, v: Sequence[Polynomial], what: str) -> tuple[Polynomial, ...]:
+        """``v`` as a tuple, once it has ``rank`` entries on this chart."""
+        v = tuple(v)
+        if len(v) != self.rank:
+            raise ValueError(f"{what} of length {len(v)} in rank-{self.rank} module")
+        if any(p.variables != self.variables for p in v):
+            raise ChartMismatchError(f"{what} entry on a different chart")
+        return v
 
     # -- construction helpers -------------------------------------------------
 
@@ -69,16 +68,14 @@ class SubmodulePresentation:
     # -- core queries -----------------------------------------------------------
 
     def groebner_basis(self) -> list[tuple[Polynomial, ...]]:
-        """Reduced basis (deterministic for fixed order and generators)."""
+        """Reduced basis, unique for the module under the engine's order."""
         return [tuple(v) for v in self.engine.groebner_vectors()]
-
-    def normal_form(self, element: Sequence[Polynomial]) -> list[Polynomial]:
-        return self.engine.reduce_only(list(element))
 
     def contains(self, element: Sequence[Polynomial]) -> Verdict:
         """Membership with an exact certificate on yes, the nonzero normal
-        form as witness on no."""
-        element = list(element)
+        form as witness on no. ``ValueError`` if the element does not have
+        ``rank`` entries, ``ChartMismatchError`` if one is on another chart."""
+        element = self._vector(element, "element")
         rem, cert = self.engine.normal_form(element)
         if all(p.is_zero for p in rem):
             recombined = [Polynomial.zero(self.variables) for _ in range(self.rank)]
@@ -89,11 +86,6 @@ class SubmodulePresentation:
                 raise AssertionError("membership certificate failed to recombine")
             return Verdict.yes(certificate={"coefficients": cert})
         return Verdict.no(witness={"normal_form": rem})
-
-    def contains_poly(self, p: Polynomial) -> Verdict:
-        if self.rank != 1:
-            raise ValueError("contains_poly requires an ideal")
-        return self.contains([p])
 
     def is_submodule_of(self, other: "SubmodulePresentation") -> Verdict:
         """Generator-wise membership; certificates collected per generator."""
@@ -115,11 +107,6 @@ class SubmodulePresentation:
             return Verdict.no(witness={"direction": "right-in-left", **bwd.witness})
         return Verdict.yes(certificate={"forward": fwd.certificate, "backward": bwd.certificate})
 
-    def syzygy_module(self) -> "SubmodulePresentation":
-        """All polynomial relations among the generators, in R^len(generators)."""
-        return SubmodulePresentation(self.variables, len(self.generators),
-                                     self.engine.syzygy_vectors())
-
     def verify_basis(self) -> bool:
         """Two-sided check that the cached basis generates the same module."""
         basis = self.groebner_basis()
@@ -132,13 +119,6 @@ class SubmodulePresentation:
 
 
 # -- spec-level operations -------------------------------------------------------
-
-
-def groebner_basis(module: SubmodulePresentation) -> SubmodulePresentation:
-    """Presentation regenerated by its reduced Groebner basis."""
-    out = SubmodulePresentation(module.variables, module.rank, module.groebner_basis(),
-                                order=module.order)
-    return out
 
 
 def syzygies(matrix_rows: Sequence[Sequence[Polynomial]],
@@ -156,64 +136,33 @@ def syzygies(matrix_rows: Sequence[Sequence[Polynomial]],
     return SubmodulePresentation(variables, m, engine.syzygy_vectors())
 
 
-def module_membership(element: Sequence[Polynomial], module: SubmodulePresentation) -> Verdict:
-    return module.contains(list(element))
+def colon_by_ideal(module: SubmodulePresentation,
+                   ideal_gens: Sequence[Polynomial]) -> SubmodulePresentation:
+    """``module : (f_1..f_k)`` = {v : f_j v in module for every j}, from one
+    syzygy computation.
 
-
-def colon_by_poly(module: SubmodulePresentation, f: Polynomial) -> SubmodulePresentation:
-    """``module : f`` = {v : f v in module}."""
-    if f.is_zero:
-        raise ValueError("colon by the zero polynomial")
-    r = module.rank
-    variables = module.variables
-    zero = Polynomial.zero(variables)
-    columns: list[list[Polynomial]] = []
-    for i in range(r):
-        col = [zero] * r
-        col[i] = f
-        columns.append(col)
-    columns.extend(list(g) for g in module.generators)
-    engine = ModuleEngine(variables, r, columns)
-    gens = []
-    for s in engine.syzygy_vectors():
-        v = s[:r]
-        if any(not p.is_zero for p in v):
-            gens.append(v)
-    return SubmodulePresentation(variables, r, gens)
-
-
-def intersect(a: SubmodulePresentation, b: SubmodulePresentation) -> SubmodulePresentation:
-    if a.rank != b.rank or a.variables != b.variables:
-        raise ValueError("intersection needs modules in the same ambient")
-    columns = [list(g) for g in a.generators] + [list(g) for g in b.generators]
-    if not a.generators or not b.generators:
-        return SubmodulePresentation.zero(a.variables, a.rank)
-    engine = ModuleEngine(a.variables, a.rank, columns)
-    na = len(a.generators)
-    gens = []
-    for s in engine.syzygy_vectors():
-        v = [Polynomial.zero(a.variables) for _ in range(a.rank)]
-        nonzero = False
-        for i in range(na):
-            if s[i].is_zero:
-                continue
-            nonzero = True
-            for k in range(a.rank):
-                v[k] = v[k] + s[i] * a.generators[i][k]
-        if nonzero and any(not p.is_zero for p in v):
-            gens.append(v)
-    return SubmodulePresentation(a.variables, a.rank, gens)
-
-
-def colon_by_ideal(module: SubmodulePresentation, ideal_gens: Sequence[Polynomial]) -> SubmodulePresentation:
-    gens = [f for f in ideal_gens if not f.is_zero]
+    Zero generators and repeated ones are dropped first, so ``k`` counts the
+    distinct nonzero ``f_j``. With ``r = module.rank`` the matrix has ``r*k``
+    rows in ``k`` blocks of ``r``. Its first ``r`` columns are
+    ``(f_1 e_i, ..., f_k e_i)`` for ``i < r``; then come the generators of
+    ``module``, a copy in each block. A syzygy ``s`` says that ``f_j v`` lies
+    in ``module`` for every ``j``, with ``v = s[:r]``, and every such ``v``
+    extends to a syzygy. So the first ``r`` entries of the syzygies generate
+    the colon."""
+    gens = list(dict.fromkeys(f for f in ideal_gens if not f.is_zero))
     if not gens:
         raise ValueError("colon by the zero ideal")
-    acc: SubmodulePresentation | None = None
-    for f in gens:
-        c = colon_by_poly(module, f)
-        acc = c if acc is None else intersect(acc, c)
-    return acc
+    r, n = module.rank, len(module.generators)
+    zero = Polynomial.zero(module.variables)
+    rows = []
+    for j, f in enumerate(gens):
+        for i in range(r):
+            row = [zero] * (r + len(gens) * n)
+            row[i] = f
+            row[r + j * n:r + (j + 1) * n] = [g[i] for g in module.generators]
+            rows.append(row)
+    syz = syzygies(rows, module.variables)
+    return SubmodulePresentation(module.variables, r, [s[:r] for s in syz.generators])
 
 
 @dataclass
@@ -226,7 +175,9 @@ class SaturationResult:
 def saturate(module: SubmodulePresentation, ideal_gens: Sequence[Polynomial],
              cap: int = SATURATION_CAP) -> SaturationResult:
     """``module : ideal^infinity`` by iterated colon, with the stabilization
-    exponent; ``stabilized=False`` when the iteration cap is hit."""
+    exponent; ``stabilized=False`` when the iteration cap is hit. Each colon
+    is one syzygy computation (``colon_by_ideal``, which drops zero and
+    repeated generators of the ideal)."""
     current = module
     for k in range(cap):
         nxt = colon_by_ideal(current, ideal_gens)

@@ -93,7 +93,8 @@ def trace_leaf(structure: PoissonStructure, x0: Sequence[float],
 
     Raises ``ValueError`` on arguments that cannot be traced, before the first
     step, and ``TraceBlowupError`` once the trajectory norm is not at most
-    ``NORM_GUARD`` (``nan`` included) or a power overflows the float range."""
+    ``NORM_GUARD`` (``nan`` included), a power overflows the float range or
+    the rank probe meets field values that are not finite."""
     variables = structure.variables
     n = len(variables)
     x = tuple(float(v) for v in x0)
@@ -124,7 +125,10 @@ def trace_leaf(structure: PoissonStructure, x0: Sequence[float],
     points[0] = x
 
     def rank_at(y: tuple) -> int:
-        vals = all_fields(y).reshape(len(fields), n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = all_fields(y).reshape(len(fields), n)
+        if not np.all(np.isfinite(vals)):
+            raise TraceBlowupError(f"field values are not finite at {y}")
         if not np.any(vals):
             return 0
         return int(np.linalg.matrix_rank(vals, tol=rank_tol * max(1.0, float(np.max(np.abs(vals))))))

@@ -357,3 +357,15 @@ def test_cli_trace_blowup_is_a_trace_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "trace failed: trajectory norm exceeded" in captured.err
     assert "step,x,y" not in captured.out
+
+
+def test_cli_trace_with_non_finite_field_values_is_a_trace_failure(tmp_path, capsys):
+    # the fields overflow at the starting point itself, so the rank probe
+    # stops the trace before any step
+    doc = {"coordinates": ["x", "y"], "mode": "bivector",
+           "bivector": [{"i": 0, "j": 1, "coeff": "10^305*x*y - 10^305*x"}]}
+    path = write(tmp_path, "overflow.json", doc)
+    assert main(["analyze", path, "--trace", "1e4,3", "--steps", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "trace failed: field values are not finite" in captured.err
+    assert "step,x,y" not in captured.out

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poiskit._kernel import QQ
-from poiskit.polyalg import Polynomial, parse_polynomial
+from poiskit.polyalg import ChartMismatchError, Polynomial, parse_polynomial
 from poiskit.modcalc import (
     SubmodulePresentation,
-    module_membership,
+    colon_by_ideal,
     rank_profile,
     saturate,
     syzygies,
@@ -141,6 +141,57 @@ def test_syzygy_soundness_random():
                 assert total.is_zero
 
 
+# -- colon -------------------------------------------------------------------------
+
+
+def test_colon_of_ideals():
+    module = SubmodulePresentation.ideal(V3, [P3("x*y"), P3("x*z")])
+    colon = colon_by_ideal(module, [P3("y"), P3("z")])
+    assert colon.equals_module(SubmodulePresentation.ideal(V3, [P3("x")])).is_yes
+
+
+def test_colon_of_a_module_by_an_ideal_with_a_repeated_generator():
+    zero = Polynomial.zero(V3)
+    module = SubmodulePresentation(V3, 2, [[P3("x*y"), zero], [P3("y^2"), P3("x*z")],
+                                           [zero, P3("y*z")]])
+    ideal = [P3("x"), P3("y"), P3("x"), zero]
+    colon = colon_by_ideal(module, ideal)
+    for v in colon.generators:
+        for f in ideal:
+            assert module.contains([f * p for p in v]).is_yes
+    assert module.is_submodule_of(colon).is_yes
+    # every monomial vector of degree at most 2 that the ideal moves into
+    # the module is in the colon
+    monomials = [P3(t) for t in ("1", "x", "y", "z", "x^2", "x*y", "x*z", "y^2", "y*z", "z^2")]
+    for m in monomials:
+        for v in ([m, zero], [zero, m], [m, m]):
+            inside = all(module.contains([f * p for p in v]).is_yes for f in ideal)
+            assert colon.contains(v).is_yes == inside
+
+
+def test_colon_is_one_engine_build(monkeypatch):
+    from poiskit.modcalc import engine
+
+    builds = []
+    original = engine.ModuleEngine.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine.ModuleEngine, "__init__", counted)
+    zero = Polynomial.zero(V3)
+    module = SubmodulePresentation(V3, 2, [[P3("x*y"), zero], [zero, P3("x*z")]])
+    colon_by_ideal(module, [P3("y"), P3("z"), P3("y")])
+    assert len(builds) == 1
+
+
+def test_colon_by_the_zero_ideal_is_refused():
+    module = SubmodulePresentation.ideal(V2, [P2("x")])
+    with pytest.raises(ValueError):
+        colon_by_ideal(module, [Polynomial.zero(V2)])
+
+
 # -- saturation ---------------------------------------------------------------------
 
 
@@ -184,7 +235,7 @@ def test_membership_yes_with_certificate():
     zero = Polynomial.zero(V3)
     one = Polynomial.one(V3)
     module = SubmodulePresentation(V3, 3, [[one, zero, zero], [zero, one, zero]])
-    verdict = module_membership([one, zero, zero], module)
+    verdict = module.contains([one, zero, zero])
     assert verdict.is_yes
     coeffs = verdict.certificate["coefficients"]
     assert [str(c) for c in coeffs] == ["1", "0"]
@@ -193,9 +244,20 @@ def test_membership_yes_with_certificate():
 def test_membership_no_with_normal_form():
     zero = Polynomial.zero(V2)
     module = SubmodulePresentation(V2, 2, [[P2("y"), zero]])
-    verdict = module_membership([zero, P2("x")], module)
+    verdict = module.contains([zero, P2("x")])
     assert verdict.is_no
     assert [str(p) for p in verdict.witness["normal_form"]] == ["0", "x"]
+
+
+@pytest.mark.parametrize("chart, element, error", [
+    (V2, ["x", "0", "0"], ValueError),         # entries past the rank
+    (V2, [], ValueError),                      # too short
+    (("a", "b"), ["a"], ChartMismatchError),   # on another chart
+], ids=["too-long", "too-short", "other-chart"])
+def test_membership_checks_the_element(chart, element, error):
+    ideal = SubmodulePresentation.ideal(V2, [P2("x")])
+    with pytest.raises(error):
+        ideal.contains([parse_polynomial(chart, t) for t in element])
 
 
 def test_membership_certificates_recombine_random():

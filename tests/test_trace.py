@@ -62,6 +62,17 @@ def test_trace_guard_trips_on_overflow_and_nan(bracket, x0):
         trace_leaf(ps, x0, hamiltonians=[Polynomial.variable(("x", "y"), "y")], dt=0.1)
 
 
+@pytest.mark.parametrize("bracket, x0, hamiltonian", [
+    ("10^305*x*y - 10^305*x", (1e4, 3.0), "y"),   # the field overflows to inf
+    ("x^100*y", (1e4, 0.0), None),                  # inf * 0: the field is nan
+])
+def test_rank_probe_rejects_non_finite_field_values(bracket, x0, hamiltonian):
+    ps = PoissonStructure.from_components(("x", "y"), {(0, 1): bracket})
+    hamiltonians = hamiltonian and [Polynomial.variable(("x", "y"), hamiltonian)]
+    with pytest.raises(TraceBlowupError, match="field values are not finite"):
+        trace_leaf(ps, x0, hamiltonians=hamiltonians, steps=0)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"hamiltonians": []},
     {"rank_every": 0},
