@@ -2,12 +2,14 @@
 
 The ``qq_*`` routines work on small dense matrices of rationals.
 ``sparse_nullspace`` solves large sparse systems (the Casimir system has one
-column per monomial) in Python integers and builds rationals only for the
-kernel vectors it returns.
+column per monomial). It first strikes the columns that single-entry rows
+force to 0, eliminates the rest in Python integers, and builds rationals only
+for the nonzero entries of the sparse kernel vectors it returns.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import gcd, lcm
 from typing import Sequence
 
@@ -112,12 +114,12 @@ def span_equal(a: Sequence[Sequence], b: Sequence[Sequence], ncols: int) -> bool
 
 
 def _integer_row(row: dict) -> dict[int, int]:
-    """The nonzero entries of ``row`` as integers: a row with a rational entry
-    is scaled by the lcm of its denominators, which keeps its kernel."""
-    r = {c: v for c, v in row.items() if v}
-    if all(type(v) is int for v in r.values()):
-        return r
-    r = {c: to_qq(v) for c, v in r.items()}
+    """``row`` (nonzero entries only) as integers: a row with a rational
+    entry is scaled by the lcm of its denominators, which keeps its kernel.
+    A row of ``int`` entries is returned as is, not copied."""
+    if {*map(type, row.values())} <= {int}:
+        return row
+    r = {c: to_qq(v) for c, v in row.items()}
     den = lcm(*(int(v.denominator) for v in r.values()))
     return {c: int(v.numerator) * (den // int(v.denominator)) for c, v in r.items()}
 
@@ -127,24 +129,63 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-def sparse_nullspace(rows: Sequence[dict], ncols: int) -> list[list]:
+def sparse_nullspace(rows: Sequence[dict], ncols: int) -> list[dict[int, QQ]]:
     """Kernel basis for a sparse row list (dicts column -> coefficient).
 
-    Returns what ``qq_nullspace`` returns: one vector per free column, in
-    column order, with 1 at its own free column and 0 at the others. That
+    Returns the basis ``qq_nullspace`` returns, as sparse vectors: one dict
+    per free column, free columns ascending, each holding its nonzero
+    entries only (``QQ``, columns ascending), 1 at its own free column. That
     basis and the pivot columns (the leading columns of the reduced echelon
     form) depend only on the row space, so the order of ``rows`` does not
-    change the result.
+    change the result. A column outside ``range(ncols)`` is a
+    ``ValueError``; the caller's dicts are never modified.
 
-    Elimination is fraction-free: every row is kept as primitive integers
-    (leading column = its smallest column) and reduced against a pivot by
-    ``r <- a*r - b*pivot``, then divided by its content. Each kernel vector
-    is then back-substituted over only the pivot rows that reach its free
-    column, with one common denominator; its entries become ``QQ`` last.
+    One pass over ``rows`` drops zero entries (only a row that has one is
+    copied) and indexes the rows by column. Then forced-zero columns are
+    peeled: a row with one live entry forces its column to 0 in every kernel
+    vector (a pivot column, never free), so that column is struck from every
+    row, and this repeats until no row has one live entry. Only the rows
+    left, over the columns left, are made integer (a rational row is scaled
+    by its common denominator) and eliminated, fraction-free: every row is
+    kept as primitive integers (leading column = its smallest column) and
+    reduced against a pivot by ``r <- a*r - b*pivot``, then divided by its
+    content. Each kernel vector is then back-substituted over only the
+    pivot rows that reach its free column, with one common denominator; its
+    entries become ``QQ`` last.
     """
+    kept: list[dict] = []
+    where: dict[int, list[int]] = defaultdict(list)     # column -> rows
+    for i, row in enumerate(rows):
+        if not all(row.values()):
+            if min(row) < 0 or max(row) >= ncols:
+                raise ValueError(f"a column lies outside range({ncols})")
+            row = {c: v for c, v in row.items() if v}
+        kept.append(row)
+        for c in row:
+            where[c].append(i)
+    if where and (min(where) < 0 or max(where) >= ncols):
+        raise ValueError(f"a column lies outside range({ncols})")
+    live = list(map(len, kept))
+    stack = [i for i, k in enumerate(live) if k == 1]
+    struck: set[int] = set()
+    while stack:
+        i = stack.pop()
+        if live[i] != 1:
+            continue
+        for col in kept[i]:         # the row's one live column
+            if col not in struck:
+                break
+        struck.add(col)
+        for k in where[col]:
+            live[k] -= 1
+            if live[k] == 1:
+                stack.append(k)
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        r = _integer_row(row)
+    for row, k in zip(kept, live):
+        if not k:
+            continue
+        r = _integer_row(row if k == len(row) else
+                         {c: v for c, v in row.items() if c not in struck})
         while r:
             lead = min(r)
             piv = pivots.get(lead)
@@ -154,8 +195,8 @@ def sparse_nullspace(rows: Sequence[dict], ncols: int) -> list[list]:
             a, b = piv[lead], r[lead]
             g = gcd(a, b)
             a, b = a // g, b // g
-            if a != 1:
-                r = {c: a * v for c, v in r.items()}
+            # r may still be the caller's dict: reduce a copy
+            r = {c: a * v for c, v in r.items()} if a != 1 else r.copy()
             for c, v in piv.items():
                 s = r.get(c, 0) - b * v
                 if s:
@@ -170,10 +211,9 @@ def sparse_nullspace(rows: Sequence[dict], ncols: int) -> list[list]:
         for c in piv:
             if c != lead:
                 users.setdefault(c, []).append(lead)
-    zero = QQ(0)
     basis = []
     for f in range(ncols):
-        if f in pivots:
+        if f in pivots or f in struck:
             continue
         reached, stack = set(), [f]
         while stack:
@@ -196,8 +236,5 @@ def sparse_nullspace(rows: Sequence[dict], ncols: int) -> list[list]:
                 w = {c: m * v for c, v in w.items()}
                 den *= m
             w[lead] = -s // g
-        v = [zero] * ncols
-        for c, x in w.items():
-            v[c] = QQ(x, den)
-        basis.append(v)
+        basis.append({c: QQ(w[c], den) for c in sorted(w)})
     return basis

@@ -124,15 +124,21 @@ class SubmodulePresentation:
 def syzygies(matrix_rows: Sequence[Sequence[Polynomial]],
              variables: Sequence[str] | None = None) -> SubmodulePresentation:
     """Syzygies of the columns of an n-by-m polynomial matrix: the submodule
-    of R^m of vectors s with ``matrix . s = 0``."""
+    of R^m of vectors s with ``matrix . s = 0``. ``ValueError`` if the
+    matrix has no entry or rows of different lengths, ``ChartMismatchError``
+    if an entry is on another chart than ``variables`` (by default the chart
+    of the first entry)."""
     rows = [list(r) for r in matrix_rows]
-    if not rows:
+    if not rows or not rows[0]:
         raise ValueError("empty matrix")
-    if variables is None:
-        variables = rows[0][0].variables
     m = len(rows[0])
+    if any(len(r) != m for r in rows):
+        raise ValueError(f"ragged matrix: row lengths {[len(r) for r in rows]}")
+    variables = rows[0][0].variables if variables is None else tuple(variables)
+    if any(p.variables != variables for r in rows for p in r):
+        raise ChartMismatchError("matrix entry on a different chart")
     columns = [[rows[i][j] for i in range(len(rows))] for j in range(m)]
-    engine = ModuleEngine(tuple(variables), len(rows), columns)
+    engine = ModuleEngine(variables, len(rows), columns)
     return SubmodulePresentation(variables, m, engine.syzygy_vectors())
 
 

@@ -248,19 +248,18 @@ def casimir_search(structure: PoissonStructure, max_degree: int) -> list[Polynom
     ``sharp(df) = 0`` is a linear system on the coefficients of ``f``, one
     column per monomial. It is built from the component matrix times the lcm
     of its coefficient denominators, so every entry is an integer, and solved
-    fraction-free by ``sparse_nullspace``. The rows go in unsorted: the
-    kernel basis, normalised at the free columns, does not depend on their
-    order."""
+    fraction-free by ``sparse_nullspace``, which first peels the columns
+    that single-entry rows force to 0. The rows go in unsorted: the kernel
+    basis, normalised at the free columns, does not depend on their order.
+    Each kernel vector comes back sparse (its nonzero entries only) and
+    becomes a polynomial as it is."""
     variables = structure.variables
     monos = _monomials_up_to(variables, max_degree)
     mat = structure.pi_matrix()
     scale = lcm(*(int(c.denominator) for row in mat for p in row for c in p.terms.values()))
     rows = _casimir_rows(mat, monos, scale)
     kernel = sparse_nullspace(list(rows.values()), len(monos))
-    basis = []
-    for vec in kernel:
-        terms = {monos[i]: c for i, c in enumerate(vec) if c}
-        basis.append(Polynomial(variables, terms))
+    basis = [Polynomial(variables, {monos[c]: q for c, q in vec.items()}) for vec in kernel]
     basis.sort(key=lambda p: (p.total_degree(), str(p)))
     return basis
 

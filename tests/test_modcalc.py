@@ -129,6 +129,23 @@ def test_zero_columns_have_unit_syzygies():
     assert gens == [["0", "1"], ["1", "0"]]
 
 
+def test_syzygies_rejects_empty_and_ragged_matrices():
+    for rows in ([], [[]], [[P2("x"), P2("y")], [P2("x")]], [[P2("x")], []]):
+        with pytest.raises(ValueError) as err:
+            syzygies(rows)
+        assert not isinstance(err.value, ChartMismatchError)
+
+
+def test_syzygies_rejects_an_entry_on_another_chart():
+    a = parse_polynomial(("a", "b"), "a")
+    with pytest.raises(ChartMismatchError):
+        syzygies([[P2("x")], [a]])
+    with pytest.raises(ChartMismatchError):
+        syzygies([[a, P2("x")]])
+    with pytest.raises(ChartMismatchError):
+        syzygies([[P2("x"), P2("y")]], ("a", "b"))
+
+
 def test_syzygy_soundness_random():
     rng = random.Random(3)
     for _ in range(10):
@@ -368,15 +385,58 @@ def test_complex_field_keeps_the_nullstellensatz_basis():
     assert variety_emptiness([P2("x^2 + y^2")], "complex").witness["basis"] == ["x^2 + y^2"]
 
 
-def test_sparse_nullspace_matches_dense():
-    from poiskit.modcalc.linalg import qq_nullspace, sparse_nullspace
+def _densified(vectors, ncols):
+    """The sparse kernel vectors as dense lists, after checking their form:
+    every stored value a nonzero ``QQ``, columns ascending and in range."""
+    for v in vectors:
+        assert list(v) == sorted(v) and all(0 <= c < ncols for c in v)
+        assert all(type(x) is QQ and x for x in v.values())
+    return [[v.get(c, QQ(0)) for c in range(ncols)] for v in vectors]
 
-    rows_dense = [[1, 2, 0, 1], [0, 1, 1, 0]]
-    dense = qq_nullspace(rows_dense)
-    sparse = sparse_nullspace([{0: 1, 1: 2, 3: 1}, {1: 1, 2: 1}], 4)
-    assert len(dense) == len(sparse) == 2
-    for v in sparse:
-        assert all(sum(r[i] * v[i] for i in range(4)) == 0 for r in rows_dense)
+
+def _assert_sparse_equals_dense(rows, ncols, orders):
+    expected = qq_nullspace([[r.get(c, 0) for c in range(ncols)] for r in rows], ncols=ncols)
+    for order in orders:
+        before = [dict(r) for r in order]
+        got = sparse_nullspace(order, ncols)
+        assert _densified(got, ncols) == expected
+        assert order == before                       # the input rows are not modified
+
+
+def test_sparse_nullspace_matches_dense():
+    rows = [{0: 1, 1: 2, 3: 1}, {1: 1, 2: 1}]
+    _assert_sparse_equals_dense(rows, 4, [rows, rows[::-1]])
+    assert len(sparse_nullspace(rows, 4)) == 2
+
+
+def test_sparse_nullspace_peels_a_cascade_of_forced_zeros():
+    # {0: 1} forces x0 = 0, which leaves {0: 2, 1: 3} one live entry: x1 = 0
+    rows = [{0: 1}, {0: 2, 1: 3}, {1: 1, 2: 1, 3: 1}]
+    for order in (rows, rows[::-1]):
+        assert sparse_nullspace(order, 4) == [{2: QQ(-1), 3: QQ(1)}]
+    _assert_sparse_equals_dense(rows, 4, [rows, rows[::-1]])
+
+
+def test_sparse_nullspace_leaves_its_input_rows_alone():
+    # two int rows that survive peeling, the first a pivot as it stands and
+    # the second reduced against it with multiplier 1 (in place, were it not
+    # copied); a rational row that survives; a row with an explicit zero and
+    # a rational row that peeling strikes
+    rows = [{0: 1, 1: 2, 2: 3}, {0: 1, 1: 1, 2: 5}, {6: QQ(1, 2), 7: QQ(2, 3)},
+            {3: QQ(1, 2), 4: QQ(2, 3)}, {3: 0, 4: 5, 5: 1}, {5: 7}]
+    before = [dict(r) for r in rows]
+    got = sparse_nullspace(rows, 8)
+    assert rows == before
+    assert [type(v) for r in rows for v in r.values()] == [type(v) for r in before
+                                                          for v in r.values()]
+    assert got == [{0: QQ(-7), 1: QQ(2), 2: QQ(1)}, {6: QQ(-4, 3), 7: QQ(1)}]
+    _assert_sparse_equals_dense(rows, 8, [rows, rows[::-1]])
+
+
+@pytest.mark.parametrize("row", [{0: 1, 5: 1}, {-1: 1}, {3: 0, 0: 1}, {0: 1, 3: QQ(1, 2)}])
+def test_sparse_nullspace_rejects_a_column_out_of_range(row):
+    with pytest.raises(ValueError, match=r"range\(3\)"):
+        sparse_nullspace([{1: 1}, row], 3)
 
 
 @st.composite
@@ -393,19 +453,33 @@ def sparse_systems(draw):
     return ncols, rows, draw(st.permutations(rows))
 
 
+@st.composite
+def peeling_systems(draw):
+    """A chain of rows {c0}, {c0, c1}, {c1, c2}, ... over shuffled columns,
+    so that each struck column leaves the next row with one live entry and
+    peeling cascades, among other rows, mostly short; plus a shuffled copy."""
+    ncols = draw(st.integers(2, 9))
+    cols = draw(st.permutations(range(ncols)))
+    entry = st.one_of(st.integers(-3, 3).filter(bool),
+                      st.builds(QQ, st.integers(1, 5), st.integers(2, 4)))
+    depth = draw(st.integers(1, ncols // 2 + 1))
+    chain = [{cols[0]: draw(entry)}]
+    chain += [{cols[k - 1]: draw(entry), cols[k]: draw(entry)} for k in range(1, depth)]
+    col = st.integers(0, ncols - 1)
+    other = st.one_of(st.dictionaries(col, entry, min_size=1, max_size=2),
+                      st.dictionaries(col, entry, min_size=2, max_size=ncols))
+    rows = chain + draw(st.lists(other, max_size=8))
+    return ncols, rows, draw(st.permutations(rows))
+
+
 @settings(max_examples=300, deadline=None)
-@given(sparse_systems())
+@given(st.one_of(sparse_systems(), peeling_systems()))
 def test_sparse_nullspace_equals_dense_on_random_systems(case):
     ncols, rows, shuffled = case
-    dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
-    expected = qq_nullspace(dense, ncols=ncols)
-    for order in (rows, shuffled):
-        got = sparse_nullspace(order, ncols)
-        assert got == expected
-        assert all(type(x) is QQ for v in got for x in v)
+    _assert_sparse_equals_dense(rows, ncols, [rows, shuffled])
 
 
 def test_sparse_nullspace_without_rows_is_the_identity():
     got = sparse_nullspace([], 3)
-    assert got == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] == qq_nullspace([], ncols=3)
-    assert all(type(x) is QQ for v in got for x in v)
+    assert got == [{0: 1}, {1: 1}, {2: 1}]
+    assert _densified(got, 3) == qq_nullspace([], ncols=3)

@@ -433,6 +433,33 @@ def test_casimir_search_on_rational_charts_matches_dense(components, scale):
     assert scaled == {k: {c: v * scale for c, v in row.items()} for k, row in exact.items()}
 
 
+def _heis5_constants():
+    c = zero_constants(5)
+    for i, j in ((0, 1), (2, 3)):
+        c[i][j][4], c[j][i][4] = 1, -1
+    return c
+
+
+def _su2_plus_r2_constants():
+    c = zero_constants(5)
+    for i, plane in enumerate(su2_constants()):
+        for j, row in enumerate(plane):
+            c[i][j][:3] = row
+    return c
+
+
+@pytest.mark.parametrize("constants,count", [
+    (_heis5_constants(), 5),           # 1, x5, ..., x5^4: every row has one entry
+    (_su2_plus_r2_constants(), 22),    # polynomials in x1^2 + x2^2 + x3^2, x4, x5
+])
+def test_casimir_search_on_five_dimensional_lie_duals_matches_dense(constants, count):
+    structure = linear_poisson(constants).structure
+    assert len(_monomials_up_to(structure.variables, 4)) == 126
+    basis = casimir_search(structure, 4)
+    assert basis == _casimir_basis_via_dense(structure, 4)
+    assert len(basis) == count
+
+
 def test_casimir_search_on_the_zero_bivector_returns_every_monomial():
     structure = PoissonStructure.from_components(V3, {})
     basis = casimir_search(structure, 3)
