@@ -1,9 +1,11 @@
 """Pure-Python term-map arithmetic.
 
 A polynomial is a dict mapping exponent tuples to nonzero rational
-coefficients; a free-module element maps ``(position, exponent tuple)`` keys.
-These functions are the hot loop of Groebner reduction. None of them mutates
-its inputs.
+coefficients. A free-module element in ``modcalc.engine`` maps flat integer
+keys ``(-position, degree, -e[n-1], ..., -e[0])``; adding two such keys
+componentwise multiplies by a monomial just as adding exponent tuples does,
+so ``t_axpy`` serves both. These functions are the hot loop of Groebner
+reduction. None of them mutates its inputs.
 """
 
 from __future__ import annotations
@@ -75,23 +77,6 @@ def t_axpy(a: dict, c, e: tuple, b: dict) -> dict:
     out = dict(a)
     for kb, cb in b.items():
         k = tuple(x + y for x, y in zip(e, kb))
-        s = out.get(k)
-        if s is None:
-            out[k] = c * cb
-        else:
-            s = s + c * cb
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
-def v_axpy(a: dict, c, e: tuple, b: dict) -> dict:
-    """Module variant of :func:`t_axpy`; keys are ``(pos, expo)``."""
-    out = dict(a)
-    for (pos, kb), cb in b.items():
-        k = (pos, tuple(x + y for x, y in zip(e, kb)))
         s = out.get(k)
         if s is None:
             out[k] = c * cb

@@ -1,8 +1,27 @@
 """Buchberger engine for submodules of a free module over Q[x1..xn].
 
-Elements are dicts mapping ``(position, exponent tuple)`` to rational
-coefficients. The module order is position-over-term (position 0 dominant)
-with degrevlex on the monomial part; for an ideal use rank 1.
+Elements are dicts mapping flat term keys to rational coefficients. The term
+``x^e`` in position ``pos`` has the key
+
+    (-pos, deg e, -e[n-1], ..., -e[0])
+
+and built-in tuple comparison on these keys is the module order:
+position-over-term (position 0 dominant) with degrevlex on the monomial
+part. So the leading term of ``v`` is ``max(v)``, with no per-term key
+function to call in the hot loop of reduction. The same layout makes the
+rest of the term arithmetic cheap too:
+
+* a monomial shift ``x^s`` is the key ``(0, deg s, -s[n-1], ..., -s[0])``,
+  and multiplying by it adds keys componentwise, so reduction and S-pairs
+  are ``termops.t_axpy``;
+* ``x^a`` divides ``x^b`` iff ``a[i] >= b[i]`` on ``key[2:]`` (the parts
+  are negated);
+* an lcm is the componentwise ``min`` of the negated parts, with degree
+  ``-sum(...)`` of the result.
+
+Polynomials become keyed vectors, and keyed vectors polynomials, only in
+``vec_from_polys`` and ``polys_from_vec`` (through ``term_key`` and
+``split_key``). For an ideal use rank 1.
 
 Syzygies and membership certificates both come from one construction: the
 generators are augmented with unit tags, ``c_i  ->  c_i (+) e_i``, and a
@@ -13,48 +32,53 @@ elimination order).  Then
 * augmented basis elements with zero actual part are syzygies,
 * the actual parts of the others form a reduced basis of the module,
 * the normal form of ``v (+) 0`` is ``r (+) -q`` with ``v = sum q_i c_i + r``.
+
+When ``r = 0`` the engine recombines ``sum q_i c_i`` in key space against
+the generator vectors it kept from construction and raises
+``AssertionError`` unless it equals ``v``.
 """
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Iterable, Sequence
 
 from .._kernel import QQ, termops
-from ..polyalg.polynomial import Polynomial, degrevlex_key
+from ..polyalg.polynomial import Polynomial
 
 VecDict = dict
 
 
-def pot_key(key: tuple[int, tuple[int, ...]]):
-    pos, expo = key
-    return (-pos, degrevlex_key(expo))
+def term_key(pos: int, expo: tuple[int, ...]) -> tuple[int, ...]:
+    """Flat key of ``x^expo`` in position ``pos`` (see module docstring)."""
+    return (-pos, sum(expo), *map(neg, reversed(expo)))
 
 
-def leading_key(v: VecDict) -> tuple[int, tuple[int, ...]]:
-    return max(v, key=pot_key)
+def split_key(key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """``(pos, expo)`` of a flat key; the inverse of :func:`term_key`."""
+    return -key[0], tuple(map(neg, reversed(key[2:])))
 
 
 def vec_from_polys(polys: Sequence[Polynomial]) -> VecDict:
     out: VecDict = {}
     for pos, p in enumerate(polys):
         for e, c in p.terms.items():
-            out[(pos, e)] = c
+            out[term_key(pos, e)] = c
     return out
 
 
-def polys_from_vec(v: VecDict, rank: int, variables) -> list[Polynomial]:
+def polys_from_vec(v: VecDict, rank: int, variables, first: int = 0) -> list[Polynomial]:
+    """The ``rank`` polynomials in positions ``first .. first + rank - 1``."""
     comps: list[dict] = [{} for _ in range(rank)]
-    for (pos, e), c in v.items():
-        comps[pos][e] = c
+    for key, c in v.items():
+        pos, e = split_key(key)
+        comps[pos - first][e] = c
     return [Polynomial(variables, t) for t in comps]
 
 
-def _mono_mul(v: VecDict, c, e: tuple[int, ...]) -> VecDict:
-    return termops.v_axpy({}, c, e, v)
-
-
-def _divides(ea: tuple[int, ...], eb: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(ea, eb))
+def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether the monomial of key ``a`` divides that of key ``b``."""
+    return a[1] <= b[1] and all(x >= y for x, y in zip(a[2:], b[2:]))
 
 
 def _normal_form(v: VecDict, basis: list[VecDict], leads: list[tuple]) -> VecDict:
@@ -62,14 +86,13 @@ def _normal_form(v: VecDict, basis: list[VecDict], leads: list[tuple]) -> VecDic
     work = dict(v)
     result: VecDict = {}
     while work:
-        key = leading_key(work)
-        pos, expo = key
+        key = max(work)
         coeff = work[key]
-        for g, (lpos, lexpo) in zip(basis, leads):
-            if lpos == pos and _divides(lexpo, expo):
-                shift = tuple(x - y for x, y in zip(expo, lexpo))
-                lc = g[(lpos, lexpo)]
-                work = termops.v_axpy(work, -coeff / lc, shift, g)
+        pos = key[0]
+        for g, lead in zip(basis, leads):
+            if lead[0] == pos and _divides(lead, key):
+                shift = tuple(x - y for x, y in zip(key, lead))
+                work = termops.t_axpy(work, -coeff / g[lead], shift, g)
                 break
         else:
             result[key] = coeff
@@ -77,17 +100,21 @@ def _normal_form(v: VecDict, basis: list[VecDict], leads: list[tuple]) -> VecDic
     return result
 
 
+def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    parts = tuple(map(min, a[2:], b[2:]))
+    return (a[0], -sum(parts), *parts)
+
+
 def _spair(g: VecDict, h: VecDict, lg: tuple, lh: tuple) -> VecDict:
-    (_, eg), (_, eh) = lg, lh
-    lcm = tuple(max(a, b) for a, b in zip(eg, eh))
-    sg = tuple(a - b for a, b in zip(lcm, eg))
-    sh = tuple(a - b for a, b in zip(lcm, eh))
-    s = _mono_mul(g, 1 / g[lg], sg)
-    return termops.v_axpy(s, -1 / h[lh], sh, h)
+    lcm = _lcm(lg, lh)
+    sg = tuple(x - y for x, y in zip(lcm, lg))
+    sh = tuple(x - y for x, y in zip(lcm, lh))
+    s = termops.t_axpy({}, 1 / g[lg], sg, g)
+    return termops.t_axpy(s, -1 / h[lh], sh, h)
 
 
 def _sugar(v: VecDict) -> int:
-    return max(sum(e) for (_, e) in v)
+    return max(k[1] for k in v)
 
 
 def buchberger(generators: Iterable[VecDict]) -> list[VecDict]:
@@ -102,18 +129,18 @@ def buchberger(generators: Iterable[VecDict]) -> list[VecDict]:
         if g:
             basis.append(dict(g))
             sugars.append(_sugar(g))
-    leads = [leading_key(g) for g in basis]
+    leads = [max(g) for g in basis]
 
     pairs: list[tuple[int, int, int, int]] = []
 
     def push_pairs(j: int) -> None:
+        lj = leads[j]
         for i in range(j):
-            if leads[i][0] != leads[j][0]:
+            li = leads[i]
+            if li[0] != lj[0]:
                 continue
-            ei, ej = leads[i][1], leads[j][1]
-            lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-            deg = sum(lcm)
-            sugar = max(sugars[i] + deg - sum(ei), sugars[j] + deg - sum(ej))
+            deg = _lcm(li, lj)[1]
+            sugar = max(sugars[i] + deg - li[1], sugars[j] + deg - lj[1])
             pairs.append((sugar, deg, i, j))
 
     for j in range(len(basis)):
@@ -127,7 +154,7 @@ def buchberger(generators: Iterable[VecDict]) -> list[VecDict]:
         if r:
             basis.append(r)
             sugars.append(max(sugar, _sugar(r)))
-            leads.append(leading_key(r))
+            leads.append(max(r))
             push_pairs(len(basis) - 1)
     return _reduce_basis(basis, leads)
 
@@ -135,12 +162,12 @@ def buchberger(generators: Iterable[VecDict]) -> list[VecDict]:
 def _reduce_basis(basis: list[VecDict], leads: list[tuple]) -> list[VecDict]:
     # minimalize: drop elements whose leading term another leading term divides
     keep = []
-    for i, (pos, expo) in enumerate(leads):
+    for i, lead in enumerate(leads):
         redundant = False
-        for j, (pos2, expo2) in enumerate(leads):
-            if i == j or pos != pos2:
+        for j, other in enumerate(leads):
+            if i == j or lead[0] != other[0]:
                 continue
-            if _divides(expo2, expo) and (expo2 != expo or j < i):
+            if _divides(other, lead) and (other != lead or j < i):
                 redundant = True
                 break
         if not redundant:
@@ -155,12 +182,11 @@ def _reduce_basis(basis: list[VecDict], leads: list[tuple]) -> list[VecDict]:
         r = _normal_form(g, others, other_leads) if others else dict(g)
         if not r:
             continue
-        lead = leading_key(r)
-        lc = r[lead]
+        lc = r[max(r)]
         if lc != 1:
             r = {k: c / lc for k, c in r.items()}
         reduced.append(r)
-    reduced.sort(key=lambda g: pot_key(leading_key(g)), reverse=True)
+    reduced.sort(key=max, reverse=True)
     return reduced
 
 
@@ -176,21 +202,18 @@ class ModuleEngine:
             if len(g) != rank:
                 raise ValueError(f"generator of length {len(g)} in a rank-{rank} module")
         zero_e = (0,) * len(variables)
-        augmented = []
-        for i, g in enumerate(self.generators):
-            v = vec_from_polys(g)
-            v[(rank + i, zero_e)] = QQ(1)
-            augmented.append(v)
-        self._aug_basis = buchberger(augmented)
-        self._aug_leads = [leading_key(g) for g in self._aug_basis]
+        self._gen_vecs = [vec_from_polys(g) for g in self.generators]
+        self._aug_basis = buchberger(
+            {**v, term_key(rank + i, zero_e): QQ(1)} for i, v in enumerate(self._gen_vecs))
+        self._aug_leads = [max(g) for g in self._aug_basis]
         self._basis: list[VecDict] = []
         self._syz: list[VecDict] = []
         for g in self._aug_basis:
-            top = {k: c for k, c in g.items() if k[0] < rank}
+            top = {k: c for k, c in g.items() if k[0] > -rank}
             if top:
                 self._basis.append(top)
             else:
-                self._syz.append({(pos - rank, e): c for (pos, e), c in g.items()})
+                self._syz.append(g)
 
     # -- queries ------------------------------------------------------------
 
@@ -198,14 +221,31 @@ class ModuleEngine:
         return [polys_from_vec(g, self.rank, self.variables) for g in self._basis]
 
     def syzygy_vectors(self) -> list[list[Polynomial]]:
-        return [polys_from_vec(s, len(self.generators), self.variables) for s in self._syz]
+        return [polys_from_vec(s, len(self.generators), self.variables, self.rank)
+                for s in self._syz]
 
     def normal_form(self, element: Sequence[Polynomial]) -> tuple[list[Polynomial], list[Polynomial]]:
         """Return ``(remainder, certificate)`` with
-        ``element = sum certificate_i * generators_i + remainder``."""
+        ``element = sum certificate_i * generators_i + remainder``.
+
+        A zero remainder is a membership claim, so its certificate is first
+        recombined against the generators: ``AssertionError`` if that does
+        not give back ``element``."""
         v = vec_from_polys(element)
         nf = _normal_form(v, self._aug_basis, self._aug_leads)
-        rem = {k: c for k, c in nf.items() if k[0] < self.rank}
-        tag = {(pos - self.rank, e): -c for (pos, e), c in nf.items() if pos >= self.rank}
+        bound = -self.rank
+        rem = {k: c for k, c in nf.items() if k[0] > bound}
+        tag = {k: -c for k, c in nf.items() if k[0] <= bound}
+        if not rem:
+            self._check_certificate(v, tag)
         return (polys_from_vec(rem, self.rank, self.variables),
-                polys_from_vec(tag, len(self.generators), self.variables))
+                polys_from_vec(tag, len(self.generators), self.variables, self.rank))
+
+    def _check_certificate(self, v: VecDict, tag: VecDict) -> None:
+        """``sum q_j g_j == v`` for the tag part ``q`` of a normal form."""
+        acc: VecDict = {}
+        for key, c in tag.items():
+            shift = (0, *key[1:])
+            acc = termops.t_axpy(acc, c, shift, self._gen_vecs[-key[0] - self.rank])
+        if acc != v:
+            raise AssertionError("membership certificate failed to recombine")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poiskit._kernel import QQ
-from poiskit.polyalg import ChartMismatchError, Polynomial, parse_polynomial
+from poiskit.polyalg import ChartMismatchError, Polynomial, degrevlex_key, parse_polynomial
 from poiskit.modcalc import (
     SubmodulePresentation,
     colon_by_ideal,
@@ -18,6 +18,7 @@ from poiskit.modcalc import (
     syzygies,
     variety_emptiness,
 )
+from poiskit.modcalc.engine import _divides, _lcm, split_key, term_key
 from poiskit.modcalc.linalg import qq_nullspace, sparse_nullspace
 
 V2 = ("x", "y")
@@ -70,30 +71,72 @@ def test_groebner_deterministic():
     assert one == two
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+def _monic(p: Polynomial) -> Polynomial:
+    return p.scale(1 / p.leading()[1])
+
+
+def _sympy_expr(xs, terms: dict):
+    total = 0
+    for e, c in terms.items():
+        mono = c
+        for x, k in zip(xs, e):
+            mono *= x ** k
+        total += mono
+    return total
+
+
+def _rand_terms3(rng, terms=(1, 3), degree=2) -> dict:
+    out = {}
+    for _ in range(rng.randint(*terms)):
+        out[tuple(rng.randint(0, degree) for _ in range(3))] = rng.randint(-3, 3)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
 def test_groebner_agrees_with_sympy_on_random_ideals(seed):
+    """Three variables, so ties in degree are broken by degrevlex's reversed
+    rule (x*z against y^2) and not only by the first exponent."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(seed)
-    xs = sympy.symbols("x y")
-
-    def rand_poly():
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            e = (rng.randint(0, 2), rng.randint(0, 2))
-            terms[e] = rng.randint(-3, 3)
-        return terms
-
-    gens_t = [rand_poly() for _ in range(2)]
-    ours = [Polynomial(V2, t) for t in gens_t]
-    ours = [p for p in ours if p]
+    xs = sympy.symbols("x y z")
+    gens_t = [_rand_terms3(rng) for _ in range(rng.randint(2, 3))]
+    ours = [p for p in (Polynomial(V3, t) for t in gens_t) if p]
     if not ours:
         return
-    theirs = [sum(c * xs[0] ** e[0] * xs[1] ** e[1] for e, c in t.items()) for t in gens_t]
-    theirs = [e for e in theirs if e != 0]
+    theirs = [e for e in (_sympy_expr(xs, t) for t in gens_t) if e != 0]
     expected = sympy.groebner(theirs, *xs, order="grevlex")
-    got = set(ideal_basis_strings(V2, ours))
-    want = {str(Polynomial(V2, e.as_poly(*xs).as_dict())) for e in expected.exprs}
+    got = set(ideal_basis_strings(V3, ours))
+    # sympy returns primitive integer polynomials; ours are monic
+    want = {str(_monic(Polynomial(V3, e.as_poly(*xs).as_dict()))) for e in expected.exprs}
     assert got == want
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_membership_agrees_with_sympy_on_random_modules(rank, seed):
+    """``contains`` against sympy's ``free_module(r).submodule(...)`` on
+    combinations of the generators (members) and on random vectors, which
+    are mostly not members."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(100 * rank + seed)
+    xs = sympy.symbols("x y z")
+    ring = sympy.QQ.old_poly_ring(*xs)
+    gens_t = [[_rand_terms3(rng, (1, 2), 1) for _ in range(rank)] for _ in range(rank)]
+    ours = SubmodulePresentation(V3, rank, [[Polynomial(V3, t) for t in g] for g in gens_t])
+    theirs = ring.free_module(rank).submodule(
+        *[[_sympy_expr(xs, t) for t in g] for g in gens_t])
+    answers = []
+    for _ in range(3):
+        coeffs = [Polynomial(V3, _rand_terms3(rng, (1, 2), 1)) for _ in ours.generators]
+        member = [sum((q * g[i] for q, g in zip(coeffs, ours.generators)), Polynomial.zero(V3))
+                  for i in range(rank)]
+        other = [Polynomial(V3, _rand_terms3(rng, (1, 2), 1)) for _ in range(rank)]
+        for element in (member, other):
+            expected = theirs.contains([_sympy_expr(xs, p.terms) for p in element])
+            verdict = ours.contains(element)
+            assert verdict.is_yes == expected
+            answers.append(expected)
+    assert answers[0::2] == [True] * 3
 
 
 def test_basis_generates_same_module():
@@ -287,6 +330,49 @@ def test_membership_certificates_recombine_random():
         element = [a * gens[0][0] + b * gens[1][0], a * gens[0][1] + b * gens[1][1]]
         verdict = module.contains(element)
         assert verdict.is_yes  # recombination is asserted inside contains()
+
+
+def test_membership_catches_a_corrupted_generator_vector():
+    """The certificate is recombined against the generator vectors the
+    engine keeps; corrupting one after the basis is built must be caught."""
+    module = SubmodulePresentation(V3, 2, [[P3("x"), P3("y")], [P3("z"), P3("x^2")]])
+    element = [P3("x*y + z"), P3("y^2 + x^2")]
+    assert module.contains(element).is_yes
+    vecs = module.engine._gen_vecs
+    vecs[0][term_key(1, (0, 0, 2))] = QQ(5)
+    with pytest.raises(AssertionError, match="^membership certificate failed to recombine$"):
+        module.contains(element)
+    del vecs[0][term_key(1, (0, 0, 2))]
+    vecs[1][term_key(0, (0, 0, 1))] = QQ(2)   # a changed coefficient, same support
+    with pytest.raises(AssertionError, match="^membership certificate failed to recombine$"):
+        module.contains(element)
+
+
+def _keyed_terms():
+    return st.lists(st.tuples(st.integers(0, 3), st.tuples(*[st.integers(0, 4)] * 3)),
+                    min_size=1, max_size=12, unique=True)
+
+
+@given(_keyed_terms())
+def test_flat_keys_sort_in_the_module_order(terms):
+    by_key = sorted(terms, key=lambda t: term_key(*t))
+    by_order = sorted(terms, key=lambda t: (-t[0], degrevlex_key(t[1])))
+    assert by_key == by_order
+    assert all(split_key(term_key(pos, e)) == (pos, e) for pos, e in terms)
+
+
+@given(_keyed_terms(), st.tuples(*[st.integers(0, 3)] * 3))
+def test_flat_key_arithmetic_is_monomial_arithmetic(terms, shift):
+    """Adding a shift key multiplies by the monomial; ``_divides`` and
+    ``_lcm`` on keys agree with the exponent vectors."""
+    skey = term_key(0, shift)
+    for pos, e in terms:
+        moved = tuple(a + b for a, b in zip(term_key(pos, e), skey))
+        assert moved == term_key(pos, tuple(a + b for a, b in zip(e, shift)))
+        for _, f in terms:
+            a, b = term_key(pos, e), term_key(pos, f)
+            assert _divides(a, b) == all(x <= y for x, y in zip(e, f))
+            assert _lcm(a, b) == term_key(pos, tuple(map(max, e, f)))
 
 
 # -- rank stratification -----------------------------------------------------------------

@@ -139,40 +139,33 @@ def test_leading_term_degrevlex():
     assert expo == (0, 2, 0) and coeff == 1
 
 
-def _rand_terms(rng, key):
+def _rand_terms(rng):
     out = {}
     for _ in range(6):
         c = QQ(rng.randint(-9, 9), rng.randint(1, 9))
         if c:
-            out[key(rng)] = c
+            out[tuple(rng.randint(0, 4) for _ in range(3))] = c
     return out
 
 
-def _expo(rng):
-    return tuple(rng.randint(0, 4) for _ in range(3))
-
-
 KERNEL_CALLS = {
-    "t_add": lambda a, b, va, vb: termops.t_add(a, b),
-    "t_sub": lambda a, b, va, vb: termops.t_sub(a, b),
-    "t_neg": lambda a, b, va, vb: termops.t_neg(a),
-    "t_scale": lambda a, b, va, vb: termops.t_scale(a, QQ(-3, 2)),
-    "t_mul": lambda a, b, va, vb: termops.t_mul(a, b),
-    "t_axpy": lambda a, b, va, vb: termops.t_axpy(a, QQ(2), (1, 0, 0), b),
-    "v_axpy": lambda a, b, va, vb: termops.v_axpy(va, QQ(2), (1, 0, 0), vb),
-    "t_diff": lambda a, b, va, vb: termops.t_diff(a, 0),
-    "t_eval": lambda a, b, va, vb: termops.t_eval(a, (QQ(1, 2), QQ(-1), QQ(3))),
+    "t_add": lambda a, b: termops.t_add(a, b),
+    "t_sub": lambda a, b: termops.t_sub(a, b),
+    "t_neg": lambda a, b: termops.t_neg(a),
+    "t_scale": lambda a, b: termops.t_scale(a, QQ(-3, 2)),
+    "t_mul": lambda a, b: termops.t_mul(a, b),
+    "t_axpy": lambda a, b: termops.t_axpy(a, QQ(2), (1, 0, 0), b),
+    "t_diff": lambda a, b: termops.t_diff(a, 0),
+    "t_eval": lambda a, b: termops.t_eval(a, (QQ(1, 2), QQ(-1), QQ(3))),
 }
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CALLS))
 def test_kernel_inputs_never_mutated(name):
     rng = random.Random(2)
-    a, b = _rand_terms(rng, _expo), _rand_terms(rng, _expo)
-    va = _rand_terms(rng, lambda r: (r.randint(0, 2), _expo(r)))
-    vb = _rand_terms(rng, lambda r: (r.randint(0, 2), _expo(r)))
-    snapshot = [dict(d) for d in (a, b, va, vb)]
-    out = KERNEL_CALLS[name](a, b, va, vb)
-    assert [a, b, va, vb] == snapshot
+    a, b = _rand_terms(rng), _rand_terms(rng)
+    snapshot = [dict(d) for d in (a, b)]
+    out = KERNEL_CALLS[name](a, b)
+    assert [a, b] == snapshot
     if isinstance(out, dict):
-        assert all(out is not d for d in (a, b, va, vb))
+        assert all(out is not d for d in (a, b))
