@@ -2,14 +2,14 @@
 
 The ``qq_*`` routines work on small dense matrices of rationals.
 ``sparse_nullspace`` solves large sparse systems (the Casimir system has one
-column per monomial). It first strikes the columns that single-entry rows
-force to 0, eliminates the rest in Python integers, and builds rationals only
-for the nonzero entries of the sparse kernel vectors it returns.
+column per monomial). It eliminates in Python integers and builds rationals
+only for the nonzero entries of the sparse kernel vectors it returns. It
+peels nothing: ``poisson.casimir_search`` strikes the columns that
+single-entry rows force to 0, in numpy, before it calls.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from math import gcd, lcm
 from typing import Sequence
 
@@ -140,52 +140,27 @@ def sparse_nullspace(rows: Sequence[dict], ncols: int) -> list[dict[int, QQ]]:
     change the result. A column outside ``range(ncols)`` is a
     ``ValueError``; the caller's dicts are never modified.
 
-    One pass over ``rows`` drops zero entries (only a row that has one is
-    copied) and indexes the rows by column. Then forced-zero columns are
-    peeled: a row with one live entry forces its column to 0 in every kernel
-    vector (a pivot column, never free), so that column is struck from every
-    row, and this repeats until no row has one live entry. Only the rows
-    left, over the columns left, are made integer (a rational row is scaled
-    by its common denominator) and eliminated, fraction-free: every row is
+    The rows' zero entries are dropped (only a row that has one is copied),
+    each row is made integer (a rational row is scaled by its common
+    denominator) and the rows are eliminated, fraction-free: every row is
     kept as primitive integers (leading column = its smallest column) and
     reduced against a pivot by ``r <- a*r - b*pivot``, then divided by its
     content. Each kernel vector is then back-substituted over only the
     pivot rows that reach its free column, with one common denominator; its
-    entries become ``QQ`` last.
+    entries become ``QQ`` last. Nothing is peeled here: the one caller,
+    ``poisson.casimir_search``, strikes the columns that single-entry rows
+    force to 0 before it calls, and passes each as a ``{column: 1}`` row,
+    which becomes a pivot with no arithmetic.
     """
-    kept: list[dict] = []
-    where: dict[int, list[int]] = defaultdict(list)     # column -> rows
-    for i, row in enumerate(rows):
-        if not all(row.values()):
-            if min(row) < 0 or max(row) >= ncols:
-                raise ValueError(f"a column lies outside range({ncols})")
-            row = {c: v for c, v in row.items() if v}
-        kept.append(row)
-        for c in row:
-            where[c].append(i)
-    if where and (min(where) < 0 or max(where) >= ncols):
-        raise ValueError(f"a column lies outside range({ncols})")
-    live = list(map(len, kept))
-    stack = [i for i, k in enumerate(live) if k == 1]
-    struck: set[int] = set()
-    while stack:
-        i = stack.pop()
-        if live[i] != 1:
-            continue
-        for col in kept[i]:         # the row's one live column
-            if col not in struck:
-                break
-        struck.add(col)
-        for k in where[col]:
-            live[k] -= 1
-            if live[k] == 1:
-                stack.append(k)
     pivots: dict[int, dict[int, int]] = {}
-    for row, k in zip(kept, live):
-        if not k:
+    for row in rows:
+        if not row:
             continue
-        r = _integer_row(row if k == len(row) else
-                         {c: v for c, v in row.items() if c not in struck})
+        if min(row) < 0 or max(row) >= ncols:
+            raise ValueError(f"a column lies outside range({ncols})")
+        if not all(row.values()):
+            row = {c: v for c, v in row.items() if v}
+        r = _integer_row(row)
         while r:
             lead = min(r)
             piv = pivots.get(lead)
@@ -213,7 +188,7 @@ def sparse_nullspace(rows: Sequence[dict], ncols: int) -> list[dict[int, QQ]]:
                 users.setdefault(c, []).append(lead)
     basis = []
     for f in range(ncols):
-        if f in pivots or f in struck:
+        if f in pivots:
             continue
         reached, stack = set(), [f]
         while stack:

@@ -17,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import lcm
-from operator import add
-from typing import Sequence
+from operator import mul
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from ._kernel import QQ, to_qq
 from .polyalg import (
@@ -202,43 +204,118 @@ def casimir_test(structure: PoissonStructure, f: Polynomial) -> Verdict:
     return Verdict.no(witness={"component": idx[0], "coefficient": ham.components[idx]})
 
 
-def _monomials_up_to(variables: Sequence[str], degree: int) -> list[tuple[int, ...]]:
-    n = len(variables)
-    out = []
-    for d in range(degree + 1):
-        for combo in combinations_with_replacement(range(n), d):
-            e = [0] * n
-            for i in combo:
-                e[i] += 1
-            out.append(tuple(e))
-    return sorted(out)
+def _monomial_array(n: int, degree: int) -> np.ndarray:
+    """The exponents of the monomials of degree <= ``degree`` in ``n``
+    variables, as the rows of an ``(count, n)`` array in ascending
+    lexicographic order: each variable in turn splits every row into the
+    rows with that exponent 0, 1, ... up to what the degree leaves."""
+    expos = np.zeros((1, n), dtype=np.int64)
+    for k in range(n):
+        reps = degree + 1 - expos.sum(axis=1)
+        expos = np.repeat(expos, reps, axis=0)
+        expos[:, k] = np.arange(len(expos)) - np.repeat(np.cumsum(reps) - reps, reps)
+    return expos
 
 
-def _casimir_rows(mat: list[list[Polynomial]], monos: list[tuple[int, ...]],
-                  scale: int | None = None) -> dict[tuple, dict[int, object]]:
+class _CasimirEntries(NamedTuple):
+    """The Casimir system as arrays: its nonzero entries, summed, sorted by
+    row and then by column. Row ``r`` holds the coefficients of
+    ``x^b d/dx_j`` in ``sharp(d x^a)``, over the columns ``a``, where
+    ``codes[r] = j + n * sum_k b_k * radix^k``. Entries are ``int64``, or
+    Python numbers in ``dtype=object`` arrays when ``int64`` could overflow."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    codes: np.ndarray
+    radix: int
+
+
+def _casimir_entries(mat: list[list[Polynomial]], monos: Sequence | np.ndarray,
+                     scale: int | None = None) -> _CasimirEntries:
     """Coefficients of ``sharp(d x^a)`` for each monomial ``x^a`` (column
-    ``monos.index(a)``), keyed by (component, exponent), read off the
-    component matrix: ``sharp(d x^a)_j = sum_i a_i x^(a - e_i) PI[i][j]``.
-    With ``scale`` (a common denominator of the matrix) the rows are those of
-    ``scale * PI``, in Python integers; scaling keeps the kernel."""
+    ``c`` for ``a = monos[c]``; ``monos`` is a list of exponent tuples or an
+    ``(ncols, n)`` integer array), read off the component matrix:
+    ``sharp(d x^a)_j = sum_i a_i x^(a - e_i) PI[i][j]``. With ``scale`` (a
+    common denominator of the matrix) they are those of ``scale * PI``, in
+    integers; scaling keeps the kernel.
+
+    A term ``c x^e`` of ``PI[i][j]`` adds ``a_i * c`` at the row of
+    ``(j, a - e_i + e)`` for every column with ``a_i > 0``; as row codes are
+    linear in the exponent, each term's block is the columns' codes plus one
+    offset. Duplicates are summed with ``np.add.reduceat`` and zeros dropped.
+    ``int64`` is used when a code stays below ``n * radix^n < 2^63`` and a
+    summed entry below ``max|c| * max degree * number of terms < 2^63``;
+    otherwise the same code runs on ``dtype=object``."""
     n = len(mat)
+    expos = np.asarray(monos, dtype=np.int64).reshape(len(monos), n)
     # row i of PI as (j, exponent, coefficient) triples
     pi_rows = [[(j, e, c if scale is None else int(c * scale))
                 for j in range(n) for e, c in mat[i][j].terms.items()]
                for i in range(n)]
-    rows: dict[tuple, dict[int, object]] = {}
-    for col, expo in enumerate(monos):
-        ham: dict[tuple, object] = {}
-        for i, a_i in enumerate(expo):
-            if not a_i:
-                continue
-            lowered = expo[:i] + (a_i - 1,) + expo[i + 1:]
-            for j, e, c in pi_rows[i]:
-                key = (j, tuple(map(add, lowered, e)))
-                ham[key] = ham.get(key, 0) + a_i * c
-        for key, c in ham.items():
-            if c:
-                rows.setdefault(key, {})[col] = c
+    terms = [t for pi_row in pi_rows for t in pi_row]
+    degree = int(expos.sum(axis=1).max(initial=0))
+    radix = max(degree + max((sum(e) for _, e, _ in terms), default=0), 1)
+    big = 1 << 63
+    key_type = np.int64 if n * radix ** n < big else object
+    val_type = (np.int64 if all(type(c) is int for *_, c in terms)
+                and max((abs(c) for *_, c in terms), default=0) * degree * len(terms) < big
+                else object)
+    powers = [radix ** k for k in range(n)]
+    mono_codes = n * (expos.astype(key_type) @ np.array(powers, dtype=key_type))
+    keys, cols, vals = [], [], []
+    for i, pi_row in enumerate(pi_rows):
+        if not pi_row:
+            continue
+        at = np.flatnonzero(expos[:, i])
+        offsets = [j + n * (sum(map(mul, e, powers)) - powers[i]) for j, e, _ in pi_row]
+        coeffs = [c for *_, c in pi_row]
+        keys.append((mono_codes[at] + np.array(offsets, dtype=key_type)[:, None]).ravel())
+        vals.append((expos[at, i].astype(val_type)
+                     * np.array(coeffs, dtype=val_type)[:, None]).ravel())
+        cols.append(np.repeat(at[None, :], len(pi_row), axis=0).ravel())
+    if not keys:
+        empty = np.zeros(0, dtype=np.int64)
+        return _CasimirEntries(empty, empty, empty, empty, radix)
+    key, col, val = np.concatenate(keys), np.concatenate(cols), np.concatenate(vals)
+    order = np.lexsort((col, key))
+    key, col = key[order], col[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = (key[1:] != key[:-1]) | (col[1:] != col[:-1])
+    starts = np.flatnonzero(first)
+    val = np.add.reduceat(val[order], starts)
+    live = val != 0
+    key, col, val = key[starts][live], col[starts][live], val[live]
+    new_row = np.ones(len(key), dtype=bool)
+    new_row[1:] = key[1:] != key[:-1]
+    return _CasimirEntries(np.cumsum(new_row) - 1, col, val, key[new_row], radix)
+
+
+def _casimir_rows(mat: list[list[Polynomial]], monos: Sequence | np.ndarray,
+                  scale: int | None = None) -> list[dict[int, object]]:
+    """The Casimir system (see ``_casimir_entries``) with its forced-zero
+    columns peeled, as rows for ``sparse_nullspace``.
+
+    A row with one live entry forces its column to 0 in every kernel vector,
+    so that column is struck from every row. Each round strikes the columns
+    of all such rows at once (``np.bincount`` counts the live entries per
+    row), until no row has one live entry. Only the rows left become
+    ``{column: value}`` dicts; each struck column goes along as a
+    ``{column: 1}`` row, so it stays a pivot column and never becomes free."""
+    entries = _casimir_entries(mat, monos, scale)
+    row, col, val = entries.row, entries.col, entries.val
+    struck = np.zeros(len(monos), dtype=bool)
+    while True:
+        single = np.bincount(row, minlength=len(entries.codes))[row] == 1
+        if not single.any():
+            break
+        struck[col[single]] = True
+        keep = ~struck[col]
+        row, col, val = row[keep], col[keep], val[keep]
+    cols, vals = col.tolist(), val.tolist()
+    edges = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist(), len(cols)]
+    rows = [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(edges, edges[1:]) if a < b]
+    rows += [{c: 1} for c in np.flatnonzero(struck).tolist()]
     return rows
 
 
@@ -246,20 +323,21 @@ def casimir_search(structure: PoissonStructure, max_degree: int) -> list[Polynom
     """Basis of the space of polynomial Casimirs of degree <= max_degree.
 
     ``sharp(df) = 0`` is a linear system on the coefficients of ``f``, one
-    column per monomial. It is built from the component matrix times the lcm
-    of its coefficient denominators, so every entry is an integer, and solved
-    fraction-free by ``sparse_nullspace``, which first peels the columns
-    that single-entry rows force to 0. The rows go in unsorted: the kernel
-    basis, normalised at the free columns, does not depend on their order.
-    Each kernel vector comes back sparse (its nonzero entries only) and
-    becomes a polynomial as it is."""
+    column per monomial. It is built as integer arrays from the component
+    matrix times the lcm of its coefficient denominators, and the columns
+    that single-entry rows force to 0 are peeled there (``_casimir_rows``).
+    The rows left, with one unit row per struck column, are solved
+    fraction-free by ``sparse_nullspace``. The kernel basis, normalised at
+    the free columns, does not depend on the order of the rows. Each kernel
+    vector comes back sparse (its nonzero entries only) and becomes a
+    polynomial as it is."""
     variables = structure.variables
-    monos = _monomials_up_to(variables, max_degree)
+    expos = _monomial_array(len(variables), max_degree)
     mat = structure.pi_matrix()
     scale = lcm(*(int(c.denominator) for row in mat for p in row for c in p.terms.values()))
-    rows = _casimir_rows(mat, monos, scale)
-    kernel = sparse_nullspace(list(rows.values()), len(monos))
-    basis = [Polynomial(variables, {monos[c]: q for c, q in vec.items()}) for vec in kernel]
+    kernel = sparse_nullspace(_casimir_rows(mat, expos, scale), len(expos))
+    basis = [Polynomial(variables, dict(zip(map(tuple, expos[list(vec)].tolist()), vec.values())))
+             for vec in kernel]
     basis.sort(key=lambda p: (p.total_degree(), str(p)))
     return basis
 

@@ -224,13 +224,6 @@ class MultivectorField(_Alternating):
     _symbol = "d/d"
 
     @classmethod
-    def coordinate_field(cls, variables: Sequence[str], i: int | str) -> "MultivectorField":
-        variables = tuple(variables)
-        if isinstance(i, str):
-            i = variables.index(i)
-        return cls(variables, 1, {(i,): Polynomial.one(variables)})
-
-    @classmethod
     def bivector(cls, variables: Sequence[str],
                  upper: Mapping[tuple[int, int], Polynomial | str]) -> "MultivectorField":
         """Bivector from upper-triangle components ``{(i, j): pi_ij}``, i < j."""

@@ -210,6 +210,7 @@ def _is_cube(value, n: int, depth: int) -> bool:
 def _parse_constants(constants, n: int):
     table = [[[QQ_ZERO] * n for _ in range(n)] for _ in range(n)]
     if isinstance(constants, list) and (not constants or isinstance(constants[0], dict)):
+        seen: dict[tuple[int, int, int], dict] = {}   # ({i, j} sorted, k) -> entry
         for entry in constants:
             try:
                 i, j, k = _index(entry, "i"), _index(entry, "j"), _index(entry, "k")
@@ -219,6 +220,11 @@ def _parse_constants(constants, n: int):
             if not all(0 <= v < n for v in (i, j, k)):
                 raise InputError(f"structure constant needs indices in [0, {n}), "
                                  f"got ({i},{j},{k})")
+            key = (min(i, j), max(i, j), k)
+            if key in seen:
+                raise InputError(f"structure constants {seen[key]!r} and {entry!r} "
+                                 f"both set c_{{{key[0]},{key[1]}}}^{k}")
+            seen[key] = entry
             table[i][j][k] = c
             table[j][i][k] = -c
         return table

@@ -201,6 +201,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("entries", [
+    [{"i": 0, "j": 1, "k": 1, "c": "1"}, {"i": 1, "j": 0, "k": 1, "c": "1"}],   # {0,1} twice
+    [{"i": 0, "j": 1, "k": 1, "c": "1"}, {"i": 0, "j": 1, "k": 1, "c": "5"}],   # (0,1) twice
+])
+def test_cli_rejects_a_repeated_structure_constant(tmp_path, capsys, entries):
+    doc = {"coordinates": ["x", "y"], "mode": "lie_algebra", "structure_constants": entries}
+    path = write(tmp_path, "repeat.json", doc)
+    assert main(["analyze", path]) == 1
+    err = capsys.readouterr().err
+    assert repr(entries[0]) in err and repr(entries[1]) in err
+    assert "c_{0,1}^1" in err
+    with pytest.raises(InputError, match="both set"):
+        parse_input(doc)
+
+
 def test_cli_reports_are_byte_identical(tmp_path, capsys):
     heis = write(tmp_path, "heis.json", HEIS)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

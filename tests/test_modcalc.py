@@ -495,7 +495,7 @@ def test_sparse_nullspace_matches_dense():
     assert len(sparse_nullspace(rows, 4)) == 2
 
 
-def test_sparse_nullspace_peels_a_cascade_of_forced_zeros():
+def test_sparse_nullspace_solves_a_cascade_of_forced_zeros():
     # {0: 1} forces x0 = 0, which leaves {0: 2, 1: 3} one live entry: x1 = 0
     rows = [{0: 1}, {0: 2, 1: 3}, {1: 1, 2: 1, 3: 1}]
     for order in (rows, rows[::-1]):
@@ -504,10 +504,9 @@ def test_sparse_nullspace_peels_a_cascade_of_forced_zeros():
 
 
 def test_sparse_nullspace_leaves_its_input_rows_alone():
-    # two int rows that survive peeling, the first a pivot as it stands and
-    # the second reduced against it with multiplier 1 (in place, were it not
-    # copied); a rational row that survives; a row with an explicit zero and
-    # a rational row that peeling strikes
+    # two int rows, the first a pivot as it stands and the second reduced
+    # against it with multiplier 1 (in place, were it not copied); two
+    # rational rows; a row with an explicit zero; a one-entry row
     rows = [{0: 1, 1: 2, 2: 3}, {0: 1, 1: 1, 2: 5}, {6: QQ(1, 2), 7: QQ(2, 3)},
             {3: QQ(1, 2), 4: QQ(2, 3)}, {3: 0, 4: 5, 5: 1}, {5: 7}]
     before = [dict(r) for r in rows]
@@ -540,10 +539,11 @@ def sparse_systems(draw):
 
 
 @st.composite
-def peeling_systems(draw):
+def cascade_systems(draw):
     """A chain of rows {c0}, {c0, c1}, {c1, c2}, ... over shuffled columns,
-    so that each struck column leaves the next row with one live entry and
-    peeling cascades, among other rows, mostly short; plus a shuffled copy."""
+    so that each column forced to 0 leaves the next row one other entry and
+    the forced zeros cascade, among other rows, mostly short; plus a
+    shuffled copy."""
     ncols = draw(st.integers(2, 9))
     cols = draw(st.permutations(range(ncols)))
     entry = st.one_of(st.integers(-3, 3).filter(bool),
@@ -559,7 +559,7 @@ def peeling_systems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(sparse_systems(), peeling_systems()))
+@given(st.one_of(sparse_systems(), cascade_systems()))
 def test_sparse_nullspace_equals_dense_on_random_systems(case):
     ncols, rows, shuffled = case
     _assert_sparse_equals_dense(rows, ncols, [rows, shuffled])

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poiskit._kernel import QQ
 from poiskit.polyalg import (
@@ -20,8 +24,9 @@ from poiskit.poisson import (
     DistributionPresentation,
     PoissonStructure,
     ZeroBivectorError,
+    _casimir_entries,
     _casimir_rows,
-    _monomials_up_to,
+    _monomial_array,
     almost_regular_decide,
     casimir_search,
     casimir_test,
@@ -378,6 +383,27 @@ def test_sparse_lie_jacobi_defect_matches_dense_formula():
     assert failing > (len(tables) - len(lie)) // 2   # most perturbations break a law
 
 
+def _monomials_up_to(variables, degree):
+    """Reference: the exponents of degree <= ``degree``, as sorted tuples."""
+    n = len(variables)
+    out = []
+    for d in range(degree + 1):
+        for combo in combinations_with_replacement(range(n), d):
+            e = [0] * n
+            for i in combo:
+                e[i] += 1
+            out.append(tuple(e))
+    return sorted(out)
+
+
+def test_monomial_array_lists_the_monomials_in_sorted_order():
+    for n in range(8):
+        for degree in range(5):
+            expos = _monomial_array(n, degree)
+            assert expos.shape == (len(_monomials_up_to("x" * n, degree)), n)
+            assert list(map(tuple, expos.tolist())) == _monomials_up_to("x" * n, degree)
+
+
 def _casimir_rows_via_sharp(structure, monos):
     """Reference: the Casimir system built from ``sharp(d x^a)`` itself."""
     rows = {}
@@ -390,6 +416,21 @@ def _casimir_rows_via_sharp(structure, monos):
     return rows
 
 
+def _decoded(entries, n):
+    """The array-built system as ``_casimir_rows_via_sharp`` keys it: row
+    code ``j + n * sum_k b_k * radix^k`` back to ``(j, b)``."""
+    rows = {}
+    for r, c, v in zip(entries.row.tolist(), entries.col.tolist(), entries.val.tolist()):
+        code = int(entries.codes[r])
+        j, code = code % n, code // n
+        b = []
+        for _ in range(n):
+            code, digit = divmod(code, entries.radix)
+            b.append(digit)
+        rows.setdefault((j, tuple(b)), {})[c] = v
+    return rows
+
+
 @pytest.mark.parametrize("variables,components", [
     (("x", "y", "t"), {(0, 1): "t"}),                                    # Heisenberg
     (V3, {(0, 1): "z", (1, 2): "x", (0, 2): "-y"}),                      # su(2)
@@ -399,10 +440,9 @@ def _casimir_rows_via_sharp(structure, monos):
 def test_direct_casimir_rows_match_sharp(variables, components):
     structure = PoissonStructure.from_components(variables, components)
     monos = _monomials_up_to(variables, 4)
-    direct = _casimir_rows(structure.pi_matrix(), monos)
+    direct = _decoded(_casimir_entries(structure.pi_matrix(), monos), len(variables))
     assert direct == _casimir_rows_via_sharp(structure, monos)
     assert direct
-
 
 
 def _casimir_basis_via_dense(structure, degree):
@@ -427,10 +467,107 @@ def test_casimir_search_on_rational_charts_matches_dense(components, scale):
     assert all(type(c) is QQ for p in basis for c in p.terms.values())
     # the solve runs on integer rows: the exact rows times the common denominator
     monos = _monomials_up_to(V3, 4)
-    exact = _casimir_rows(structure.pi_matrix(), monos)
-    scaled = _casimir_rows(structure.pi_matrix(), monos, scale)
-    assert all(type(c) is int for row in scaled.values() for c in row.values())
-    assert scaled == {k: {c: v * scale for c, v in row.items()} for k, row in exact.items()}
+    exact = _decoded(_casimir_entries(structure.pi_matrix(), monos), 3)
+    scaled = _casimir_entries(structure.pi_matrix(), monos, scale)
+    assert scaled.val.dtype == np.int64
+    assert _decoded(scaled, 3) == {k: {c: v * scale for c, v in row.items()}
+                                   for k, row in exact.items()}
+
+
+@st.composite
+def random_charts(draw, max_columns=330):
+    """A bivector on n = 1..7 coordinates (Jacobi not required) and a degree
+    0..4 with at most ``max_columns`` monomials. Components have rational
+    coefficients of degree <= 2; some carry pairs ``c * x_i * m`` in row i
+    and ``-c * x_k * m`` in row k of one column j, whose contributions to
+    ``sharp(d x^a)_j`` cancel wherever ``a_i = a_k``."""
+    n = draw(st.integers(1, 7))
+    variables = tuple(f"x{k}" for k in range(n))
+    degree = draw(st.integers(0, 4).filter(
+        lambda d: len(_monomials_up_to(variables, d)) <= max_columns))
+    expo = st.tuples(*[st.integers(0, 1)] * n).filter(lambda e: sum(e) <= 2)
+    coeff = st.builds(QQ, st.integers(-3, 3).filter(bool), st.sampled_from([1, 1, 2, 3]))
+    pi = [[{} for _ in range(n)] for _ in range(n)]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                              .filter(lambda t: t[0] < t[1]), max_size=4)):
+        for e, c in draw(st.dictionaries(expo, coeff, min_size=1, max_size=3)).items():
+            pi[i][j][e] = pi[i][j].get(e, 0) + c
+    if n >= 3:
+        for i, k, j in draw(st.lists(st.permutations(range(n)).map(lambda p: p[:3]),
+                                     min_size=1, max_size=2)):
+            m = draw(expo.filter(lambda e: sum(e) <= 1))
+            c = draw(coeff)
+            for row, sign in ((i, 1), (k, -1)):
+                e = tuple(m[t] + (t == row) for t in range(n))
+                lo, hi, s = (row, j, sign) if row < j else (j, row, -sign)
+                pi[lo][hi][e] = pi[lo][hi].get(e, 0) + s * c
+    components = {(i, j): Polynomial(variables, pi[i][j])
+                  for i in range(n) for j in range(i + 1, n) if pi[i][j]}
+    structure = PoissonStructure.unchecked(MultivectorField.bivector(variables, components))
+    return structure, degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_charts())
+def test_casimir_entries_match_sharp_on_random_charts(chart):
+    structure, degree = chart
+    monos = _monomials_up_to(structure.variables, degree)
+    entries = _casimir_entries(structure.pi_matrix(), monos)
+    assert _decoded(entries, len(structure.variables)) == _casimir_rows_via_sharp(structure, monos)
+    # sorted by row, then column, with every summed zero dropped
+    pairs = list(zip(entries.row.tolist(), entries.col.tolist()))
+    assert pairs == sorted(set(pairs))
+    assert all(entries.val.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_charts())
+def test_casimir_rows_peel_like_one_row_at_a_time(chart):
+    # reference: strike the column of any row with one live entry, one row
+    # at a time, until none is left
+    structure, degree = chart
+    monos = _monomials_up_to(structure.variables, degree)
+    system = list(_casimir_rows_via_sharp(structure, monos).values())
+    struck, changed = set(), True
+    while changed:
+        changed = False
+        for row in system:
+            live = [c for c in row if c not in struck]
+            if len(live) == 1:
+                struck.add(live[0])
+                changed = True
+    # the solve peels the rows of scale * PI, in int64
+    mat = structure.pi_matrix()
+    scale = math.lcm(*(c.denominator for row in mat for p in row for c in p.terms.values()))
+    left = [{c: v * scale for c, v in row.items() if c not in struck} for row in system]
+    rows = _casimir_rows(mat, monos, scale)
+    assert sorted(c for r in rows if len(r) == 1 for c in r) == sorted(struck)
+    assert all(r == {c: 1} for r in rows if len(r) == 1 for c in r)
+    assert (sorted(sorted(r.items()) for r in rows if len(r) > 1)
+            == sorted(sorted(r.items()) for r in left if len(r) > 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_charts(max_columns=84))
+def test_casimir_search_on_random_charts_matches_dense(chart):
+    structure, degree = chart
+    assert casimir_search(structure, degree) == _casimir_basis_via_dense(structure, degree)
+
+
+@pytest.mark.parametrize("components", [
+    {(0, 1): f"{2**70}*z", (1, 2): f"{2**70}*x", (0, 2): f"-{2**70}*y"},   # su(2) times 2^70
+    {(0, 1): f"{2**61}*z + x", (1, 2): "3*x - y", (0, 2): "-y + 2*z"},      # 2^61, small ones
+    {(0, 1): "z^2000000"},                                               # codes past 2^63
+])
+def test_casimir_search_falls_back_to_object_arrays(components):
+    structure = PoissonStructure.unchecked(MultivectorField.bivector(
+        V3, {k: Polynomial.parse(V3, v) for k, v in components.items()}))
+    degree = 2 if "z^2000000" in components[(0, 1)] else 4
+    monos = _monomials_up_to(V3, degree)
+    entries = _casimir_entries(structure.pi_matrix(), monos, 1)
+    assert object in (entries.val.dtype, entries.codes.dtype)
+    assert _decoded(entries, 3) == _casimir_rows_via_sharp(structure, monos)
+    assert casimir_search(structure, degree) == _casimir_basis_via_dense(structure, degree)
 
 
 def _heis5_constants():
