@@ -24,7 +24,7 @@ from .polyalg import (
     poly_gcd_all,
 )
 from .modcalc import REAL, SubmodulePresentation, Verdict, variety_emptiness
-from .modcalc.linalg import qq_nullspace, qq_solve
+from .modcalc.linalg import nullspace, solve
 from .modcalc.rank import _det
 from .poisson import (
     DistributionPresentation,
@@ -131,8 +131,11 @@ def direct_product(left: PoissonStructure, right: PoissonStructure) -> PoissonSt
 # -- cosymplectic reduction ---------------------------------------------------------
 
 
-def _w_basis_matrix(w_basis) -> list[list]:
-    return [[to_qq(x) for x in w] for w in w_basis]
+def _w_basis_matrix(structure: PoissonStructure, w_basis) -> list[list]:
+    w = [[to_qq(x) for x in vec] for vec in w_basis]
+    if any(len(row) != len(structure.variables) for row in w):
+        raise ValueError("W basis vectors must have the chart dimension")
+    return w
 
 
 @dataclass
@@ -167,10 +170,10 @@ def induced_bivector_at(structure: PoissonStructure, w_basis, point: Sequence,
     """Pointwise cosymplectic reduction: the induced skew matrix on W in the
     given basis. Exact for rational points, least-squares with a singular
     value cutoff for float points. Raises on splitting failure."""
-    w = _w_basis_matrix(w_basis)
-    n = len(w[0])
+    w = _w_basis_matrix(structure, w_basis)
+    n = len(structure.variables)
     p = len(w)
-    normals = qq_nullspace(w, ncols=n)
+    normals = nullspace(w, n)
     pi_mat = structure.pi_matrix()
     exact = not any(isinstance(x, float) for x in point)
     pt = [to_qq(x) for x in point] if exact else [float(x) for x in point]
@@ -197,7 +200,7 @@ def induced_bivector_at(structure: PoissonStructure, w_basis, point: Sequence,
         rhs = [0] * (n - p) + [1 if b == a else 0 for b in range(p)]
         rows = [[bmat[i][c] for i in range(n)] for c in range(n)]
         if exact:
-            sol = qq_solve(rows, rhs)
+            sol = solve(rows, rhs)
             if sol is None:
                 raise CosymplecticError("extension system inconsistent", {})
         else:
@@ -222,12 +225,10 @@ def cosymplectic_reduce(structure: PoissonStructure, w_basis,
     """Symbolic reduction along a constant-coefficient subspace W given by
     basis vectors: returns pi_new with pi = pi_new + pi_trans, where pi_new
     takes values in W and pi_trans in sharp(W°)."""
-    w = _w_basis_matrix(w_basis)
+    w = _w_basis_matrix(structure, w_basis)
     n = len(structure.variables)
     p = len(w)
-    if any(len(row) != n for row in w):
-        raise ValueError("W basis vectors must have the chart dimension")
-    normals = qq_nullspace(w, ncols=n)
+    normals = nullspace(w, n)
     variables = structure.variables
     sharp_cols = _sharp_columns(structure, normals)            # q = n - p columns
     q = len(sharp_cols)
@@ -295,7 +296,7 @@ def trans_part_in_sharp_normal(structure: PoissonStructure,
     s_vectors = []
     for eta in reduction.normal_covectors:
         s_vectors.append([sum(pival[i][j] * eta[i] for i in range(n)) for j in range(n)])
-    s_perp = qq_nullspace(s_vectors, ncols=n)
+    s_perp = nullspace(s_vectors, n)
     for xi in s_perp:
         image = [sum(tval[i][j] * xi[i] for i in range(n)) for j in range(n)]
         if any(image):

@@ -42,7 +42,8 @@ from .polyalg import (
     MultivectorField,
     Polynomial,
 )
-from .modcalc.linalg import qq_det
+from .modcalc.linalg import rank, solve
+from .modcalc.rank import _det
 from .poisson import PoissonStructure, germinal_isotropy, koszul_bracket
 
 __all__ = [
@@ -86,13 +87,15 @@ class LinearGroupoidModel:
     def __init__(self, pi_matrix: Sequence[Sequence], f: Polynomial):
         self.pi = [[to_qq(x) for x in row] for row in pi_matrix]
         self.d = len(self.pi)
+        if not self.d or any(len(row) != self.d for row in self.pi):
+            raise ValueError("pi must be a nonempty square matrix")
         if self.d % 2:
             raise ValueError("V must be even dimensional")
         for i in range(self.d):
             for j in range(self.d):
                 if self.pi[i][j] != -self.pi[j][i]:
                     raise ValueError("pi must be skew")
-        if not qq_det(self.pi):
+        if rank(self.pi) != self.d:
             raise ValueError("pi must have full rank")
         if len(f.variables) != 1:
             raise ValueError("f must be a polynomial in the single variable t")
@@ -215,10 +218,8 @@ class LinearGroupoidModel:
             raise ValueError("slice map is not invertible where f(t) = 0")
         diff = [(a - b) / c for a, b in zip(w, v)]
         # solve PI^T xi = diff exactly
-        from .modcalc.linalg import qq_solve
-
         rows = [[self.pi[i][j] for i in range(self.d)] for j in range(self.d)]
-        xi = qq_solve(rows, diff)
+        xi = solve(rows, diff)
         if xi is None:
             raise AssertionError("full-rank sharp failed to invert")
         return (tuple(xi), tuple(v), t)
@@ -244,7 +245,7 @@ def omega_form(model: LinearGroupoidModel, t) -> OmegaReport:
             mat[i][j] = c * model.pi[i][j]
         mat[i][d + i] = QQ(-1)
         mat[d + i][i] = QQ(1)
-    det = qq_det(mat)
+    det = _det(mat)
     return OmegaReport(t=t, matrix=mat, determinant=det, nondegenerate=bool(det))
 
 

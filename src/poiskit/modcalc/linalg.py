@@ -1,116 +1,25 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: one fraction-free elimination.
 
-The ``qq_*`` routines work on small dense matrices of rationals.
-``sparse_nullspace`` solves large sparse systems (the Casimir system has one
-column per monomial). It eliminates in Python integers and builds rationals
-only for the nonzero entries of the sparse kernel vectors it returns. It
-peels nothing: ``poisson.casimir_search`` strikes the columns that
-single-entry rows force to 0, in numpy, before it calls.
+``_echelon`` row-reduces sparse rows (dicts column -> coefficient) in Python
+integers, and every exact routine reads its answer off that echelon form:
+
+- ``sparse_nullspace``: the kernel basis as sparse ``QQ`` vectors, for large
+  sparse systems (the Casimir system has one column per monomial);
+- ``nullspace``: the same basis as dense lists, for small dense matrices;
+- ``rank``: the number of pivots;
+- ``solve``: the kernel vector of ``[A | -b]`` at the right-hand-side column.
+
+Rationals are built only for the nonzero entries of the kernel vectors. The
+elimination peels nothing: ``poisson.casimir_search`` strikes the columns
+that single-entry rows force to 0, in numpy, before it calls.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .._kernel import QQ, to_qq
-
-
-def _copy(rows) -> list[list]:
-    return [[to_qq(x) for x in row] for row in rows]
-
-
-def qq_rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form and pivot columns."""
-    m = _copy(rows)
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def qq_rank(rows: Sequence[Sequence]) -> int:
-    return len(qq_rref(rows)[1])
-
-
-def qq_nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[list]:
-    """Basis of the right kernel; ``ncols`` is needed for zero-row matrices."""
-    rows = list(rows)
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return [[QQ(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    ncols = len(rows[0])
-    rref, pivots = qq_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [QQ(0)] * ncols
-        v[f] = QQ(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rref[r][f]
-        basis.append(v)
-    return basis
-
-
-def qq_solve(rows: Sequence[Sequence], rhs: Sequence) -> list | None:
-    """One solution of ``A x = b`` or ``None`` when inconsistent."""
-    rows = _copy(rows)
-    b = [to_qq(x) for x in rhs]
-    aug = [row + [bv] for row, bv in zip(rows, b)]
-    rref, pivots = qq_rref(aug)
-    ncols = len(rows[0]) if rows else 0
-    if ncols in pivots:
-        return None
-    x = [QQ(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rref[r][-1]
-    return x
-
-
-def qq_det(rows: Sequence[Sequence]):
-    m = _copy(rows)
-    n = len(m)
-    det = QQ(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return QQ(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
-
-
-def span_equal(a: Sequence[Sequence], b: Sequence[Sequence], ncols: int) -> bool:
-    """Do two row families span the same subspace of Q^ncols?"""
-    ra = qq_rank(a) if a else 0
-    rb = qq_rank(b) if b else 0
-    rab = qq_rank(list(a) + list(b)) if (a or b) else 0
-    return ra == rb == rab
 
 
 def _integer_row(row: dict) -> dict[int, int]:
@@ -129,28 +38,17 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-def sparse_nullspace(rows: Sequence[dict], ncols: int) -> list[dict[int, QQ]]:
-    """Kernel basis for a sparse row list (dicts column -> coefficient).
-
-    Returns the basis ``qq_nullspace`` returns, as sparse vectors: one dict
-    per free column, free columns ascending, each holding its nonzero
-    entries only (``QQ``, columns ascending), 1 at its own free column. That
-    basis and the pivot columns (the leading columns of the reduced echelon
-    form) depend only on the row space, so the order of ``rows`` does not
-    change the result. A column outside ``range(ncols)`` is a
-    ``ValueError``; the caller's dicts are never modified.
+def _echelon(rows: Iterable[dict], ncols: int) -> dict[int, dict[int, int]]:
+    """Fraction-free echelon form: leading column -> pivot row.
 
     The rows' zero entries are dropped (only a row that has one is copied),
     each row is made integer (a rational row is scaled by its common
-    denominator) and the rows are eliminated, fraction-free: every row is
-    kept as primitive integers (leading column = its smallest column) and
-    reduced against a pivot by ``r <- a*r - b*pivot``, then divided by its
-    content. Each kernel vector is then back-substituted over only the
-    pivot rows that reach its free column, with one common denominator; its
-    entries become ``QQ`` last. Nothing is peeled here: the one caller,
-    ``poisson.casimir_search``, strikes the columns that single-entry rows
-    force to 0 before it calls, and passes each as a ``{column: 1}`` row,
-    which becomes a pivot with no arithmetic.
+    denominator) and reduced against the pivot at its leading column (its
+    smallest column) by ``r <- a*r - b*pivot``, then divided by its content,
+    until it is 0 or leads at a new pivot. Every pivot row is primitive. The
+    leading columns are the pivot columns of the reduced echelon form. A
+    column outside ``range(ncols)`` is a ``ValueError``; the caller's dicts
+    are never modified.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -180,6 +78,14 @@ def sparse_nullspace(rows: Sequence[dict], ncols: int) -> list[dict[int, QQ]]:
                     r.pop(c, None)
             if r:
                 r = _primitive(r)
+    return pivots
+
+
+def _kernel(pivots: dict[int, dict[int, int]], ncols: int) -> list[dict[int, QQ]]:
+    """The kernel vector of each free column, ascending: 1 at that column, 0
+    at every other free column. Each is back-substituted over only the pivot
+    rows that reach its free column, with one common denominator; its
+    entries become ``QQ`` last, nonzero only, columns ascending."""
     # users[c]: leading columns of the pivot rows with an entry in column c
     users: dict[int, list[int]] = {}
     for lead, piv in pivots.items():
@@ -213,3 +119,53 @@ def sparse_nullspace(rows: Sequence[dict], ncols: int) -> list[dict[int, QQ]]:
             w[lead] = -s // g
         basis.append({c: QQ(w[c], den) for c in sorted(w)})
     return basis
+
+
+def sparse_nullspace(rows: Sequence[dict], ncols: int) -> list[dict[int, QQ]]:
+    """Kernel basis for a sparse row list (dicts column -> coefficient).
+
+    One sparse vector per free column, free columns ascending: 1 at its own
+    free column, 0 at the others, only its nonzero entries held (``QQ``,
+    columns ascending). This is the basis read off the reduced row echelon
+    form; it and the pivot columns depend only on the row space, so the
+    order of ``rows`` does not change the result. A column outside
+    ``range(ncols)`` is a ``ValueError``; the caller's dicts are never
+    modified. The one caller, ``poisson.casimir_search``, passes each column
+    that a single-entry row forces to 0 as a ``{column: 1}`` row, which
+    becomes a pivot with no arithmetic.
+    """
+    return _kernel(_echelon(rows, ncols), ncols)
+
+
+def _sparse_rows(rows: Iterable[Sequence]) -> list[dict]:
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank of a dense rational matrix; ``[]`` has rank 0."""
+    return len(_echelon(_sparse_rows(rows), len(rows[0]) if rows else 0))
+
+
+def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[QQ]]:
+    """Right kernel of a dense rational matrix with ``ncols`` columns (``rows``
+    may be ``[]``): the ``sparse_nullspace`` basis as dense lists."""
+    zero = QQ(0)
+    return [[v.get(c, zero) for c in range(ncols)]
+            for v in _kernel(_echelon(_sparse_rows(rows), ncols), ncols)]
+
+
+def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[QQ] | None:
+    """One solution of ``A x = b``, 0 at every free unknown, or ``None`` when
+    the system is inconsistent: the right-hand-side column of ``[A | -b]``
+    is then a pivot. ``rows=[]`` has the empty solution."""
+    ncols = len(rows[0]) if rows else 0
+    aug = _sparse_rows(rows)
+    for row, b in zip(aug, rhs, strict=True):
+        if b:
+            row[ncols] = -b
+    pivots = _echelon(aug, ncols + 1)
+    if ncols in pivots:
+        return None
+    x = _kernel(pivots, ncols + 1)[-1]        # the last free column is ncols
+    zero = QQ(0)
+    return [x.get(c, zero) for c in range(ncols)]

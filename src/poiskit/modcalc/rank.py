@@ -8,31 +8,33 @@ from typing import Sequence
 
 from .._kernel import QQ
 from ..polyalg.polynomial import Polynomial
-from .linalg import qq_rank
+from .linalg import rank
 
 _PROBE_SEEDS = ((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37),
                 (1, -2, 3, -5, 7, -11, 13, -17, 19, -23, 29, -31),
                 (-3, 5, -7, 2, -11, 17, -1, 13, -19, 23, -2, 3))
 
 
-def _det(rows: list[list[Polynomial]]) -> Polynomial:
-    """Cofactor expansion along the sparsest row; fine for the small minors
-    that occur here."""
+def _det(rows: list[list]):
+    """Determinant by cofactor expansion along the sparsest row, over any
+    commutative ring whose zero is falsy (polynomials, rationals); fine for
+    the small matrices that occur here."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty determinant")
     if n == 1:
         return rows[0][0]
-    best = min(range(n), key=lambda i: sum(1 for p in rows[i] if not p.is_zero))
-    variables = rows[0][0].variables
-    out = Polynomial.zero(variables)
+    best = min(range(n), key=lambda i: sum(1 for p in rows[i] if p))
+    out = None
     for j, p in enumerate(rows[best]):
-        if p.is_zero:
+        if not p:
             continue
         sub = [[rows[i][k] for k in range(n) if k != j] for i in range(n) if i != best]
         term = p * _det(sub)
-        out = out + term if (best + j) % 2 == 0 else out - term
-    return out
+        if (best + j) % 2:
+            term = -term
+        out = term if out is None else out + term
+    return rows[best][0] if out is None else out     # a zero row: its entry is 0
 
 
 @dataclass
@@ -79,7 +81,7 @@ class RankProfile:
             import numpy as np
 
             return int(np.linalg.matrix_rank(np.array(values, dtype=float)))
-        return qq_rank(values)
+        return rank(values)
 
 
 def rank_profile(matrix_rows: Sequence[Sequence[Polynomial]],
@@ -97,7 +99,7 @@ def rank_profile(matrix_rows: Sequence[Sequence[Polynomial]],
     lower = 0
     for probe in _PROBE_SEEDS:
         pt = [QQ(probe[i % len(probe)]) for i in range(nvars)]
-        lower = max(lower, qq_rank([[p.eval(pt) for p in row] for row in rows]))
+        lower = max(lower, rank([[p.eval(pt) for p in row] for row in rows]))
     r = max(lower, 0)
     while r < min(n, m) and profile.minor_ideal(r + 1):
         r += 1

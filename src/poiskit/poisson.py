@@ -43,7 +43,7 @@ from .modcalc import (
     syzygies,
     variety_emptiness,
 )
-from .modcalc.linalg import qq_nullspace, qq_rank, span_equal, sparse_nullspace
+from .modcalc.linalg import nullspace, rank, sparse_nullspace
 
 __all__ = [
     "PoissonStructure",
@@ -622,7 +622,7 @@ def center_check(constants, iso: GerminalIsotropy) -> tuple[list[list], Verdict]
     for j in range(n):
         for k in range(n):
             rows.append([c[i][j][k] for i in range(n)])
-    center = qq_nullspace(rows, ncols=n)
+    center = nullspace(rows, n)
 
     origin = [QQ(0)] * n
     h0_vectors = []
@@ -630,9 +630,10 @@ def center_check(constants, iso: GerminalIsotropy) -> tuple[list[list], Verdict]
         vec = [p.eval(origin) for p in g]
         if any(vec):
             h0_vectors.append(vec)
-    dim_h0 = qq_rank(h0_vectors) if h0_vectors else 0
+    dim_h0 = rank(h0_vectors)
     dim_z = len(center)
-    if dim_h0 == dim_z and span_equal(h0_vectors, center, n):
+    # equal dimensions and a joint span of that dimension: the same subspace
+    if dim_h0 == dim_z and rank(h0_vectors + center) == dim_z:
         verdict = Verdict.yes(certificate={"dim": dim_z})
     else:
         verdict = Verdict.no(witness={"dim_h0": dim_h0, "dim_center": dim_z})

@@ -139,8 +139,10 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def parse_input(document: dict) -> tuple[PoissonStructure, dict]:
-    """Build the structure from the JSON document; returns (structure, echo)."""
+def parse_input(document: dict) -> tuple[PoissonStructure, dict, list | None]:
+    """Build the structure from the JSON document; returns (structure, echo,
+    table), ``table`` the structure constants in ``lie_algebra`` mode and
+    ``None`` in ``bivector`` mode."""
     if not isinstance(document, dict):
         raise InputError(f"input must be a JSON object, got {type(document).__name__}")
     if "coordinates" not in document:
@@ -154,6 +156,7 @@ def parse_input(document: dict) -> tuple[PoissonStructure, dict]:
         raise InputError("duplicate coordinate names")
     mode = document.get("mode", "bivector")
     echo: dict = {"coordinates": list(coords), "mode": mode}
+    table = None
     if mode == "lie_algebra":
         constants = document.get("structure_constants")
         if constants is None:
@@ -188,7 +191,7 @@ def parse_input(document: dict) -> tuple[PoissonStructure, dict]:
         raise InputError(f"unknown mode {mode!r}")
     structure = PoissonStructure.unchecked(bivector)
     echo["bivector_pretty"] = str(bivector)
-    return structure, echo
+    return structure, echo, table
 
 
 def _index(entry: dict, key: str) -> int:
@@ -252,7 +255,7 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
     """Full pipeline: jacobi, rank data, kernel module, constant-rank
     decision, distribution checks, log-type classification, Casimir search."""
     options = options or AnalysisOptions()
-    structure, echo = parse_input(document)
+    structure, echo, table = parse_input(document)
     data: dict = {"schema": SCHEMA_VERSION, "input": echo,
                   "options": {"max_degree": options.max_degree, "samples": options.samples,
                               "seed": options.seed, "skip_jacobi": options.skip_jacobi}}
@@ -268,10 +271,6 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
             raise InputError(
                 f"Jacobi identity fails: trivector component {jac.witness['indices']} "
                 f"has coefficient {jac.witness['coefficient']}")
-
-    table = None
-    if document.get("mode") == "lie_algebra":
-        table = _parse_constants(document["structure_constants"], len(echo["coordinates"]))
 
     if structure.is_zero:
         if table is not None:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from poiskit._kernel import QQ
 from poiskit.cli import main
 from poiskit.report import AnalysisOptions, InputError, analyze, parse_input
 from conftest import gl_constants
@@ -89,6 +90,21 @@ def test_lie_algebra_mode():
     assert report.data["lie_algebra"]["center_dimension"] == 1
     assert report.data["lie_algebra"]["h0_matches_center"]["outcome"] == "yes"
     assert report.data["almost_regular"]["outcome"] == "yes"
+
+
+def test_structure_constants_are_parsed_once(monkeypatch):
+    import poiskit.report as report_module
+
+    doc = {"coordinates": ["x", "y", "z"], "mode": "lie_algebra",
+           "structure_constants": [{"i": 0, "j": 1, "k": 2, "c": "1/2"}]}
+    _, _, table = parse_input(doc)
+    assert table[0][1][2] == QQ(1, 2) and table[1][0][2] == QQ(-1, 2)
+    calls = []
+    original = report_module._parse_constants
+    monkeypatch.setattr(report_module, "_parse_constants",
+                        lambda *args: calls.append(1) or original(*args))
+    analyze(doc)
+    assert calls == [1]
 
 
 def test_lie_algebra_mode_dense_constants():
@@ -299,7 +315,7 @@ def test_cli_trace_reuses_the_analysis(tmp_path, capsys, monkeypatch):
     note = capsys.readouterr().err.splitlines()[0]
     assert calls == [4]
 
-    structure, _ = parse_input(SU2)
+    structure, _, _ = parse_input(SU2)
     invariants = [p for p in original(structure, 4) if p.total_degree() > 0]
     expected_csv, expected_note = reference_trace(structure, [1.0, 0.0, 0.0], invariants)
     assert csv_path.read_text() == expected_csv
@@ -309,10 +325,11 @@ def test_cli_trace_reuses_the_analysis(tmp_path, capsys, monkeypatch):
 def test_round_trip_parse_print_parse():
     from poiskit.polyalg import parse_polynomial
 
-    structure, echo = parse_input(HEIS)
+    structure, echo, table = parse_input(HEIS)
     again = parse_polynomial(("x", "y", "t"), echo["bivector"][0]["coeff"])
     assert again == structure.bivector.components[(0, 1)]
     assert str(structure.bivector) == echo["bivector_pretty"]
+    assert table is None
 
 
 @pytest.mark.parametrize("argv, message", [

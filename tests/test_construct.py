@@ -169,6 +169,16 @@ def test_pointwise_failure_reports_defect():
     assert err.value.defect["intersection_dim"] >= 1
 
 
+@pytest.mark.parametrize("reduce", [
+    lambda ps, w: induced_bivector_at(ps, w, [QQ(1), QQ(0), QQ(0), QQ(0)]),
+    cosymplectic_reduce,
+])
+def test_w_basis_of_the_wrong_length_is_rejected(reduce):
+    ps = PoissonStructure.from_components(("x", "y", "z", "w"), {(0, 1): "1", (2, 3): "1"})
+    with pytest.raises(ValueError, match="chart dimension"):
+        reduce(ps, [[1, 0], [0, 1]])
+
+
 def test_pointwise_matches_symbolic_at_rational_points():
     rng = random.Random(43)
     ps = _r6_structure()

@@ -2,11 +2,15 @@
 
 ``tests/golden`` holds seeded charts (the Heisenberg family and a flat
 product in sheared coordinates, su(2), whose answer is ``no``, and the dual
-of heis5) with the text and JSON reports that ``analyze`` wrote for them
-with default options. The sheared Heisenberg and flat charts hand the
-saturation a regular-locus ideal with two generators (in ``heis3_by_t`` the
-same one twice), so the colon meets more than one generator and a repeat. A change that alters a report on purpose rewrites the
-``.report.*`` files with ``analyze(doc).to_text()`` and ``.to_json()``."""
+of heis5) and the dual of heis3 + R in a rational sheared basis, with the
+text and JSON reports that ``analyze`` wrote for them with default options.
+The sheared Heisenberg and flat charts hand the saturation a regular-locus
+ideal with two generators (in ``heis3_by_t`` the same one twice), so the
+colon meets more than one generator and a repeat. Both center basis vectors
+of ``heis3xR_dual_rational`` have non-integer entries, which pins the exact
+kernel behind ``center_check``. A change that alters a report on purpose
+rewrites the ``.report.*`` files with ``analyze(doc).to_text()`` and
+``.to_json()``."""
 
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ STEMS = sorted(p.name[:-len(".input.json")] for p in GOLDEN.glob("*.input.json")
 
 
 def test_golden_set_is_complete():
-    assert len(STEMS) == 6
+    assert len(STEMS) == 7
 
 
 @pytest.mark.parametrize("stem", STEMS)

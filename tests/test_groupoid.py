@@ -43,6 +43,17 @@ def test_model_rejects_bad_data():
         LinearGroupoidModel([[0, 0], [0, 0]], Polynomial.variable(T, "t"))
 
 
+@pytest.mark.parametrize("pi", [
+    [[0, 1, 5], [-1, 0, 7]],           # 2 x 3: the third column would be dropped
+    [[0, 1], [-1]],                    # ragged
+    [[0], [1, 0]],
+    [],                                # d = 0 would reach the empty determinant
+])
+def test_model_rejects_a_pi_that_is_not_a_nonempty_square_matrix(pi):
+    with pytest.raises(ValueError, match="nonempty square matrix"):
+        LinearGroupoidModel(pi, Polynomial.variable(T, "t"))
+
+
 def test_unit_law_and_inverse_exact():
     model = height_model()
     rng = random.Random(5)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import qq_det, qq_nullspace, qq_rank, qq_solve
 from poiskit._kernel import QQ
 from poiskit.polyalg import ChartMismatchError, Polynomial, degrevlex_key, parse_polynomial
 from poiskit.modcalc import (
@@ -19,7 +20,8 @@ from poiskit.modcalc import (
     variety_emptiness,
 )
 from poiskit.modcalc.engine import _divides, _lcm, split_key, term_key
-from poiskit.modcalc.linalg import qq_nullspace, sparse_nullspace
+from poiskit.modcalc.linalg import nullspace, rank, solve, sparse_nullspace
+from poiskit.modcalc.rank import _det
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -403,8 +405,6 @@ def test_rank_profile_constant_column():
 
 
 def test_pointwise_rank_matches_exact_linear_algebra():
-    from poiskit.modcalc.linalg import qq_rank
-
     rng = random.Random(7)
     rows = [[Polynomial(V2, {(rng.randint(0, 1), rng.randint(0, 1)): rng.randint(-2, 2)})
              for _ in range(3)] for _ in range(3)]
@@ -569,3 +569,53 @@ def test_sparse_nullspace_without_rows_is_the_identity():
     got = sparse_nullspace([], 3)
     assert got == [{0: 1}, {1: 1}, {2: 1}]
     assert _densified(got, 3) == qq_nullspace([], ncols=3)
+
+
+# -- dense rank, kernel, solve and determinant against the Gauss-Jordan reference --------
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """A dense matrix of small integers and rationals, mostly zero so that
+    ranks drop, with repeated and zero rows mixed in; ``rows=[]`` too when
+    not square."""
+    ncols = draw(st.integers(1, 6))
+    nrows = ncols if square else draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.integers(-4, 4),
+                      st.builds(QQ, st.integers(-9, 9), st.integers(1, 6)))
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if rows and not square:
+        rows += draw(st.lists(st.sampled_from(rows + [[0] * ncols]), max_size=2))
+    return ncols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices(), st.data())
+def test_rank_kernel_and_solve_equal_the_dense_reference(case, data):
+    ncols, rows = case
+    assert rank(rows) == qq_rank(rows)
+    kernel = nullspace(rows, ncols)
+    assert kernel == qq_nullspace(rows, ncols=ncols)
+    assert all(type(x) is QQ for v in kernel for x in v)
+    # a right-hand side in the column space, and an arbitrary one that is
+    # often inconsistent
+    x = data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
+    image = [sum((a * b for a, b in zip(row, x)), QQ(0)) for row in rows]
+    arbitrary = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+    for rhs in (image, arbitrary):
+        assert solve(rows, rhs) == qq_solve(rows, rhs)
+    sol = solve(rows, image)
+    assert [sum((a * b for a, b in zip(row, sol)), QQ(0)) for row in rows] == image
+
+
+def test_solve_without_rows_and_with_a_zero_row():
+    assert solve([], []) == []
+    assert solve([[0, 0], [1, 2]], [0, 4]) == [QQ(4), QQ(0)]
+    assert solve([[0, 0], [1, 2]], [1, 4]) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(square=True))
+def test_det_equals_the_dense_reference(case):
+    _, rows = case
+    assert _det(rows) == qq_det(rows)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import qq_nullspace, qq_rank
 from poiskit._kernel import QQ
 from poiskit.polyalg import (
     DifferentialForm,
@@ -19,7 +20,6 @@ from poiskit.polyalg import (
     wedge,
 )
 from poiskit.modcalc import SubmodulePresentation
-from poiskit.modcalc.linalg import qq_nullspace
 from poiskit.poisson import (
     DistributionPresentation,
     PoissonStructure,
@@ -191,8 +191,6 @@ def test_kernel_module_symplectic_r4_is_zero():
 
 
 def test_kernel_pointwise_inside_pointwise_kernel(su2):
-    from poiskit.modcalc.linalg import qq_rank
-
     rng = random.Random(23)
     iso = germinal_isotropy(su2)
     mat = su2.pi_matrix()
