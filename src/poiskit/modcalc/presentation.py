@@ -170,16 +170,33 @@ class SaturationResult:
     module: SubmodulePresentation
     exponent: int
     stabilized: bool
+    target_in: Verdict | None = None
 
 
 def saturate(module: SubmodulePresentation, ideal_gens: Sequence[Polynomial],
-             cap: int = SATURATION_CAP) -> SaturationResult:
+             cap: int = SATURATION_CAP, *,
+             target: SubmodulePresentation | None = None) -> SaturationResult:
     """``module : ideal^infinity`` by iterated colon, with the stabilization
     exponent; ``stabilized=False`` when the iteration cap is hit. Each colon
     is one syzygy computation (``colon_by_ideal``, which drops zero and
-    repeated generators of the ideal)."""
+    repeated generators of the ideal).
+
+    ``target`` is a saturated module that contains ``module``: ``f v`` in
+    ``target`` with ``f != 0`` puts ``v`` in ``target``. Every
+    ``module : I^k`` then lies in ``target``. So if the saturation equals
+    ``target``, the first ``k`` with ``module : I^k = module : I^(k+1)`` is
+    the first ``k`` with ``target`` inside ``module : I^k``; if it does not,
+    ``target`` is never inside. At step ``k`` that membership is tried first.
+    When it holds, the iteration stops with exponent ``k``, and ``target_in``
+    holds its certificates; the colon that would only confirm it is skipped.
+    Otherwise the colon and the stabilization test run as without a target.
+    Exponent, module and ``stabilized`` are the same either way."""
     current = module
     for k in range(cap):
+        if target is not None:
+            reached = target.is_submodule_of(current)
+            if reached.is_yes:
+                return SaturationResult(current, k, True, reached)
         nxt = colon_by_ideal(current, ideal_gens)
         if nxt.is_submodule_of(current).is_yes:
             return SaturationResult(current, k, True)

@@ -85,7 +85,19 @@ class RankProfile:
 
 
 def rank_profile(matrix_rows: Sequence[Sequence[Polynomial]],
-                 variables: Sequence[str] | None = None) -> RankProfile:
+                 variables: Sequence[str] | None = None, *,
+                 upper: int | None = None) -> RankProfile:
+    """Generic rank of a polynomial matrix, certified by minors.
+
+    Probe points give a lower bound ``r``; then some ``r``-minor is nonzero
+    and every ``(r+1)``-minor vanishes identically. ``upper`` is a generic
+    rank bound the caller has proved (``germinal_isotropy`` passes
+    ``n - 2k``: every kernel generator is annihilated by ``sharp``, whose
+    generic rank is ``2k``). A probe rank above it raises ``AssertionError``.
+    When some ``upper``-minor is nonzero the rank is at least ``upper``, so
+    it is ``upper``, and the ``(upper+1)``-minors are never listed; the
+    ``upper``-minors are the drop ideal, needed anyway. When all of them
+    vanish, the rank is found as without a bound."""
     rows = [list(r) for r in matrix_rows]
     if not rows or not rows[0]:
         return RankProfile(rows, tuple(variables or ()), 0)
@@ -93,14 +105,18 @@ def rank_profile(matrix_rows: Sequence[Sequence[Polynomial]],
     profile = RankProfile(rows, variables, 0)
     n, m = profile.shape
 
-    # lower bound from probe points, then certify: some r-minor is nonzero
-    # symbolically and every (r+1)-minor vanishes identically.
     nvars = len(variables)
     lower = 0
     for probe in _PROBE_SEEDS:
         pt = [QQ(probe[i % len(probe)]) for i in range(nvars)]
         lower = max(lower, rank([[p.eval(pt) for p in row] for row in rows]))
-    r = max(lower, 0)
+    if upper is not None:
+        if lower > upper:
+            raise AssertionError(f"probe rank {lower} exceeds the bound {upper}")
+        if profile.minor_ideal(upper):
+            profile.generic_rank = upper
+            return profile
+    r = lower
     while r < min(n, m) and profile.minor_ideal(r + 1):
         r += 1
     if r > 0 and not profile.minor_ideal(r):

@@ -384,8 +384,10 @@ def germinal_isotropy(structure: PoissonStructure) -> GerminalIsotropy:
             raise AssertionError("kernel generator not annihilated by sharp")
     expected = n - 2 * structure.k
     if module.generators:
+        # sharp(g) = 0 for every generator, and pi has generic rank 2k:
+        # the generic rank is at most n - 2k
         matrix = [[g[i] for g in module.generators] for i in range(n)]
-        profile = rank_profile(matrix, variables)
+        profile = rank_profile(matrix, variables, upper=expected)
     else:
         profile = rank_profile([[] for _ in range(n)], variables)
     if profile.generic_rank != expected:
@@ -423,13 +425,23 @@ def almost_regular_decide(structure: PoissonStructure, *, seed: int = 0,
                           samples: int = 10000) -> Verdict:
     """Constant-rank decision for the kernel module.
 
-    Yes: the drop ideal of the kernel generator matrix is certified real-empty;
-    the distribution is built both as the saturation of the image module by
-    the regular-locus ideal and as the annihilator of the kernel module, and
-    the two presentations are checked equal. No: a real witness point where
-    the kernel dimension jumps. Inconclusive propagates from the emptiness
-    certificate. Every verdict on a nonzero bivector carries the kernel
-    module in its payload as ``isotropy``.
+    Yes: the drop ideal of the kernel generator matrix is certified real-empty,
+    and the saturation of the image module ``C`` by the regular-locus ideal
+    ``I`` equals the annihilator ``A`` of the kernel module; ``A`` is the
+    distribution. No: a real witness point where the kernel dimension jumps.
+    Inconclusive propagates from the emptiness certificate. Every verdict on a
+    nonzero bivector carries the kernel module in its payload as
+    ``isotropy``.
+
+    ``germinal_isotropy`` has checked ``sharp(g) = 0`` for every kernel
+    generator ``g``, so ``C`` lies in ``A``; and ``A`` is saturated (``R^n/A``
+    embeds in a free module, so ``f v`` in ``A`` with ``f != 0`` puts ``v``
+    in ``A``). Hence ``C : I^k`` lies in ``A`` for every ``k``, and only
+    ``A ⊆ C : I^k`` needs a membership proof: ``saturate`` tries it at each
+    step with ``A`` as its target and stops at the first ``k`` where it holds,
+    which is the exponent where the colons stabilize. Its certificates go to
+    the provenance as ``annihilator_in_saturation``. If the colons stabilize
+    below ``A`` the verdict is inconclusive ("presentations disagree").
     """
     variables = structure.variables
     n = len(variables)
@@ -450,12 +462,12 @@ def almost_regular_decide(structure: PoissonStructure, *, seed: int = 0,
         dims = {"at_witness": iso.dim_at(witness), "generic": iso.generic_dimension}
         return Verdict.no(witness=witness, certificate=None, dims=dims, isotropy=iso)
 
-    saturation = saturate(structure.columns_module(), structure.regular_ideal)
+    annihilator = _annihilator_module(iso, variables, n)
+    saturation = saturate(structure.columns_module(), structure.regular_ideal,
+                          target=annihilator)
     if not saturation.stabilized:
         return Verdict.inconclusive("saturation did not stabilize", isotropy=iso)
-    annihilator = _annihilator_module(iso, variables, n)
-    equality = saturation.module.equals_module(annihilator)
-    if not equality.is_yes:
+    if saturation.target_in is None:
         return Verdict.inconclusive(
             "saturation and annihilator presentations disagree",
             saturation=saturation.module, annihilator=annihilator, isotropy=iso)
@@ -464,7 +476,7 @@ def almost_regular_decide(structure: PoissonStructure, *, seed: int = 0,
         provenance={
             "constant_rank_certificate": emptiness,
             "saturation_exponent": saturation.exponent,
-            "presentations_equal": equality,
+            "annihilator_in_saturation": saturation.target_in,
         })
     return Verdict.yes(certificate={"drop_ideal_empty": emptiness.certificate},
                        distribution=dist, isotropy=iso)

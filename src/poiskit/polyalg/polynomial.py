@@ -40,9 +40,11 @@ def degrevlex_key(expo: tuple[int, ...]):
 
 
 class Polynomial:
-    """Immutable sparse polynomial over an ordered chart."""
+    """Immutable sparse polynomial over an ordered chart. Its hash and its
+    text are computed once, on first use; nothing may change ``terms`` after
+    construction."""
 
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "terms", "_hash", "_str")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], object] | None = None):
         self.variables: Chart = tuple(variables)
@@ -57,6 +59,7 @@ class Polynomial:
                     clean[tuple(expo)] = c
         self.terms = clean
         self._hash = None
+        self._str = None
 
     # -- constructors ------------------------------------------------------
 
@@ -91,6 +94,7 @@ class Polynomial:
         p.variables = variables
         p.terms = terms
         p._hash = None
+        p._str = None
         return p
 
     # -- ring operations ---------------------------------------------------
@@ -232,6 +236,11 @@ class Polynomial:
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
+        if self._str is None:
+            self._str = self._render()
+        return self._str
+
+    def _render(self) -> str:
         if not self.terms:
             return "0"
         parts = []

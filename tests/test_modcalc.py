@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -290,6 +291,46 @@ def test_saturating_zero_module():
     assert result.module.is_zero_module and result.stabilized
 
 
+def _same_saturation(a, b):
+    assert (a.exponent, a.stabilized) == (b.exponent, b.stabilized)
+    assert a.module.generators == b.module.generators
+
+
+def test_saturation_stops_at_a_reached_target():
+    # (x^2) : (x) = (x), (x) : (x) = (1): the colons stabilize at 2, where
+    # the target (1) is reached, and the confirming colon is skipped
+    module = SubmodulePresentation.ideal(V2, [P2("x^2")])
+    target = SubmodulePresentation.ideal(V2, [P2("1")])
+    plain = saturate(module, [P2("x")])
+    aimed = saturate(module, [P2("x")], target=target)
+    _same_saturation(plain, aimed)
+    assert aimed.exponent == 2 and aimed.stabilized
+    assert plain.target_in is None
+    assert aimed.target_in.is_yes
+    assert len(aimed.target_in.certificate["memberships"]) == 1
+
+
+def test_saturation_below_its_target_stabilizes_as_without_one():
+    # y is a nonzerodivisor mod x^2: (x^2) : (y) = (x^2), which never
+    # contains the target (1); the stabilization test decides, at 0
+    module = SubmodulePresentation.ideal(V2, [P2("x^2")])
+    target = SubmodulePresentation.ideal(V2, [P2("1")])
+    aimed = saturate(module, [P2("y")], target=target)
+    _same_saturation(saturate(module, [P2("y")]), aimed)
+    assert aimed.exponent == 0 and aimed.stabilized
+    assert aimed.target_in is None
+
+
+def test_saturation_cap_with_a_target():
+    module = SubmodulePresentation.ideal(V2, [P2("x^2")])
+    target = SubmodulePresentation.ideal(V2, [P2("1")])
+    aimed = saturate(module, [P2("x")], cap=1, target=target)
+    _same_saturation(saturate(module, [P2("x")], cap=1), aimed)
+    assert not aimed.stabilized and aimed.exponent == 1
+    assert aimed.target_in is None
+    assert [str(g[0]) for g in aimed.module.generators] == ["x"]
+
+
 # -- membership -------------------------------------------------------------------------
 
 
@@ -402,6 +443,60 @@ def test_rank_profile_constant_column():
     profile = rank_profile([[zero], [zero], [Polynomial.one(V3)]])
     assert profile.generic_rank == 1
     assert [str(p) for p in profile.drop_ideal()] == ["1"]
+
+
+def _low_rank_matrix(seed: int):
+    """A seeded polynomial matrix on ``V2``: a product of a random n-by-r
+    and r-by-m matrix of degree-1 polynomials, so its rank is at most r."""
+    rng = random.Random(seed)
+    n, m, r = rng.randint(2, 4), rng.randint(2, 4), rng.randint(1, 3)
+
+    def entry():
+        return Polynomial(V2, {e: rng.randint(-2, 2) for e in ((0, 0), (1, 0), (0, 1))})
+
+    left = [[entry() for _ in range(r)] for _ in range(n)]
+    right = [[entry() for _ in range(m)] for _ in range(r)]
+    return [[sum((left[i][k] * right[k][j] for k in range(r)), Polynomial.zero(V2))
+             for j in range(m)] for i in range(n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy_rank(seed: int) -> int:
+    """Rank of ``_low_rank_matrix(seed)`` by sympy's ``Matrix.rank``."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x y")
+    rows = _low_rank_matrix(seed)
+    matrix = sympy.Matrix([[_sympy_expr(xs, p.terms) for p in row] for row in rows])
+    # pivots are rational functions; cancel() is 0 exactly when one is
+    return matrix.rank(iszerofunc=lambda e: sympy.cancel(e) == 0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rank_profile_with_a_true_bound_agrees_with_sympy(seed):
+    rows = _low_rank_matrix(seed)
+    true_rank = _sympy_rank(seed)
+    plain = rank_profile(rows)
+    bounded = rank_profile(rows, upper=true_rank)
+    assert plain.generic_rank == bounded.generic_rank == true_rank
+    assert bounded.minor_ideal(true_rank) == plain.minor_ideal(true_rank)
+    assert bounded.drop_ideal() == plain.drop_ideal()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rank_profile_bound_below_the_probe_rank_raises(seed):
+    rows = _low_rank_matrix(seed)
+    true_rank = _sympy_rank(seed)
+    assert true_rank > 0
+    with pytest.raises(AssertionError, match="exceeds the bound"):
+        rank_profile(rows, upper=true_rank - 1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rank_profile_loose_bound_falls_back_to_the_true_rank(seed):
+    rows = _low_rank_matrix(seed)
+    true_rank = _sympy_rank(seed)
+    for upper in range(true_rank + 1, min(len(rows), len(rows[0])) + 2):
+        assert rank_profile(rows, upper=upper).generic_rank == true_rank
 
 
 def test_pointwise_rank_matches_exact_linear_algebra():

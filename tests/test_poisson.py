@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +21,12 @@ from poiskit.polyalg import (
     Polynomial,
     wedge,
 )
-from poiskit.modcalc import SubmodulePresentation
+from poiskit.modcalc import REAL, SubmodulePresentation, saturate, variety_emptiness
 from poiskit.poisson import (
     DistributionPresentation,
     PoissonStructure,
     ZeroBivectorError,
+    _annihilator_module,
     _casimir_entries,
     _casimir_rows,
     _monomial_array,
@@ -47,8 +50,12 @@ from conftest import (
     heis3_constants,
     sl2_constants,
     su2_constants,
+    heisenberg_structure,
+    su2_structure,
+    symplectic_r2,
     zero_constants,
 )
+from poiskit.report import parse_input
 
 V3 = ("x", "y", "z")
 
@@ -269,6 +276,49 @@ def test_distribution_localizes_to_image_module(heis):
     for gen in dist.generators:
         scaled = [q ** k * c for c in gen]
         assert columns.contains(scaled).is_yes
+
+
+def _saturation_chain_decide(structure: PoissonStructure) -> tuple[str, int | None]:
+    """Reference for the decision's saturation step: the colons run until
+    they stabilize, with no target, and the result is checked equal to the
+    annihilator in both directions. Returns (outcome, exponent)."""
+    iso = germinal_isotropy(structure)
+    emptiness = variety_emptiness(iso.drop_ideal, REAL)
+    if not emptiness.is_yes:
+        return emptiness.outcome, None
+    saturation = saturate(structure.columns_module(), structure.regular_ideal)
+    if not saturation.stabilized:
+        return "inconclusive", None
+    annihilator = _annihilator_module(iso, structure.variables, len(structure.variables))
+    if not saturation.module.equals_module(annihilator).is_yes:
+        return "inconclusive", saturation.exponent
+    return "yes", saturation.exponent
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+_ORACLE_CASES = {
+    **{path.name[:-len(".input.json")]: path for path in sorted(_GOLDEN.glob("*.input.json"))},
+    "heis": heisenberg_structure,
+    "su2": su2_structure,
+    "symplectic_r2": symplectic_r2,
+    "log_symplectic_r2": lambda: PoissonStructure.from_components(("x", "y"), {(0, 1): "x"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_decision_matches_the_untargeted_saturation_chain(case):
+    source = _ORACLE_CASES[case]
+    if isinstance(source, Path):
+        structure = parse_input(json.loads(source.read_text(encoding="utf-8")))[0]
+    else:
+        structure = source()
+    verdict = almost_regular_decide(structure)
+    expected_outcome, expected_exponent = _saturation_chain_decide(structure)
+    assert verdict.outcome == expected_outcome
+    if verdict.is_yes:
+        dist = verdict.payload["distribution"]
+        assert dist.provenance["saturation_exponent"] == expected_exponent
+        assert dist.provenance["annihilator_in_saturation"].is_yes
 
 
 # -- distribution verification ---------------------------------------------------------------

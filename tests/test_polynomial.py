@@ -46,6 +46,13 @@ def test_parse_roundtrip_canonical():
         assert parse_polynomial(V, str(p)) == p
 
 
+def test_text_is_rendered_once_per_polynomial():
+    p = P("x^2 - 3*y")
+    assert str(p) is str(p) == p._render() == "x^2 - 3*y"
+    assert str(p + p) == "2*x^2 - 6*y"
+    assert str(p - p) == "0" and str(p) == "x^2 - 3*y"
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(PolyParseError):
         parse_polynomial(V, "x + @")
