@@ -12,23 +12,30 @@ full-rank constant bivector scaled by a one-variable profile ``f(t)``:
 and the target-source map into the fiberwise pair groupoid anti-Poisson.
 The model checks these laws in exact arithmetic, so it compiles its data
 once: the profile to its terms (``f_at`` returns what ``f.eval`` would,
-value and type, without calling it) and ``pi`` to the nonzero entries of
-each column.  Exact input is used as is: a vector whose entries are all
-``QQ`` goes straight into the sums, and an entry of ``pi`` equal to +-1
-costs no product.  ``target`` forms ``v + f(t) sharp(xi)`` in one pass.
+value and type, without calling it) and ``pi`` to the integer numerator and
+denominator of each nonzero entry of each column.  On exact input (``QQ``
+or int entries, no float) the structure maps work on integers: ``target``
+forms each coordinate of ``v + f(t) sharp(xi)`` as one unreduced fraction
+and builds one reduced ``QQ`` from it, and ``composable`` compares a source
+with a target by cross-multiplication without building either.  Float and
+mixed input keep float arithmetic and the composability tolerance.
 
 The monodromy integrator evaluates the kernel-valued curvature of the
 minimal-norm splitting of ``sharp`` over a 2-sphere inside a regular leaf,
 with the curvature assembled symbolically on a chart extended by one
 variable ``_u`` standing for ``1/<alpha, alpha>`` (a Casimir for the
 built-in family, hence leaf-constant).  ``alpha``, the matrix of ``pi`` and
-the curvature scalars are compiled once to float evaluators, and the
-Gauss-Legendre quadrature evaluates one theta-row of the mesh (all phi
-nodes) per numpy call, with every per-point guard applied to each row.
+the curvature scalars are compiled once to float evaluators.  The
+Gauss-Legendre quadrature works one theta-row of the mesh at a time: the
+sphere's callables broadcast over the row's array of phi nodes, every
+evaluator takes the row in one numpy call, one SVD per point gives both the
+rank guard and numpy's minimal-norm pseudo-inverse, and every per-point
+guard is applied to the row in mesh order.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -70,6 +77,20 @@ def _is_float_entry(x) -> bool:
     return isinstance(x, _FLOAT_TYPES)
 
 
+def _ratios(entries) -> list[tuple[int, int]] | None:
+    """``(numerator, denominator)`` of each exact entry, the denominator
+    positive; ``None`` when an entry is a float.  ``QQ`` and int entries are
+    read as they are, any other goes through ``to_qq``."""
+    out = []
+    for x in entries:
+        if type(x) is not QQ and type(x) is not int:
+            if _is_float_entry(x):
+                return None
+            x = to_qq(x)
+        out.append((x.numerator, x.denominator))
+    return out
+
+
 GroupoidElement = tuple  # (xi, v, t)
 
 
@@ -78,9 +99,10 @@ class LinearGroupoidModel:
     ``f(t) sharp(xi)``; ``pi`` must be a full-rank skew rational matrix.
 
     The profile is compiled once to its ``(exponent, coefficient)`` terms and
-    ``pi`` to the nonzero entries of each column.  Exact input (every entry of
-    ``xi`` already ``QQ``) is used as is, with no per-entry type scan or
-    coercion; float and mixed input keep the float path and the
+    ``pi`` to the nonzero entries of each column, as floats and as integer
+    numerator and denominator.  Exact input (no float entry) is computed on
+    integer numerators and denominators, with one ``QQ`` per output
+    coordinate; float and mixed input keep the float path and the
     composability tolerance.
     """
 
@@ -104,13 +126,12 @@ class LinearGroupoidModel:
         # for exact t a coefficient of 1 becomes None and costs no product
         self._profile = [(e, c) for (e,), c in f.terms.items()]
         self._profile_exact = [(e, None if e and c == 1 else c) for e, c in self._profile]
-        # nonzero entries of each column of pi, the terms of sharp(xi)_j; an
-        # exact term (i, sign, c) has sign 1 or -1 for an entry c of +-1 and
-        # sign 0 for any other entry
+        # nonzero entries of each column of pi, the terms of sharp(xi)_j, as
+        # (i, entry) for float input and (i, numerator, denominator) for exact
         columns = [[(i, self.pi[i][j]) for i in range(self.d) if self.pi[i][j]]
                    for j in range(self.d)]
         self._columns_float = [[(i, float(c)) for i, c in col] for col in columns]
-        self._columns_exact = [[(i, 1 if c == 1 else -1 if c == -1 else 0, c) for i, c in col]
+        self._columns_exact = [[(i, c.numerator, c.denominator) for i, c in col]
                                for col in columns]
         self._zero = tuple(QQ(0) for _ in range(self.d))
 
@@ -135,10 +156,9 @@ class LinearGroupoidModel:
 
     def sharp(self, xi: Sequence):
         """``PI^T xi`` with exact arithmetic for rational input."""
-        if all(type(x) is QQ for x in xi):
-            return self._sharp_exact(xi)
-        if not any(_is_float_entry(x) for x in xi):
-            return self._sharp_exact([to_qq(x) for x in xi])
+        ratios = _ratios(xi)
+        if ratios is not None:
+            return [QQ(n, d) for n, d in self._sharp_ratios(ratios)]
         vals = [float(x) for x in xi]
         out = []
         for col in self._columns_float:       # full rank: no column is empty
@@ -149,16 +169,32 @@ class LinearGroupoidModel:
             out.append(acc)
         return out
 
-    def _sharp_exact(self, vals: Sequence) -> list:
+    def _sharp_ratios(self, ratios: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+        """``PI^T xi`` as unreduced fractions ``(numerator, denominator > 0)``
+        from the ratios of ``xi``."""
         out = []
         for col in self._columns_exact:
-            acc = None
-            for i, sign, c in col:
-                x = vals[i]
-                term = x if sign > 0 else -x if sign else x * c
-                acc = term if acc is None else acc + term
-            out.append(acc)
+            sn, sd = 0, 1
+            for i, pn, pd in col:
+                xn, xd = ratios[i]
+                tn, td = pn * xn, pd * xd
+                sn, sd = sn * td + tn * sd, sd * td
+            out.append((sn, sd))
         return out
+
+    def _target_ratios(self, g: GroupoidElement) -> list[tuple[int, int]] | None:
+        """Each coordinate of ``v + f(t) sharp(xi)`` as an unreduced fraction
+        ``(numerator, denominator > 0)``; ``None`` when an entry is a float."""
+        xi, v, t = g
+        if _is_float_entry(t):
+            return None
+        xs, vs = _ratios(xi), _ratios(v)
+        if xs is None or vs is None:
+            return None
+        c = self.f_at(t)
+        cn, cd = c.numerator, c.denominator
+        return [(vn * cd * sd + cn * sn * vd, vd * cd * sd)
+                for (vn, vd), (sn, sd) in zip(vs, self._sharp_ratios(xs))]
 
     def translation(self, xi: Sequence, t):
         c = self.f_at(t)
@@ -173,6 +209,9 @@ class LinearGroupoidModel:
     def target(self, g: GroupoidElement):
         """``(v + f(t) sharp(xi), t)``."""
         xi, v, t = g
+        ratios = self._target_ratios(g)
+        if ratios is not None:
+            return (tuple(QQ(n, d) for n, d in ratios), t)
         c = self.f_at(t)
         return (tuple(a + c * s for a, s in zip(v, self.sharp(xi))), t)
 
@@ -186,10 +225,12 @@ class LinearGroupoidModel:
 
     def composable(self, g: GroupoidElement, h: GroupoidElement) -> bool:
         (sv, st) = self.source(g)
+        source = None if _is_float_entry(st) else _ratios(sv)
+        target = None if source is None else self._target_ratios(h)
+        if target is not None:
+            # a/b == n/d with b, d > 0, compared without reducing either side
+            return st == h[2] and all(a * d == n * b for (a, b), (n, d) in zip(source, target))
         (tv, tt) = self.target(h)
-        types = set(map(type, (*sv, st, *tv, tt)))
-        if not any(issubclass(tp, _FLOAT_TYPES) for tp in types):
-            return st == tt and all(a == b for a, b in zip(sv, tv))
         if abs(float(st) - float(tt)) > FLOAT_COMPOSABILITY_TOL:
             return False
         return all(abs(float(a) - float(b)) <= FLOAT_COMPOSABILITY_TOL
@@ -263,12 +304,43 @@ def _random_rational_vector(rng: random.Random, d: int) -> tuple:
     return tuple(QQ(rng.randint(-50, 50), rng.randint(1, 10)) for _ in range(d))
 
 
+def _divisors(m: int) -> list[int]:
+    """The positive divisors of ``m != 0``, by trial division."""
+    m = abs(m)
+    small = [k for k in range(1, math.isqrt(m) + 1) if m % k == 0]
+    return small + [m // k for k in reversed(small) if k * k != m]
+
+
+def _rational_roots(model: LinearGroupoidModel) -> list:
+    """The rational roots of the profile ``f``, ascending.
+
+    The rational-root test on the integer-cleared coefficients: with the
+    factor ``t^m`` taken out, a root ``p/q`` in lowest terms has ``p``
+    dividing the lowest coefficient and ``q`` the leading one.  Each candidate
+    is kept only when ``f`` vanishes there exactly.  The zero profile
+    vanishes everywhere and gives ``t = 0`` as its one representative."""
+    terms = model._profile
+    if not terms:
+        return [QQ(0)]
+    scale = math.lcm(*(c.denominator for _, c in terms))
+    coeffs = {e: int(c * scale) for e, c in terms}
+    low, high = min(coeffs), max(coeffs)
+    roots = {QQ(0)} if low else set()
+    for p in _divisors(coeffs[low]):
+        for q in _divisors(coeffs[high]):
+            for r in (QQ(p, q), QQ(-p, q)):
+                if model.f_at(r) == 0:
+                    roots.add(r)
+    return sorted(roots)
+
+
 def pair_morphism_check(model: LinearGroupoidModel, samples: int = 1000,
                         seed: int = 0) -> MorphismReport:
     """(a) the target-source map is a groupoid morphism into the fiberwise
     pair groupoid, exactly on rational samples; (b) it pushes the slice
     Poisson bivector (inverse of Omega) to ``(-f(t) pi) (+) (f(t) pi)``
-    where ``f(t) != 0``; (c) the Jacobian rank where ``f(t) = 0``."""
+    where ``f(t) != 0``; (c) the Jacobian rank at each rational root of
+    ``f`` (keys ascending)."""
     rng = random.Random(seed)
     d = model.d
     failures = 0
@@ -310,10 +382,9 @@ def pair_morphism_check(model: LinearGroupoidModel, samples: int = 1000,
         expected[d:, d:] = c * pi_f
         max_res = max(max_res, float(np.max(np.abs(pushed - expected))))
 
-    # rank of the full Jacobian at a zero of f
+    # rank of the full Jacobian at each rational zero of f
     rank_report = {}
-    zeros = [t for t in (0,) if model.f_at(t) == 0]
-    for t0 in zeros:
+    for t0 in _rational_roots(model):
         xi = np.ones(d)
         fprime = float(model.f.diff(0).eval([float(t0)]))
         jac = np.zeros((2 * d + 1, 2 * d + 1))
@@ -349,62 +420,61 @@ def pairwise_sum(values: Sequence[float]) -> float:
 
 @dataclass
 class SphereMap:
-    """Parameterized closed surface with exact tangents."""
+    """Parameterized closed surface with exact tangents.
 
-    point: Callable[[float, float], np.ndarray]
-    jacobian: Callable[[float, float], np.ndarray]   # shape (n, 2)
+    Both callables broadcast over ``theta`` and ``phi``: the quadrature calls
+    each once per theta-row with the row's array of phi nodes, and a shape
+    ``S`` of ``broadcast(theta, phi)`` gives points of shape ``S + (n,)`` and
+    Jacobians of shape ``S + (n, 2)`` (``(n,)`` and ``(n, 2)`` for scalars).
+    """
+
+    point: Callable[[float | np.ndarray, float | np.ndarray], np.ndarray]
+    jacobian: Callable[[float | np.ndarray, float | np.ndarray], np.ndarray]
     label: str = "sphere"
+
+
+def _sphere_map(radius: float, dimension: int, axes: tuple[int, ...],
+                center: Sequence | None, label: str) -> SphereMap:
+    """The sphere of radius r in the axes ``(i, j, k)``, or its projection to
+    the ``(i, j)`` plane for two axes; each point is ``center`` plus the
+    spherical coordinates, added axis by axis in that order."""
+    c = np.zeros(dimension) if center is None else np.array([float(x) for x in center])
+    i, j, *k = axes
+    r = float(radius)
+
+    def point(theta, phi) -> np.ndarray:
+        x = np.empty(np.broadcast(theta, phi).shape + (dimension,))
+        x[...] = c
+        x[..., i] += r * np.sin(theta) * np.cos(phi)
+        x[..., j] += r * np.sin(theta) * np.sin(phi)
+        for axis in k:
+            x[..., axis] += r * np.cos(theta)
+        return x
+
+    def jacobian(theta, phi) -> np.ndarray:
+        out = np.zeros(np.broadcast(theta, phi).shape + (dimension, 2))
+        out[..., i, 0] = r * np.cos(theta) * np.cos(phi)
+        out[..., j, 0] = r * np.cos(theta) * np.sin(phi)
+        for axis in k:
+            out[..., axis, 0] = -r * np.sin(theta)
+        out[..., i, 1] = -r * np.sin(theta) * np.sin(phi)
+        out[..., j, 1] = r * np.sin(theta) * np.cos(phi)
+        return out
+
+    return SphereMap(point, jacobian, label=label)
 
 
 def round_sphere(radius: float, dimension: int, axes: tuple[int, int, int] = (0, 1, 2),
                  center: Sequence | None = None) -> SphereMap:
     """Radius-r sphere in the three chosen coordinate axes."""
-    c = np.zeros(dimension) if center is None else np.array([float(x) for x in center])
-    i, j, k = axes
-    r = float(radius)
-
-    def point(theta: float, phi: float) -> np.ndarray:
-        x = c.copy()
-        x[i] += r * np.sin(theta) * np.cos(phi)
-        x[j] += r * np.sin(theta) * np.sin(phi)
-        x[k] += r * np.cos(theta)
-        return x
-
-    def jacobian(theta: float, phi: float) -> np.ndarray:
-        out = np.zeros((dimension, 2))
-        out[i, 0] = r * np.cos(theta) * np.cos(phi)
-        out[j, 0] = r * np.cos(theta) * np.sin(phi)
-        out[k, 0] = -r * np.sin(theta)
-        out[i, 1] = -r * np.sin(theta) * np.sin(phi)
-        out[j, 1] = r * np.sin(theta) * np.cos(phi)
-        return out
-
-    return SphereMap(point, jacobian, label=f"round r={radius} axes={axes}")
+    return _sphere_map(radius, dimension, axes, center, f"round r={radius} axes={axes}")
 
 
 def planar_sphere(radius: float, dimension: int, axes: tuple[int, int] = (0, 1),
                   center: Sequence | None = None) -> SphereMap:
     """Degenerate sphere collapsed into a 2-plane (image inside one leaf of a
     constant-rank structure); used for the flat zero-curvature case."""
-    c = np.zeros(dimension) if center is None else np.array([float(x) for x in center])
-    i, j = axes
-    r = float(radius)
-
-    def point(theta: float, phi: float) -> np.ndarray:
-        x = c.copy()
-        x[i] += r * np.sin(theta) * np.cos(phi)
-        x[j] += r * np.sin(theta) * np.sin(phi)
-        return x
-
-    def jacobian(theta: float, phi: float) -> np.ndarray:
-        out = np.zeros((dimension, 2))
-        out[i, 0] = r * np.cos(theta) * np.cos(phi)
-        out[j, 0] = r * np.cos(theta) * np.sin(phi)
-        out[i, 1] = -r * np.sin(theta) * np.sin(phi)
-        out[j, 1] = r * np.sin(theta) * np.cos(phi)
-        return out
-
-    return SphereMap(point, jacobian, label=f"planar r={radius} axes={axes}")
+    return _sphere_map(radius, dimension, axes, center, f"planar r={radius} axes={axes}")
 
 
 class MonodromyProblem:
@@ -543,11 +613,17 @@ def _integrate(problem: MonodromyProblem, mesh: int) -> tuple[float, float]:
     contributions: list[float] = []
     max_residual = 0.0
     for a, th in enumerate(theta):
-        xs = np.array([problem.sphere.point(th, ph) for ph in phi])
-        jac = np.array([problem.sphere.jacobian(th, ph) for ph in phi])      # (P, n, 2)
+        xs = problem.sphere.point(th, phi)                                    # (P, n)
+        jac = problem.sphere.jacobian(th, phi)                                # (P, n, 2)
         sharp_mat = problem._pi_eval(xs).reshape(-1, n, n).transpose(0, 2, 1)
-        ranks = np.linalg.matrix_rank(sharp_mat, tol=1e-9)
-        sol = np.linalg.pinv(sharp_mat, rcond=rcond) @ jac                    # minimal norm
+        # one SVD per point: the rank guard, and np.linalg.pinv's own cutoff
+        # and formula for the minimal-norm pseudo-inverse
+        u, sv, vt = np.linalg.svd(sharp_mat, full_matrices=False)
+        ranks = np.count_nonzero(sv > 1e-9, axis=-1)
+        large = sv > rcond * np.max(sv, axis=-1, keepdims=True)
+        inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=large)
+        pinv = np.matmul(np.swapaxes(vt, -1, -2), inv_sv[..., None] * np.swapaxes(u, -1, -2))
+        sol = pinv @ jac                                                      # minimal norm
         residual = np.max(np.abs(sharp_mat @ sol - jac), axis=(1, 2))
         scale = np.maximum(1.0, np.max(np.abs(jac), axis=(1, 2)))
         bad_rank = ranks != rank

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from poiskit.poisson import PoissonStructure
 from poiskit.groupoid import (
     LinearGroupoidModel,
     MonodromyProblem,
+    SphereMap,
+    _integrate,
     monodromy_period,
     omega_form,
     pair_morphism_check,
@@ -143,6 +146,20 @@ def test_pair_morphism_report():
     assert rep.rank_at_zero == {0.0: 3}
 
 
+@pytest.mark.parametrize("profile, expected", [
+    ("t", {0.0: 3}),
+    ("t - 1", {1.0: 3}),
+    ("t^2 - 1/4", {-0.5: 3, 0.5: 3}),
+    ("t^2 + 1", {}),
+    ("6*t^3 - 5*t^2 + t", {0.0: 3, 1 / 3: 3, 0.5: 3}),
+])
+def test_pair_morphism_probes_every_rational_root(profile, expected):
+    model = LinearGroupoidModel(STANDARD_PI, Polynomial.parse(T, profile))
+    rep = pair_morphism_check(model, samples=20, seed=1)
+    assert rep.rank_at_zero == expected
+    assert list(rep.rank_at_zero) == sorted(expected)
+
+
 def test_slice_bijection_when_profile_is_one():
     model = LinearGroupoidModel(STANDARD_PI, Polynomial.one(T))
     rng = random.Random(9)
@@ -267,6 +284,180 @@ def gauged_su2_problem() -> MonodromyProblem:
     return MonodromyProblem(su2_structure(), round_sphere(1.5, 3, axes=(2, 0, 1)), gauge=gauge)
 
 
+def reference_integrate(problem: MonodromyProblem, mesh: int) -> tuple[float, float]:
+    """The integrator before the rows were broadcast: scalar ``point`` and
+    ``jacobian`` calls stacked into a row, ``np.linalg.matrix_rank`` for the
+    rank guard and ``np.linalg.pinv`` for the minimal-norm solution."""
+    nodes_t, weights_t = np.polynomial.legendre.leggauss(mesh)
+    theta = 0.5 * np.pi * (nodes_t + 1.0)
+    wt = 0.5 * np.pi * weights_t
+    phi = np.pi * (nodes_t + 1.0)
+    wp = np.pi * weights_t
+    n = problem.n
+    rank = 2 * problem.structure.k
+    rcond = n * np.finfo(float).eps
+    contributions = []
+    max_residual = 0.0
+    for a, th in enumerate(theta):
+        xs = np.array([problem.sphere.point(th, ph) for ph in phi])
+        jac = np.array([problem.sphere.jacobian(th, ph) for ph in phi])
+        sharp_mat = problem._pi_eval(xs).reshape(-1, n, n).transpose(0, 2, 1)
+        ranks = np.linalg.matrix_rank(sharp_mat, tol=1e-9)
+        sol = np.linalg.pinv(sharp_mat, rcond=rcond) @ jac
+        residual = np.max(np.abs(sharp_mat @ sol - jac), axis=(1, 2))
+        scale = np.maximum(1.0, np.max(np.abs(jac), axis=(1, 2)))
+        bad_rank = ranks != rank
+        bad = bad_rank | (residual > problem.splitting_tol * scale * 10)
+        if np.any(bad):
+            b = int(np.argmax(bad))
+            if bad_rank[b]:
+                raise ValueError("leaf hits the singular locus on the sphere")
+            raise ValueError(
+                f"splitting residual too large ({residual[b]:.2e}); sphere not tangent to the leaf")
+        max_residual = max(max_residual, float(np.max(residual / scale)))
+        smat = problem._curvature_rows(xs)
+        integrand = np.einsum("pi,pij,pj->p", sol[:, :, 0], smat, sol[:, :, 1])
+        contributions.extend((wt[a] * wp * integrand).tolist())
+    return pairwise_sum(contributions), max_residual
+
+
+def first_bad_point(problem: MonodromyProblem, mesh: int):
+    """``(row, column, kind)`` of the first point, in mesh order, that fails
+    a guard, found one point at a time; ``None`` when every point passes."""
+    nodes, _ = np.polynomial.legendre.leggauss(mesh)
+    n = problem.n
+    for a, th in enumerate(0.5 * np.pi * (nodes + 1.0)):
+        for b, ph in enumerate(np.pi * (nodes + 1.0)):
+            x = problem.sphere.point(th, ph)
+            jac = problem.sphere.jacobian(th, ph)
+            sharp = problem._pi_eval(x[None, :]).reshape(n, n).T
+            if np.linalg.matrix_rank(sharp, tol=1e-9) != 2 * problem.structure.k:
+                return a, b, "singular locus"
+            sol = np.linalg.pinv(sharp, rcond=n * np.finfo(float).eps) @ jac
+            scale = max(1.0, float(np.max(np.abs(jac))))
+            if np.max(np.abs(sharp @ sol - jac)) > problem.splitting_tol * scale * 10:
+                return a, b, "splitting residual too large"
+    return None
+
+
+def flat_problem() -> MonodromyProblem:
+    flat = PoissonStructure.from_components(("x", "y", "t"), {(0, 1): "1"})
+    return MonodromyProblem(flat, planar_sphere(1.0, 3, axes=(0, 1), center=[0, 0, QQ(3, 2)]))
+
+
+@pytest.mark.parametrize("make", [
+    flat_problem,
+    lambda: MonodromyProblem(su2_structure(), round_sphere(1.0, 3)),
+    gauged_su2_problem,
+    lambda: MonodromyProblem(su2_structure(), round_sphere(1.0, 3, axes=(1, 2, 0))),
+], ids=["flat", "su2", "gauged-su2", "su2-shifted-axes"])
+@pytest.mark.parametrize("mesh", [12, 32])
+def test_row_integrator_equals_the_per_point_reference(make, mesh):
+    problem = make()
+    value, residual = _integrate(problem, mesh)
+    expected_value, expected_residual = reference_integrate(problem, mesh)
+    assert value.hex() == expected_value.hex()
+    assert residual.hex() == expected_residual.hex()
+
+
+def scalar_sphere_point(radius, dimension, axes, center, theta, phi):
+    """The sphere's point formula one point at a time, axis by axis."""
+    x = np.array([float(c) for c in center]) if center is not None else np.zeros(dimension)
+    r = float(radius)
+    x[axes[0]] += r * np.sin(theta) * np.cos(phi)
+    x[axes[1]] += r * np.sin(theta) * np.sin(phi)
+    if len(axes) == 3:
+        x[axes[2]] += r * np.cos(theta)
+    return x
+
+
+def scalar_sphere_jacobian(radius, dimension, axes, theta, phi):
+    out = np.zeros((dimension, 2))
+    r = float(radius)
+    i, j = axes[:2]
+    out[i, 0] = r * np.cos(theta) * np.cos(phi)
+    out[j, 0] = r * np.cos(theta) * np.sin(phi)
+    if len(axes) == 3:
+        out[axes[2], 0] = -r * np.sin(theta)
+    out[i, 1] = -r * np.sin(theta) * np.sin(phi)
+    out[j, 1] = r * np.sin(theta) * np.cos(phi)
+    return out
+
+
+@pytest.mark.parametrize("make, radius, dimension, axes, center", [
+    (round_sphere, 1.0, 3, (0, 1, 2), None),
+    (round_sphere, 1.5, 3, (2, 0, 1), [0.25, -1, 3]),
+    (round_sphere, 0.7, 5, (4, 1, 3), [1, 2, 3, 4, 5]),
+    (planar_sphere, 1.0, 3, (0, 1), [0, 0, 1]),
+    (planar_sphere, 2.5, 4, (3, 1), [0.5, 0, -2, 1]),
+])
+def test_sphere_rows_equal_stacked_scalar_calls(make, radius, dimension, axes, center):
+    sphere = make(radius, dimension, axes=axes, center=center)
+    nodes, _ = np.polynomial.legendre.leggauss(24)
+    phi = np.pi * (nodes + 1.0)
+    for th in 0.5 * np.pi * (nodes + 1.0):
+        rows = (sphere.point(th, phi), sphere.jacobian(th, phi))
+        stacked = (np.array([sphere.point(th, ph) for ph in phi]),
+                   np.array([sphere.jacobian(th, ph) for ph in phi]))
+        formula = (
+            np.array([scalar_sphere_point(radius, dimension, axes, center, th, ph) for ph in phi]),
+            np.array([scalar_sphere_jacobian(radius, dimension, axes, th, ph) for ph in phi]))
+        for got, by_point, by_formula in zip(rows, stacked, formula):
+            assert got.dtype == by_point.dtype == by_formula.dtype == np.float64
+            assert got.shape == by_point.shape == by_formula.shape
+            assert got.tobytes() == by_point.tobytes() == by_formula.tobytes()
+    assert sphere.point(0.3, 1.2).shape == (dimension,)
+    assert sphere.jacobian(0.3, 1.2).shape == (dimension, 2)
+
+
+def tilted_plane(theta0: float) -> SphereMap:
+    """The unit disc in the (x, y) plane at t = 1, lifted off the plane to
+    ``t = 1 + max(0, theta - theta0)^2 (2 + sin phi)`` past ``theta0``, so
+    every row past ``theta0`` leaves the leaf ``t = const``, and the
+    residual of each point (its t-tangent) differs from its row's other points."""
+    def point(theta, phi):
+        lift = np.maximum(0.0, theta - theta0)
+        x = np.empty(np.broadcast(theta, phi).shape + (3,))
+        x[..., 0] = np.sin(theta) * np.cos(phi)
+        x[..., 1] = np.sin(theta) * np.sin(phi)
+        x[..., 2] = 1.0 + lift * lift * (2.0 + np.sin(phi))
+        return x
+
+    def jacobian(theta, phi):
+        lift = np.maximum(0.0, theta - theta0)
+        out = np.zeros(np.broadcast(theta, phi).shape + (3, 2))
+        out[..., 0, 0] = np.cos(theta) * np.cos(phi)
+        out[..., 1, 0] = np.cos(theta) * np.sin(phi)
+        out[..., 2, 0] = 2.0 * lift * (2.0 + np.sin(phi))
+        out[..., 0, 1] = -np.sin(theta) * np.sin(phi)
+        out[..., 1, 1] = np.sin(theta) * np.cos(phi)
+        out[..., 2, 1] = lift * lift * np.cos(phi)
+        return out
+
+    return SphereMap(point, jacobian, label=f"tilted plane past {theta0}")
+
+
+@pytest.mark.parametrize("theta0, message", [
+    # the middle row (theta = pi/2) holds the one singular point (x, y) = (-1, 0);
+    # the rows after it leave the leaf
+    (0.5 * math.pi + 0.1, "singular locus"),
+    # the rows leave the leaf from the middle row on: its first point fails the
+    # residual guard, each point by its own residual, ahead of the singular point
+    (0.5 * math.pi - 0.3, "splitting residual too large"),
+])
+def test_guards_name_the_first_failing_point_in_mesh_order(theta0, message):
+    # x + 1 vanishes only at x = -1, which the odd mesh hits at theta = pi/2, phi = pi
+    structure = PoissonStructure.from_components(("x", "y", "t"), {(0, 1): "x + 1"})
+    problem = MonodromyProblem(structure, tilted_plane(theta0))
+    row, column, kind = first_bad_point(problem, 9)
+    assert row > 0 and kind == message
+    with pytest.raises(ValueError) as expected:
+        reference_integrate(problem, 9)
+    assert message in str(expected.value)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        _integrate(problem, 9)
+
+
 def test_row_curvature_matches_exact_per_point_evaluation():
     problem = gauged_su2_problem()
     theta = 0.7
@@ -334,8 +525,16 @@ def draw(rng, kind, d):
             tuple(rng.uniform(-5, 5) for _ in range(d)), rng.uniform(-2, 2))
 
 
+def lowest_terms(x) -> bool:
+    """``x`` is a ``QQ`` in lowest terms with a positive denominator, or not a
+    ``QQ`` at all; an unreduced ``QQ`` breaks ``==`` and ``hash`` silently."""
+    if type(x) is not QQ:
+        return True
+    return x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+
+
 @pytest.mark.parametrize("pi", [WIDE_PI, DENSE_PI], ids=["wide2", "dense4"])
-@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("profile", PROFILES + ["0"])
 @pytest.mark.parametrize("kind", ["qq", "int", "float"])
 def test_model_maps_match_dense_reference(pi, profile, kind):
     f = Polynomial.parse(T, profile)
@@ -354,6 +553,28 @@ def test_model_maps_match_dense_reference(pi, profile, kind):
         assert same_seq(got_w, w) and got_t is t
         inv_xi, inv_w, inv_t = model.inverse((xi, v, t))
         assert same_seq(inv_xi, [-x for x in xi]) and same_seq(inv_w, w) and inv_t is t
+        if kind == "float":
+            continue
+        # composable and multiply against the same reference: g starts where h ends
+        h = (xi, v, t)
+        xi_g = draw(rng, kind, d)[0]
+        start = tuple(int(a) if kind == "int" and a.denominator == 1 else a for a in w)
+        g = (xi_g, start, t)
+        assert same(model.composable(g, h), True)
+        gh = model.multiply(g, h)
+        assert same_seq(gh[0], [a + b for a, b in zip(xi_g, xi)])
+        assert same_seq(gh[1], v) and gh[2] is t
+        w_g = [a + c * s for a, s in zip(start, reference_sharp(pi, xi_g))]
+        assert same(model.composable(h, g), all(a == b for a, b in zip(v, w_g)))
+        for off in ((QQ(1, 7),) + (QQ(0),) * (d - 1), (QQ(0),) * (d - 1) + (QQ(-3, 2),)):
+            moved = (xi_g, tuple(a + e for a, e in zip(start, off)), t)
+            assert same(model.composable(moved, h), False)
+            with pytest.raises(ValueError, match="non-composable"):
+                model.multiply(moved, h)
+        assert same(model.composable((xi_g, start, t + 1), h), False)
+        outputs = [*model.sharp(xi), *model.translation(xi, t), *got_w, *inv_xi, *inv_w,
+                   *gh[0], *gh[1], *model.pair_map(h)[0]]
+        assert all(lowest_terms(x) for x in outputs)
 
 
 @pytest.mark.parametrize("profile", PROFILES + ["0", "t^2", "-t + 3", "7/3*t^4"])
