@@ -7,8 +7,8 @@
 from __future__ import annotations
 
 from . import _termops_py as termops
-from .rational import QQ, QQ_ONE, QQ_ZERO, qq_str, to_qq
+from .rational import QQ, QQ_ZERO, to_qq
 
 BACKEND = termops.BACKEND
 
-__all__ = ["QQ", "QQ_ONE", "QQ_ZERO", "BACKEND", "termops", "to_qq", "qq_str"]
+__all__ = ["QQ", "QQ_ZERO", "BACKEND", "termops", "to_qq"]

@@ -11,7 +11,6 @@ from fractions import Fraction
 QQ = Fraction
 
 QQ_ZERO = QQ(0)
-QQ_ONE = QQ(1)
 
 
 def to_qq(value) -> "QQ":
@@ -24,7 +23,3 @@ def to_qq(value) -> "QQ":
         return QQ(value.numerator, value.denominator)
     return QQ(value)
 
-
-def qq_str(value) -> str:
-    """Canonical string form, re-parseable by the polynomial parser."""
-    return str(value)

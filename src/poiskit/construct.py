@@ -21,9 +21,8 @@ from .polyalg import (
     Polynomial,
     divides_exactly,
     pair,
-    poly_gcd_all,
 )
-from .modcalc import REAL, SubmodulePresentation, Verdict, variety_emptiness
+from .modcalc import SubmodulePresentation, Verdict, polynomial_gcd, variety_emptiness
 from .modcalc.linalg import nullspace, solve
 from .modcalc.rank import _det
 from .poisson import (
@@ -238,7 +237,7 @@ def cosymplectic_reduce(structure: PoissonStructure, w_basis,
     det = _det(bmat)
     if det.is_zero:
         raise CosymplecticError("sharp(W°) ⊕ W fails identically", {"determinant": "0"})
-    cert = variety_emptiness([det], REAL, seed=seed)
+    cert = variety_emptiness([det], seed=seed)
     if cert.is_no:
         witness = cert.witness["point"]
         try:
@@ -323,9 +322,11 @@ class LogFClassification:
 
 def _content_split(top: MultivectorField) -> tuple[Polynomial, MultivectorField]:
     """Write the top power as g * s with s having coprime integer
-    coefficients and positive leading coefficient in its first component."""
-    coeffs = list(top.components.values())
-    g = poly_gcd_all(coeffs)
+    coefficients and positive leading coefficient in its first component.
+    ``g`` is the gcd of the components (``polynomial_gcd``). A top power
+    with one component is its own ``g``, with section 1: the gcd of a
+    family of one is its member, unnormalised."""
+    g = polynomial_gcd(list(top.components.values()))
     comps = {}
     for idx, p in top.components.items():
         quotient = divides_exactly(p, g)
@@ -341,7 +342,7 @@ def _content_split(top: MultivectorField) -> tuple[Polynomial, MultivectorField]
     return g, section
 
 
-def logf_classify(structure: PoissonStructure, *, seed: int = 0,
+def logf_classify(structure: PoissonStructure, *, seed: int = 0, samples: int = 10000,
                   decision: Verdict | None = None) -> LogFClassification:
     """Classify the top power against the line spanned by the distribution's
     top wedge: ``regular`` when g never vanishes on R^n, log-symplectic /
@@ -352,7 +353,7 @@ def logf_classify(structure: PoissonStructure, *, seed: int = 0,
 
         raise ZeroBivectorError("zero bivector: k undefined")
     if decision is None:
-        decision = almost_regular_decide(structure, seed=seed)
+        decision = almost_regular_decide(structure, seed=seed, samples=samples)
     if decision.is_no:
         return LogFClassification(NOT_ALMOST_REGULAR, decision=decision)
     if decision.is_inconclusive:
@@ -370,7 +371,7 @@ def logf_classify(structure: PoissonStructure, *, seed: int = 0,
         pairings.append(pair(dg, v))
     z_sing = [g] + [p for p in pairings if not p.is_zero]
 
-    regularity = variety_emptiness([g], REAL, seed=seed)
+    regularity = variety_emptiness([g], seed=seed, samples=samples)
     if regularity.is_yes:
         return LogFClassification(REGULAR, g=g, section=section, z_ideal=z_ideal,
                                   z_sing_ideal=z_sing, transversality=Verdict.yes(
@@ -378,7 +379,7 @@ def logf_classify(structure: PoissonStructure, *, seed: int = 0,
                                   regularity=regularity, distribution=dist,
                                   decision=decision)
     transversality = variety_emptiness([g] + [d for d in grads if not d.is_zero],
-                                       REAL, seed=seed)
+                                       seed=seed, samples=samples)
     if transversality.is_inconclusive or regularity.is_inconclusive:
         return LogFClassification(INCONCLUSIVE, g=g, section=section, z_ideal=z_ideal,
                                   z_sing_ideal=z_sing, transversality=transversality,

@@ -138,9 +138,12 @@ class LinearGroupoidModel:
     def f_at(self, t):
         """``f(t)``, equal in value and type to ``self.f.eval([t])``: exact for
         rational or int ``t``, bit for bit the same float for float ``t``, and
-        the int 0 for the zero profile."""
+        the int 0 for the zero profile. A numpy float that is not a ``float``
+        (``np.float32``) is read as ``float(t)``."""
         if isinstance(t, float):
             terms = self._profile             # c * t**e, as Polynomial.eval forms it
+        elif _is_float_entry(t):
+            t, terms = float(t), self._profile
         else:
             t, terms = to_qq(t), self._profile_exact
         total = None

@@ -5,7 +5,8 @@ certificates, rank stratification, and emptiness certificates.
 ``SubmodulePresentation`` holds a submodule of ``R^rank`` by generators and
 answers membership (``contains``) from one Groebner engine built on first
 use. ``syzygies`` is the one kernel computation: ``colon_by_ideal`` is the
-syzygy module of one block matrix, and ``saturate`` iterates that colon.
+syzygy module of one block matrix, ``saturate`` iterates that colon, and
+``polynomial_gcd`` reads the gcd of a pair off the syzygies of ``[a, b]``.
 
 Two bounds a caller may have proved cut the work short. ``saturate`` takes a
 ``target``: a saturated module that contains the input, hence every colon.
@@ -23,11 +24,12 @@ from .presentation import (
     SaturationResult,
     SubmodulePresentation,
     colon_by_ideal,
+    polynomial_gcd,
     saturate,
     syzygies,
 )
 from .rank import RankProfile, rank_profile
-from .variety import COMPLEX, REAL, variety_emptiness
+from .variety import variety_emptiness
 from . import linalg
 
 __all__ = [
@@ -37,10 +39,9 @@ __all__ = [
     "syzygies",
     "saturate",
     "colon_by_ideal",
+    "polynomial_gcd",
     "RankProfile",
     "rank_profile",
     "variety_emptiness",
-    "REAL",
-    "COMPLEX",
     "linalg",
 ]

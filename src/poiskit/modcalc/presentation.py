@@ -5,7 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..polyalg.polynomial import ChartMismatchError, Polynomial
+from ..polyalg.polynomial import (
+    ChartMismatchError,
+    Polynomial,
+    _normalize_primitive,
+    divides_exactly,
+)
 from .engine import ModuleEngine
 from .verdict import Verdict
 
@@ -134,6 +139,39 @@ def syzygies(matrix_rows: Sequence[Sequence[Polynomial]],
     columns = [[rows[i][j] for i in range(len(rows))] for j in range(m)]
     engine = ModuleEngine(variables, len(rows), columns)
     return SubmodulePresentation(variables, m, engine.syzygy_vectors())
+
+
+def polynomial_gcd(polys: Sequence[Polynomial]) -> Polynomial:
+    """Greatest common divisor over Q of a nonempty family, one pair at a
+    time, with coprime integer coefficients and a positive degrevlex-leading
+    coefficient. A family of one polynomial is returned as it is,
+    unnormalised.
+
+    For nonzero ``a`` and ``b`` with gcd ``g`` the syzygies of the 1-by-2
+    matrix ``[a, b]`` form the principal module generated by
+    ``(b/g, -a/g)``, so ``g = b / s_0`` for its one generator ``s``
+    (lcm(a, b) = a b / g, Cox, Little and O'Shea, ch. 4). ``AssertionError``
+    unless there is exactly one generator and ``g`` divides both ``a`` and
+    ``b``."""
+    polys = list(polys)
+    if not polys:
+        raise ValueError("gcd of an empty family")
+    acc = polys[0]
+    for b in polys[1:]:
+        acc = _gcd_pair(acc, b)
+    return acc
+
+
+def _gcd_pair(a: Polynomial, b: Polynomial) -> Polynomial:
+    if a.is_zero or b.is_zero:
+        return _normalize_primitive(a + b)
+    syz = syzygies([[a, b]]).generators
+    if len(syz) != 1:
+        raise AssertionError(f"syzygies of a pair with {len(syz)} generators")
+    g = divides_exactly(b, syz[0][0])
+    if g is None or divides_exactly(a, g) is None:
+        raise AssertionError("gcd does not divide both polynomials")
+    return _normalize_primitive(g)
 
 
 def colon_by_ideal(module: SubmodulePresentation,

@@ -9,8 +9,8 @@ certificate (sum of even-exponent terms with positive coefficients plus a
 positive constant), and otherwise an exact witness search over a
 deterministic integer grid followed by seeded random rational points in
 [-3, 3]^n. Anything unresolved is reported inconclusive with the ideal
-attached, never guessed. Over C the origin is not tried first, so that a
-``no`` keeps its reduced basis.
+attached, never guessed. ``samples`` (the CLI's ``--samples``) sets how many
+random points are tried.
 
 Trying the origin first cannot turn a ``yes`` into a ``no``: a basis {1} or
 a positive polynomial in the ideal leaves no real zero. The grid yields the
@@ -29,9 +29,6 @@ from .._kernel import QQ
 from ..polyalg.polynomial import Polynomial
 from .presentation import SubmodulePresentation
 from .verdict import Verdict
-
-REAL = "real"
-COMPLEX = "complex"
 
 _GRID_RANGE = (0, 1, -1, 2, -2)
 _GRID_LIMIT = 20000
@@ -64,9 +61,9 @@ def _vanishes_at(gens: Sequence[Polynomial], point) -> bool:
     return all(not g.eval(point) for g in gens)
 
 
-def variety_emptiness(ideal_gens: Sequence[Polynomial], field: str = REAL,
-                      seed: int = 0, samples: int = 10000) -> Verdict:
-    """Decide emptiness of the zero set of an ideal over R or C."""
+def variety_emptiness(ideal_gens: Sequence[Polynomial], seed: int = 0,
+                      samples: int = 10000) -> Verdict:
+    """Decide emptiness of the real zero set of an ideal."""
     gens = [g for g in ideal_gens if not g.is_zero]
     if not gens:
         # the zero ideal: the whole space, nonempty (witness: origin)
@@ -75,20 +72,13 @@ def variety_emptiness(ideal_gens: Sequence[Polynomial], field: str = REAL,
         return Verdict.no(witness={"point": [QQ(0)] * nvars, "kind": "rational"})
     variables = gens[0].variables
     nvars = len(variables)
-    if field == REAL:
-        origin = [QQ(0)] * nvars
-        if _vanishes_at(gens, origin):
-            return Verdict.no(witness={"point": origin, "kind": "rational"})
+    origin = [QQ(0)] * nvars
+    if _vanishes_at(gens, origin):
+        return Verdict.no(witness={"point": origin, "kind": "rational"})
     ideal = SubmodulePresentation.ideal(variables, gens)
     basis = ideal.groebner_basis()
     if _is_unit_basis(basis):
         return Verdict.yes(certificate={"level": "complex-empty", "basis": ["1"]})
-    if field == COMPLEX:
-        return Verdict.no(witness={"kind": "nullstellensatz",
-                                   "reason": "reduced basis is not {1}",
-                                   "basis": [str(b[0]) for b in basis]})
-    if field != REAL:
-        raise ValueError(f"unknown field {field!r}")
 
     for p in list(gens) + [b[0] for b in basis]:
         if _positivity_certificate(p):

@@ -34,7 +34,6 @@ from .polyalg import (
     wedge_power,
 )
 from .modcalc import (
-    REAL,
     RankProfile,
     SubmodulePresentation,
     Verdict,
@@ -452,7 +451,7 @@ def almost_regular_decide(structure: PoissonStructure, *, seed: int = 0,
         return Verdict.yes(certificate={"degenerate": "zero bivector"}, distribution=dist)
     iso = germinal_isotropy(structure)
     drop = iso.drop_ideal
-    emptiness = variety_emptiness(drop, REAL, seed=seed, samples=samples)
+    emptiness = variety_emptiness(drop, seed=seed, samples=samples)
     if emptiness.is_inconclusive:
         return Verdict.inconclusive(
             "constant-rank test unresolved: " + (emptiness.reason or ""),
@@ -483,7 +482,7 @@ def almost_regular_decide(structure: PoissonStructure, *, seed: int = 0,
 
 
 def verify_distribution(dist: DistributionPresentation, structure: PoissonStructure,
-                        *, seed: int = 0) -> Verdict:
+                        *, seed: int = 0, samples: int = 10000) -> Verdict:
     """Involutivity, invariance (columns of pi are sections), and pointwise
     rank ``2k`` everywhere."""
     variables = structure.variables
@@ -515,7 +514,7 @@ def verify_distribution(dist: DistributionPresentation, structure: PoissonStruct
             constant_rank: Verdict = Verdict.no(
                 witness={"generic_rank": profile.generic_rank, "expected": dist.rank})
         else:
-            emptiness = variety_emptiness(profile.drop_ideal(), REAL, seed=seed)
+            emptiness = variety_emptiness(profile.drop_ideal(), seed=seed, samples=samples)
             if emptiness.is_yes:
                 constant_rank = Verdict.yes(certificate=emptiness.certificate)
             elif emptiness.is_no:
@@ -684,7 +683,7 @@ class FoliationModule:
         """Yes iff the fiber dimension is constant (syzygy rank never drops)."""
         if self.syzygy_profile is None:
             return Verdict.yes(certificate={"reason": "no syzygies"})
-        emptiness = variety_emptiness(self.syzygy_profile.drop_ideal(), REAL, seed=seed)
+        emptiness = variety_emptiness(self.syzygy_profile.drop_ideal(), seed=seed)
         if emptiness.is_yes:
             return Verdict.yes(certificate=emptiness.certificate)
         if emptiness.is_no:

@@ -9,8 +9,6 @@ from .polynomial import (
     degrevlex_key,
     divides_exactly,
     parse_polynomial,
-    poly_gcd,
-    poly_gcd_all,
 )
 from .floateval import FloatEvaluator
 from .multivector import (
@@ -36,8 +34,6 @@ __all__ = [
     "divides_exactly",
     "FloatEvaluator",
     "parse_polynomial",
-    "poly_gcd",
-    "poly_gcd_all",
     "DifferentialForm",
     "MultivectorField",
     "TensorValue",

@@ -9,7 +9,7 @@ coefficients are exact rationals, and the term map never stores zeros, so
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .._kernel import QQ, termops, to_qq
 
@@ -390,24 +390,6 @@ def parse_polynomial(variables: Sequence[str], text: str) -> Polynomial:
     return _parse(tuple(variables), text)
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """GCD over Q[x], normalized with integer-coprime coefficients and a
-    positive leading (degrevlex) coefficient."""
-    _check_chart(a, b)
-    g = _gcd_terms(a.terms, b.terms, len(a.variables))
-    return _normalize_primitive(Polynomial._raw(a.variables, g))
-
-
-def poly_gcd_all(polys: Iterable[Polynomial]) -> Polynomial:
-    polys = list(polys)
-    if not polys:
-        raise ValueError("gcd of an empty family")
-    acc = polys[0]
-    for p in polys[1:]:
-        acc = poly_gcd(acc, p)
-    return acc
-
-
 def divides_exactly(num: Polynomial, den: Polynomial) -> Polynomial | None:
     """Return ``num / den`` when the division is exact, else ``None``."""
     _check_chart(num, den)
@@ -427,126 +409,6 @@ def divides_exactly(num: Polynomial, den: Polynomial) -> Polynomial | None:
         q[diff] = c
         rem = termops.t_axpy(rem, -c, diff, den.terms)
     return Polynomial._raw(num.variables, q)
-
-
-# Primitive-PRS multivariate gcd on raw term maps. Recursion is over the
-# last variable that actually appears; base case is a single variable where
-# the classic primitive Euclidean algorithm applies.
-
-
-def _gcd_terms(a: dict, b: dict, n: int) -> dict:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    var = -1
-    for i in reversed(range(n)):
-        if any(e[i] for e in a) or any(e[i] for e in b):
-            var = i
-            break
-    if var == -1:
-        return {(0,) * n: QQ(1)}
-    ua, na = _to_univariate(a, var, n)
-    ub, nb = _to_univariate(b, var, n)
-    ca = _content(ua, n)
-    cb = _content(ub, n)
-    cont = _gcd_terms(ca, cb, n)
-    pa = [_exact_div_terms(c, ca, n) for c in ua]
-    pb = [_exact_div_terms(c, cb, n) for c in ub]
-    prim = _prs(pa, pb, n)
-    pc = _content(prim, n)
-    prim = [_exact_div_terms(c, pc, n) for c in prim]
-    return _from_univariate([_mul_terms_n(c, cont) for c in prim], var, n)
-
-
-def _to_univariate(t: dict, var: int, n: int):
-    deg = max(e[var] for e in t)
-    coeffs: list[dict] = [{} for _ in range(deg + 1)]
-    for e, c in t.items():
-        e2 = list(e)
-        d = e2[var]
-        e2[var] = 0
-        coeffs[d][tuple(e2)] = c
-    return coeffs, deg
-
-
-def _from_univariate(coeffs: list[dict], var: int, n: int) -> dict:
-    out: dict = {}
-    for d, t in enumerate(coeffs):
-        for e, c in t.items():
-            e2 = list(e)
-            e2[var] = d
-            out[tuple(e2)] = c
-    return out
-
-
-def _trim(u: list[dict]) -> list[dict]:
-    while u and not u[-1]:
-        u.pop()
-    return u
-
-
-def _content(u: list[dict], n: int) -> dict:
-    acc: dict = {}
-    for c in u:
-        if c:
-            acc = _gcd_terms(acc, c, n) if acc else dict(c)
-    return acc
-
-
-def _mul_terms_n(a: dict, b: dict) -> dict:
-    return termops.t_mul(a, b)
-
-
-def _exact_div_terms(num: dict, den: dict, n: int) -> dict:
-    """Exact division of term maps (den is known to divide num)."""
-    if not num:
-        return {}
-    q: dict = {}
-    rem = dict(num)
-    le = max(den, key=degrevlex_key)
-    lc = den[le]
-    while rem:
-        e = max(rem, key=degrevlex_key)
-        diff = tuple(x - y for x, y in zip(e, le))
-        if any(d < 0 for d in diff):
-            raise ArithmeticError("inexact division during gcd computation")
-        c = rem[e] / lc
-        q[diff] = c
-        rem = termops.t_axpy(rem, -c, diff, den)
-    return q
-
-
-def _prs(a: list[dict], b: list[dict], n: int) -> list[dict]:
-    """Primitive polynomial remainder sequence in the main variable."""
-    a, b = _trim(list(a)), _trim(list(b))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _trim(_pseudo_rem(a, b, n))
-        if r:
-            c = _content(r, n)
-            r = [_exact_div_terms(t, c, n) for t in r]
-        a, b = b, r
-    return a
-
-
-def _pseudo_rem(a: list[dict], b: list[dict], n: int) -> list[dict]:
-    db = len(b) - 1
-    lb = b[-1]
-    r = _trim([dict(t) for t in a])
-    while r and len(r) - 1 >= db:
-        d = len(r) - 1
-        lead = r[-1]
-        shift = d - db
-        r = [_mul_terms_n(t, lb) for t in r[:-1]]
-        for j in range(db):
-            idx = j + shift
-            while len(r) <= idx:
-                r.append({})
-            r[idx] = termops.t_sub(r[idx], _mul_terms_n(lead, b[j]))
-        r = _trim(r)
-    return r
 
 
 def _normalize_primitive(p: Polynomial) -> Polynomial:

@@ -329,7 +329,8 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
             target = checked
         else:
             target = dist
-        checks = verify_distribution(target, structure, seed=options.seed)
+        checks = verify_distribution(target, structure, seed=options.seed,
+                                     samples=options.samples)
         data["distribution_checks"] = {
             "outcome": checks.outcome,
             "items": {k: v.to_json() for k, v in checks.payload.items()},
@@ -337,7 +338,8 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
         if checks.is_inconclusive:
             inconclusive = True
 
-        classification = logf_classify(structure, seed=options.seed, decision=decision)
+        classification = logf_classify(structure, seed=options.seed, samples=options.samples,
+                                        decision=decision)
         lf = {"verdict": classification.verdict}
         if classification.g is not None:
             lf["g"] = str(classification.g)

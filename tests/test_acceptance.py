@@ -108,7 +108,7 @@ def test_criterion_03_plane_field_triple():
     pv = lambda s: parse_polynomial(V, s)
 
     cl_a = logf_classify(PoissonStructure.from_components(V, {(0, 1): "x1"}))
-    empt = variety_emptiness(cl_a.z_sing_ideal, "real")
+    empt = variety_emptiness(cl_a.z_sing_ideal)
     assert empt.is_yes
 
     cl_b = logf_classify(PoissonStructure.from_components(V, {(0, 1): "x3"}))

@@ -158,6 +158,28 @@ def test_kernel_module_is_computed_once_per_analysis(monkeypatch, doc):
     assert len(calls) == 1
 
 
+def test_samples_reach_every_emptiness_test_of_the_report(monkeypatch):
+    import sys
+
+    import poiskit.construct
+    import poiskit.poisson
+
+    calls = []
+    original = poiskit.poisson.variety_emptiness
+
+    def recorded(gens, seed=0, samples=10000):
+        calls.append((sys._getframe(1).f_code.co_name, samples))
+        return original(gens, seed=seed, samples=samples)
+
+    for module in (poiskit.poisson, poiskit.construct):
+        monkeypatch.setattr(module, "variety_emptiness", recorded)
+    report = analyze(HEIS, AnalysisOptions(samples=17))
+    assert report.data["log_f"]["verdict"] == "log-f-symplectic"
+    assert {caller for caller, _ in calls} == {
+        "almost_regular_decide", "verify_distribution", "logf_classify"}
+    assert [samples for _, samples in calls] == [17] * len(calls)
+
+
 def test_declared_distribution_is_checked():
     doc = dict(HEIS)
     doc["declared_distribution"] = [["1", "0", "0"], ["0", "1", "0"]]

@@ -588,6 +588,15 @@ def test_profile_matches_polynomial_eval(profile):
         assert all(model.f_at(t) == 0 and type(model.f_at(t)) is int for t in points)
 
 
+def test_numpy_float_times_are_read_as_floats():
+    # np.float64 is a float subclass; np.float32 and np.float16 are not
+    model = LinearGroupoidModel(STANDARD_PI, Polynomial.parse(T, "2*t^3 - t + 1/2"))
+    h = ((1.0, 2.0), (0.5, 0.25), 0.5)
+    for t in (np.float32(0.5), np.float16(0.5)):
+        assert same(model.f_at(t), model.f_at(0.5))
+        assert same_seq(model.target((*h[:2], t))[0], model.target(h)[0])
+
+
 def test_exact_model_keeps_its_checks_beyond_unit_entries():
     model = LinearGroupoidModel(DENSE_PI, Polynomial.parse(T, "2*t^3 - t + 1/2"))
     rng = random.Random(17)

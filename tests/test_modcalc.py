@@ -514,18 +514,18 @@ def test_pointwise_rank_matches_exact_linear_algebra():
 
 
 def test_complex_emptiness_by_unit_basis():
-    verdict = variety_emptiness([P2("x"), P2("y"), P2("1 - x*y")], "complex")
+    verdict = variety_emptiness([P2("x"), P2("y"), P2("1 - x*y")])
     assert verdict.is_yes and verdict.certificate["level"] == "complex-empty"
 
 
 def test_real_emptiness_by_positivity():
     p = parse_polynomial(("x",), "x^2 + 1")
-    assert variety_emptiness([p], "real").is_yes
-    assert variety_emptiness([p], "complex").is_no
+    verdict = variety_emptiness([p])
+    assert verdict.is_yes and verdict.certificate["level"] == "positivity"
 
 
 def test_real_witness_found():
-    verdict = variety_emptiness([P2("x^2 + y^2")], "real")
+    verdict = variety_emptiness([P2("x^2 + y^2")])
     assert verdict.is_no
     assert verdict.witness["point"] == [0, 0]
 
@@ -533,7 +533,7 @@ def test_real_witness_found():
 def test_inconclusive_when_zero_set_is_out_of_range():
     # real zeros only at y = 7, outside the search box; no positivity certificate
     p = P2("x^2 + (y - 7)^2")
-    verdict = variety_emptiness([p], "real")
+    verdict = variety_emptiness([p])
     assert verdict.is_inconclusive
     assert "ideal" in verdict.payload
 
@@ -551,19 +551,9 @@ def test_origin_witness_needs_no_groebner_basis(monkeypatch):
 
     monkeypatch.setattr(engine.ModuleEngine, "__init__", refuse)
     gens = [parse_polynomial(V7, t) for t in HOMOGENEOUS_7]
-    verdict = variety_emptiness(gens, "real")
+    verdict = variety_emptiness(gens)
     assert verdict.is_no
     assert verdict.witness == {"point": [QQ(0)] * 7, "kind": "rational"}
-
-
-def test_complex_field_keeps_the_nullstellensatz_basis():
-    gens = [parse_polynomial(V7, t) for t in HOMOGENEOUS_7]
-    verdict = variety_emptiness(gens, "complex")
-    assert verdict.is_no
-    assert verdict.witness == {"kind": "nullstellensatz",
-                               "reason": "reduced basis is not {1}",
-                               "basis": ideal_basis_strings(V7, gens)}
-    assert variety_emptiness([P2("x^2 + y^2")], "complex").witness["basis"] == ["x^2 + y^2"]
 
 
 def _densified(vectors, ncols):

@@ -21,7 +21,7 @@ from poiskit.polyalg import (
     Polynomial,
     wedge,
 )
-from poiskit.modcalc import REAL, SubmodulePresentation, saturate, variety_emptiness
+from poiskit.modcalc import SubmodulePresentation, saturate, variety_emptiness
 from poiskit.poisson import (
     DistributionPresentation,
     PoissonStructure,
@@ -283,7 +283,7 @@ def _saturation_chain_decide(structure: PoissonStructure) -> tuple[str, int | No
     they stabilize, with no target, and the result is checked equal to the
     annihilator in both directions. Returns (outcome, exponent)."""
     iso = germinal_isotropy(structure)
-    emptiness = variety_emptiness(iso.drop_ideal, REAL)
+    emptiness = variety_emptiness(iso.drop_ideal)
     if not emptiness.is_yes:
         return emptiness.outcome, None
     saturation = saturate(structure.columns_module(), structure.regular_ideal)

@@ -16,9 +16,9 @@ from poiskit.polyalg import (
     Polynomial,
     divides_exactly,
     parse_polynomial,
-    poly_gcd,
-    poly_gcd_all,
 )
+from poiskit.polyalg.polynomial import _normalize_primitive
+from poiskit.modcalc import polynomial_gcd
 
 V = ("x", "y", "z")
 
@@ -104,11 +104,21 @@ def test_ring_axioms_on_random_coefficients(a, b, c):
 
 
 def test_gcd_known_cases():
-    assert poly_gcd(P("2*x"), P("4*x")) == P("x")
-    assert poly_gcd(P("x^2 - y^2"), P("x^2 + 2*x*y + y^2")) == P("x + y")
-    assert poly_gcd(P("x*y"), P("x*z")) == P("x")
-    assert poly_gcd(P("0"), P("-3*x")) == P("x")
-    assert poly_gcd_all([P("2*x*y"), P("4*x*z"), P("6*x")]) == P("x")
+    assert polynomial_gcd([P("2*x"), P("4*x")]) == P("x")
+    assert polynomial_gcd([P("x^2 - y^2"), P("x^2 + 2*x*y + y^2")]) == P("x + y")
+    assert polynomial_gcd([P("x*y"), P("x*z")]) == P("x")
+    assert polynomial_gcd([P("0"), P("-3*x")]) == P("x")
+    assert polynomial_gcd([P("2*x*y"), P("4*x*z"), P("6*x")]) == P("x")
+
+
+def test_gcd_of_one_polynomial_is_that_polynomial_unnormalised():
+    # the log-type split relies on it: a one-component top power is its own g
+    assert polynomial_gcd([P("-2*x*y + 4")]) == P("-2*x*y + 4")
+    assert polynomial_gcd([P("0")]) == P("0")
+    with pytest.raises(ValueError, match="empty family"):
+        polynomial_gcd([])
+    with pytest.raises(ChartMismatchError):
+        polynomial_gcd([P("x"), parse_polynomial(("x", "y"), "x")])
 
 
 def test_gcd_divides_random_products():
@@ -124,11 +134,74 @@ def test_gcd_divides_random_products():
 
     for _ in range(25):
         f, g, h = rand_poly(), rand_poly(), rand_poly()
-        d = poly_gcd(f * h, g * h)
+        d = polynomial_gcd([f * h, g * h])
         # h divides the gcd (over Q), and the gcd divides both products
         assert divides_exactly(d, h) is not None
         assert divides_exactly(f * h, d) is not None
         assert divides_exactly(g * h, d) is not None
+
+
+def _from_sympy(variables, expr, xs) -> Polynomial:
+    import sympy
+
+    poly = sympy.Poly(expr, *xs)
+    return Polynomial(variables, {m: QQ(int(c.p), int(c.q)) for m, c in poly.terms()})
+
+
+def _sympy_oracle_cases():
+    """Seeded products ``g*a``, ``g*b`` in 2-4 variables, the product that
+    defeats a recursive primitive PRS (coefficient growth), and zero and
+    constant inputs."""
+    rng = random.Random(11)
+    cases = []
+    for k in range(36):
+        n = 2 + k % 3
+        variables = tuple(f"v{i}" for i in range(n))
+
+        def rand_poly(terms):
+            return Polynomial(variables, {tuple(rng.randint(0, 2) for _ in range(n)):
+                                          rng.randint(-9, 9) for _ in range(terms)})
+
+        g = rand_poly(rng.randint(1, 3))
+        a, b = rand_poly(rng.randint(1, 4)), rand_poly(rng.randint(1, 4))
+        cases.append(pytest.param(variables, [g * a, g * b], id=f"seeded-{k}"))
+    v4 = tuple(f"v{i}" for i in range(4))
+    g = parse_polynomial(v4, "-5*v0*v1*v2 + 5*v1 + 6*v2 + 2*v3")
+    a = parse_polynomial(v4, "2*v0*v1^2 + 7*v0*v3^2 + 7*v0*v2 + 9*v1")
+    b = parse_polynomial(v4, "-7*v0^2*v1 - 4*v0*v3^2 + v3^2 - 7*v3")
+    cases.append(pytest.param(v4, [g * a, g * b], id="prs-stall"))
+    for pair in (("0", "6*x^2*y - 4*y"), ("-3*x*y + 3", "0"), ("0", "0"), ("5", "x^2 - y"),
+                 ("x*y - z", "-7/2"), ("2", "3"), ("4*x*z^2 - 2*x", "6*x^2*z^2 - 3*x^2")):
+        cases.append(pytest.param(V, [P(t) for t in pair], id=f"{pair[0]}|{pair[1]}"))
+    return cases
+
+
+@pytest.mark.parametrize("variables,pair", _sympy_oracle_cases())
+def test_gcd_agrees_with_sympy(variables, pair):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(variables)
+    exprs = [sympy.sympify(str(p).replace("^", "**"), locals=dict(zip(variables, xs)))
+             for p in pair]
+    expected = _normalize_primitive(_from_sympy(variables, sympy.gcd(*exprs), xs))
+    assert polynomial_gcd(pair) == expected
+
+
+def test_gcd_checks_the_syzygy_it_reads(monkeypatch):
+    from poiskit.modcalc import presentation
+
+    real = presentation.syzygies
+
+    def doubled(rows):
+        syz = real(rows)
+        return presentation.SubmodulePresentation(syz.variables, 2, list(syz.generators) * 2)
+
+    monkeypatch.setattr(presentation, "syzygies", doubled)
+    with pytest.raises(AssertionError, match="2 generators"):
+        polynomial_gcd([P("x*y"), P("x*z")])
+    unit = lambda rows: presentation.SubmodulePresentation(V, 2, [[P("1"), P("x")]])
+    monkeypatch.setattr(presentation, "syzygies", unit)
+    with pytest.raises(AssertionError, match="does not divide"):
+        polynomial_gcd([P("x*y"), P("x*z")])
 
 
 def test_divides_exactly():
