@@ -37,12 +37,15 @@ from .modcalc import (
     RankProfile,
     SubmodulePresentation,
     Verdict,
+    polynomial_gcd,
     rank_profile,
     saturate,
     syzygies,
     variety_emptiness,
 )
+from .modcalc.engine import buchberger, polys_from_vec, vec_from_polys
 from .modcalc.linalg import nullspace, rank, sparse_nullspace
+from .modcalc.rank import _PROBE_SEEDS
 
 __all__ = [
     "PoissonStructure",
@@ -346,12 +349,14 @@ class GerminalIsotropy:
     """The kernel module {alpha : sharp(alpha) = 0} with its rank data.
 
     Evaluation at a point gives a subspace of the pointwise kernel; the
-    generic dimension is ``n - 2k``.
+    generic dimension is ``n - 2k``. ``route`` says how the module was found
+    (see ``germinal_isotropy``); no report renders it.
     """
 
     module: SubmodulePresentation
     generic_dimension: int
     profile: RankProfile
+    route: str
 
     @property
     def drop_ideal(self) -> list[Polynomial]:
@@ -367,32 +372,111 @@ class GerminalIsotropy:
                 for g in self.module.generators]
 
 
-def germinal_isotropy(structure: PoissonStructure) -> GerminalIsotropy:
-    """Kernel of the sharp map as a polynomial module (left kernel of the
-    component matrix, computed by syzygies)."""
+def _casimir_kernel(structure: PoissonStructure, casimirs: Sequence[Polynomial],
+                    r: int) -> tuple[SubmodulePresentation, RankProfile] | None:
+    """The kernel module generated by ``r`` Casimir differentials, with its
+    rank profile, or ``None`` when the route does not apply.
+
+    The Casimirs are taken in the order given; each nonconstant one is kept
+    when its gradient at the first rank probe point raises the rank of those
+    kept. With ``r`` kept, their module ``K'`` is free of rank ``r``. Its
+    reduced Groebner basis (untagged ``buchberger``) is the generator list;
+    its ``r``-minors are the drop ideal. They are taken by total degree until
+    their gcd is constant; ``None`` if it never is, or if fewer than ``r``
+    gradients are independent."""
+    variables = structure.variables
+    n = len(variables)
+    seeds = _PROBE_SEEDS[0]
+    probe = [QQ(seeds[i % len(seeds)]) for i in range(n)]
+    gradients: list[list[Polynomial]] = []
+    values: list[list] = []
+    for c in casimirs:
+        if len(gradients) == r:
+            break
+        if c.is_constant():
+            continue
+        gradient = [c.diff(i) for i in range(n)]
+        row = [p.eval(probe) for p in gradient]
+        if rank(values + [row]) > len(values):
+            gradients.append(gradient)
+            values.append(row)
+    if len(gradients) < r:
+        return None
+    basis = [polys_from_vec(v, n, variables)
+             for v in buchberger(vec_from_polys(g) for g in gradients)]
+    profile = rank_profile([[g[i] for g in basis] for i in range(n)], variables, upper=r)
+    minors = sorted(profile.drop_ideal(), key=Polynomial.total_degree)
+    gcd = minors[0]
+    for minor in minors[1:]:
+        if gcd.is_constant():
+            break
+        gcd = polynomial_gcd([gcd, minor])
+    if not gcd.is_constant():
+        return None
+    return SubmodulePresentation(variables, n, basis), profile
+
+
+def germinal_isotropy(structure: PoissonStructure,
+                      casimirs: Sequence[Polynomial] | None = None) -> GerminalIsotropy:
+    """Kernel ``K`` of the sharp map as a polynomial module: the left kernel
+    of the component matrix, of generic rank ``r = n - 2k``. Three routes,
+    recorded as ``route``:
+
+    * ``"zero"``: ``r = 0``. Then ``pi`` is invertible over the fraction
+      field, so ``K = 0``; nothing is eliminated.
+    * ``"casimir"``: ``casimirs`` (a basis such as ``casimir_search``
+      returns) holds ``r`` Casimirs whose differentials are independent at a
+      rational point. Each ``dC`` lies in ``K``, so they generate a free
+      submodule ``K'`` of rank ``r``, and ``R^n/K'`` has projective dimension
+      at most 1. The ``r``-minors of any generator matrix of ``K'`` generate
+      the same Fitting ideal of ``R^n/K'``, which is also the drop ideal. If
+      their gcd is 1 the ideal has height at least 2 (``R`` is a UFD), so by
+      Auslander–Buchsbaum ``R^n/K'`` is torsion-free; ``K/K'`` is torsion,
+      as both have rank ``r``, hence ``K' = K``. This is the argument of
+      Saito's criterion (J. Fac. Sci. Univ. Tokyo 27, 1980; Eisenbud,
+      Commutative Algebra, ch. 19-20). The generators are the reduced
+      Groebner basis of ``K'``, which is unique for the engine's order, so
+      they are the ones ``syzygies`` would return.
+    * ``"syzygy"``: otherwise (no Casimir basis, fewer than ``r`` independent
+      differentials in it, or a minor gcd that is not 1), the syzygies of
+      the component matrix.
+
+    The zero bivector has the full module (``route`` ``"full"``). Every
+    generator is checked to satisfy ``sharp(g) = 0``, and the generic rank
+    of the result to be ``r``."""
     variables = structure.variables
     n = len(variables)
     if structure.is_zero:
         module = SubmodulePresentation.full(variables, n)
         profile = rank_profile([[g[i] for g in module.generators] for i in range(n)], variables)
-        return GerminalIsotropy(module, n, profile)
-    module = syzygies(structure.pi_matrix(), variables)
+        return GerminalIsotropy(module, n, profile, "full")
+    expected = n - 2 * structure.k
+    found = None
+    if expected == 0:
+        route = "zero"
+        module = SubmodulePresentation.zero(variables, n)
+    elif casimirs is not None and (found := _casimir_kernel(structure, casimirs, expected)):
+        route = "casimir"
+        module, profile = found
+    else:
+        route = "syzygy"
+        module = syzygies(structure.pi_matrix(), variables)
     for g in module.generators:
         image = structure.sharp(DifferentialForm.from_coefficients(variables, g))
         if not image.is_zero:
             raise AssertionError("kernel generator not annihilated by sharp")
-    expected = n - 2 * structure.k
-    if module.generators:
-        # sharp(g) = 0 for every generator, and pi has generic rank 2k:
-        # the generic rank is at most n - 2k
-        matrix = [[g[i] for g in module.generators] for i in range(n)]
-        profile = rank_profile(matrix, variables, upper=expected)
-    else:
-        profile = rank_profile([[] for _ in range(n)], variables)
+    if found is None:
+        if module.generators:
+            # sharp(g) = 0 for every generator, and pi has generic rank 2k:
+            # the generic rank is at most n - 2k
+            matrix = [[g[i] for g in module.generators] for i in range(n)]
+            profile = rank_profile(matrix, variables, upper=expected)
+        else:
+            profile = rank_profile([[] for _ in range(n)], variables)
     if profile.generic_rank != expected:
         raise AssertionError(
             f"kernel module has generic rank {profile.generic_rank}, expected {expected}")
-    return GerminalIsotropy(module, expected, profile)
+    return GerminalIsotropy(module, expected, profile, route)
 
 
 @dataclass
@@ -421,7 +505,8 @@ def _annihilator_module(iso: GerminalIsotropy, variables, n: int) -> SubmodulePr
 
 
 def almost_regular_decide(structure: PoissonStructure, *, seed: int = 0,
-                          samples: int = 10000) -> Verdict:
+                          samples: int = 10000,
+                          casimirs: Sequence[Polynomial] | None = None) -> Verdict:
     """Constant-rank decision for the kernel module.
 
     Yes: the drop ideal of the kernel generator matrix is certified real-empty,
@@ -430,7 +515,7 @@ def almost_regular_decide(structure: PoissonStructure, *, seed: int = 0,
     distribution. No: a real witness point where the kernel dimension jumps.
     Inconclusive propagates from the emptiness certificate. Every verdict on a
     nonzero bivector carries the kernel module in its payload as
-    ``isotropy``.
+    ``isotropy``. ``casimirs``, a Casimir basis, goes to ``germinal_isotropy``.
 
     ``germinal_isotropy`` has checked ``sharp(g) = 0`` for every kernel
     generator ``g``, so ``C`` lies in ``A``; and ``A`` is saturated (``R^n/A``
@@ -449,7 +534,7 @@ def almost_regular_decide(structure: PoissonStructure, *, seed: int = 0,
         dist = DistributionPresentation(SubmodulePresentation.zero(variables, n), 0,
                                         provenance={"degenerate": "zero bivector"})
         return Verdict.yes(certificate={"degenerate": "zero bivector"}, distribution=dist)
-    iso = germinal_isotropy(structure)
+    iso = germinal_isotropy(structure, casimirs=casimirs)
     drop = iso.drop_ideal
     emptiness = variety_emptiness(drop, seed=seed, samples=samples)
     if emptiness.is_inconclusive:

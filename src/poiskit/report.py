@@ -287,8 +287,11 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
     data["regular_locus_ideal"] = _poly_list(tp.coefficient_ideal)
     data["density_rationale"] = DENSITY_RATIONALE
 
-    # the decision computes the kernel module once; the report reuses it
-    decision = almost_regular_decide(structure, seed=options.seed, samples=options.samples)
+    # the Casimir basis and the kernel module are computed once: the decision
+    # builds the kernel from the basis, and the report reuses both
+    basis = casimir_search(structure, options.max_degree)
+    decision = almost_regular_decide(structure, seed=options.seed, samples=options.samples,
+                                     casimirs=basis)
     iso = decision.payload["isotropy"]
     if table is not None:
         data["lie_algebra"] = _lie_section(table, iso)
@@ -352,7 +355,6 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
             lf["notes"] = classification.notes
         data["log_f"] = lf
 
-    basis = casimir_search(structure, options.max_degree)
     data["casimirs"] = {"max_degree": options.max_degree, "basis": [str(p) for p in basis]}
 
     data["assumptions"] = [

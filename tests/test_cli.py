@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import poiskit
 from poiskit._kernel import QQ
 from poiskit.cli import main
 from poiskit.report import AnalysisOptions, InputError, analyze, parse_input
@@ -145,17 +150,23 @@ def test_kernel_module_is_computed_once_per_analysis(monkeypatch, doc):
     import poiskit.poisson
     import poiskit.report
 
-    calls = []
-    original = poiskit.poisson.germinal_isotropy
+    calls = {"germinal_isotropy": [], "casimir_search": []}
 
-    def counted(structure):
-        calls.append(structure)
-        return original(structure)
+    def counting(name):
+        original = getattr(poiskit.poisson, name)
 
-    for module in (poiskit.poisson, poiskit.report):
-        monkeypatch.setattr(module, "germinal_isotropy", counted)
+        def counted(*args, **kwargs):
+            calls[name].append(args)
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        wrapper = counting(name)
+        for module in (poiskit.poisson, poiskit.report):
+            monkeypatch.setattr(module, name, wrapper)
     analyze(doc)
-    assert len(calls) == 1
+    assert {name: len(args) for name, args in calls.items()} == {
+        "germinal_isotropy": 1, "casimir_search": 1}
 
 
 def test_samples_reach_every_emptiness_test_of_the_report(monkeypatch):
@@ -377,6 +388,17 @@ def test_cli_help_still_exits_zero(capsys):
             main(argv)
         assert exc.value.code == 0
         assert "usage: poiskit" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    su2 = write(tmp_path, "su2.json", SU2)
+    src = str(Path(poiskit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "poiskit", "analyze", su2],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "almost regular: no" in done.stdout
 
 
 @pytest.mark.parametrize("flag, value", [
