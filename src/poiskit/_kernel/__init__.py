@@ -2,13 +2,16 @@
 
 ``termops`` is the pure-Python term arithmetic and ``QQ`` is
 ``fractions.Fraction``; ``BACKEND`` names the kernel for benchmark headers.
+An exact coefficient is an ``int`` when integral and a ``QQ`` otherwise
+(``to_qq`` gives that form). Divide coefficients with ``qq_div`` or
+``QQ(1) / c``: ``1 / c`` on an ``int`` coefficient is a float.
 """
 
 from __future__ import annotations
 
 from . import _termops_py as termops
-from .rational import QQ, QQ_ZERO, to_qq
+from .rational import QQ, qq_div, to_qq
 
 BACKEND = termops.BACKEND
 
-__all__ = ["QQ", "QQ_ZERO", "BACKEND", "termops", "to_qq"]
+__all__ = ["QQ", "BACKEND", "qq_div", "termops", "to_qq"]

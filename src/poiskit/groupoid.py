@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._kernel import QQ, to_qq
+from ._kernel import QQ, qq_div, to_qq
 from .polyalg import (
     DifferentialForm,
     FloatEvaluator,
@@ -104,6 +104,24 @@ class LinearGroupoidModel:
     integer numerators and denominators, with one ``QQ`` per output
     coordinate; float and mixed input keep the float path and the
     composability tolerance.
+
+    The package's exact coefficients are an ``int`` when integral and a
+    ``QQ`` otherwise; the maps here return, for ``g = (xi, v, t)``:
+
+    * ``target(g)``: ``(w, t)`` with ``t`` as given.  With no float entry in
+      ``xi``, ``v`` or ``t`` (``int`` and ``QQ`` in any mix), every
+      coordinate of ``w = v + f(t) sharp(xi)`` is a ``QQ`` in lowest terms,
+      integral or not (``sharp`` likewise); a float entry (``float`` or a
+      numpy float) makes every coordinate a float.
+    * ``inverse(g)``: ``(-xi, target(g)[0], t)``; each ``xi`` entry keeps
+      its type when negated.
+    * ``multiply(g, h)``: ``(xi_g + xi_h, v_h, t_g)``, the sums formed by
+      ``+`` and not put back into canonical form: int plus int is an int, a
+      sum with a ``QQ`` is a ``QQ`` (which may be integral), a sum with a
+      float is a float; ``v_h`` and ``t`` are returned as given.
+    * ``pair_slice_inverse((w, v, t))``: ``(xi, v, t)`` with ``xi`` in
+      canonical form; it is exact only, and a float entry raises
+      ``TypeError``.
     """
 
     def __init__(self, pi_matrix: Sequence[Sequence], f: Polynomial):
@@ -133,7 +151,7 @@ class LinearGroupoidModel:
         self._columns_float = [[(i, float(c)) for i, c in col] for col in columns]
         self._columns_exact = [[(i, c.numerator, c.denominator) for i, c in col]
                                for col in columns]
-        self._zero = tuple(QQ(0) for _ in range(self.d))
+        self._zero = (0,) * self.d
 
     def f_at(self, t):
         """``f(t)``, equal in value and type to ``self.f.eval([t])``: exact for
@@ -255,12 +273,15 @@ class LinearGroupoidModel:
 
     def pair_slice_inverse(self, element, *, t=None):
         """Inverse of the slice map ``(xi, v) -> (v + f(t) sharp xi, v)``
-        when ``f(t) != 0`` (exact for rational data)."""
+        when ``f(t) != 0``, for exact data only: a float entry is a
+        ``TypeError``."""
         w, v, t = element if len(element) == 3 else (*element, t)
+        if any(map(_is_float_entry, (*w, *v, t))):
+            raise TypeError("pair_slice_inverse is exact; pass rationals, not floats")
         c = self.f_at(t)
         if not c:
             raise ValueError("slice map is not invertible where f(t) = 0")
-        diff = [(a - b) / c for a, b in zip(w, v)]
+        diff = [qq_div(a - b, c) for a, b in zip(w, v)]
         # solve PI^T xi = diff exactly
         rows = [[self.pi[i][j] for i in range(self.d)] for j in range(self.d)]
         xi = solve(rows, diff)

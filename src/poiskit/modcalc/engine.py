@@ -43,7 +43,7 @@ from __future__ import annotations
 from operator import neg
 from typing import Iterable, Sequence
 
-from .._kernel import QQ, termops
+from .._kernel import qq_div, termops
 from ..polyalg.polynomial import Polynomial
 
 VecDict = dict
@@ -92,7 +92,7 @@ def _normal_form(v: VecDict, basis: list[VecDict], leads: list[tuple]) -> VecDic
         for g, lead in zip(basis, leads):
             if lead[0] == pos and _divides(lead, key):
                 shift = tuple(x - y for x, y in zip(key, lead))
-                work = termops.t_axpy(work, -coeff / g[lead], shift, g)
+                work = termops.t_axpy(work, qq_div(-coeff, g[lead]), shift, g)
                 break
         else:
             result[key] = coeff
@@ -109,8 +109,8 @@ def _spair(g: VecDict, h: VecDict, lg: tuple, lh: tuple) -> VecDict:
     lcm = _lcm(lg, lh)
     sg = tuple(x - y for x, y in zip(lcm, lg))
     sh = tuple(x - y for x, y in zip(lcm, lh))
-    s = termops.t_axpy({}, 1 / g[lg], sg, g)
-    return termops.t_axpy(s, -1 / h[lh], sh, h)
+    s = termops.t_axpy({}, qq_div(1, g[lg]), sg, g)
+    return termops.t_axpy(s, qq_div(-1, h[lh]), sh, h)
 
 
 def _sugar(v: VecDict) -> int:
@@ -184,7 +184,7 @@ def _reduce_basis(basis: list[VecDict], leads: list[tuple]) -> list[VecDict]:
             continue
         lc = r[max(r)]
         if lc != 1:
-            r = {k: c / lc for k, c in r.items()}
+            r = {k: qq_div(c, lc) for k, c in r.items()}
         reduced.append(r)
     reduced.sort(key=max, reverse=True)
     return reduced
@@ -204,7 +204,7 @@ class ModuleEngine:
         zero_e = (0,) * len(variables)
         self._gen_vecs = [vec_from_polys(g) for g in self.generators]
         self._aug_basis = buchberger(
-            {**v, term_key(rank + i, zero_e): QQ(1)} for i, v in enumerate(self._gen_vecs))
+            {**v, term_key(rank + i, zero_e): 1} for i, v in enumerate(self._gen_vecs))
         self._aug_leads = [max(g) for g in self._aug_basis]
         self._basis: list[VecDict] = []
         self._syz: list[VecDict] = []

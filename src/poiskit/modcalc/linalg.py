@@ -3,15 +3,17 @@
 ``_echelon`` row-reduces sparse rows (dicts column -> coefficient) in Python
 integers, and every exact routine reads its answer off that echelon form:
 
-- ``sparse_nullspace``: the kernel basis as sparse ``QQ`` vectors, for large
+- ``sparse_nullspace``: the kernel basis as sparse exact vectors, for large
   sparse systems (the Casimir system has one column per monomial);
 - ``nullspace``: the same basis as dense lists, for small dense matrices;
 - ``rank``: the number of pivots;
 - ``solve``: the kernel vector of ``[A | -b]`` at the right-hand-side column.
 
-Rationals are built only for the nonzero entries of the kernel vectors. The
-elimination peels nothing: ``poisson.casimir_search`` strikes the columns
-that single-entry rows force to 0, in numpy, before it calls.
+Every entry of an answer is an exact coefficient in canonical form: an
+``int`` when integral, else a ``QQ``. Rationals are built only for the
+nonzero entries of the kernel vectors, by ``qq_div``. The elimination peels
+nothing: ``poisson.casimir_search`` strikes the columns that single-entry
+rows force to 0, in numpy, before it calls.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .._kernel import QQ, to_qq
+from .._kernel import QQ, qq_div, to_qq
 
 
 def _integer_row(row: dict) -> dict[int, int]:
@@ -85,7 +87,8 @@ def _kernel(pivots: dict[int, dict[int, int]], ncols: int) -> list[dict[int, QQ]
     """The kernel vector of each free column, ascending: 1 at that column, 0
     at every other free column. Each is back-substituted over only the pivot
     rows that reach its free column, with one common denominator; its
-    entries become ``QQ`` last, nonzero only, columns ascending."""
+    entries become exact coefficients last (``qq_div``), nonzero only,
+    columns ascending."""
     # users[c]: leading columns of the pivot rows with an entry in column c
     users: dict[int, list[int]] = {}
     for lead, piv in pivots.items():
@@ -117,7 +120,7 @@ def _kernel(pivots: dict[int, dict[int, int]], ncols: int) -> list[dict[int, QQ]
                 w = {c: m * v for c, v in w.items()}
                 den *= m
             w[lead] = -s // g
-        basis.append({c: QQ(w[c], den) for c in sorted(w)})
+        basis.append({c: qq_div(w[c], den) for c in sorted(w)})
     return basis
 
 
@@ -125,10 +128,10 @@ def sparse_nullspace(rows: Sequence[dict], ncols: int) -> list[dict[int, QQ]]:
     """Kernel basis for a sparse row list (dicts column -> coefficient).
 
     One sparse vector per free column, free columns ascending: 1 at its own
-    free column, 0 at the others, only its nonzero entries held (``QQ``,
-    columns ascending). This is the basis read off the reduced row echelon
-    form; it and the pivot columns depend only on the row space, so the
-    order of ``rows`` does not change the result. A column outside
+    free column, 0 at the others, only its nonzero entries held (exact
+    coefficients, columns ascending). This is the basis read off the reduced
+    row echelon form; it and the pivot columns depend only on the row space,
+    so the order of ``rows`` does not change the result. A column outside
     ``range(ncols)`` is a ``ValueError``; the caller's dicts are never
     modified. The one caller, ``poisson.casimir_search``, passes each column
     that a single-entry row forces to 0 as a ``{column: 1}`` row, which
@@ -149,8 +152,7 @@ def rank(rows: Sequence[Sequence]) -> int:
 def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[QQ]]:
     """Right kernel of a dense rational matrix with ``ncols`` columns (``rows``
     may be ``[]``): the ``sparse_nullspace`` basis as dense lists."""
-    zero = QQ(0)
-    return [[v.get(c, zero) for c in range(ncols)]
+    return [[v.get(c, 0) for c in range(ncols)]
             for v in _kernel(_echelon(_sparse_rows(rows), ncols), ncols)]
 
 
@@ -167,5 +169,4 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[QQ] | None:
     if ncols in pivots:
         return None
     x = _kernel(pivots, ncols + 1)[-1]        # the last free column is ncols
-    zero = QQ(0)
-    return [x.get(c, zero) for c in range(ncols)]
+    return [x.get(c, 0) for c in range(ncols)]

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-from .._kernel import QQ
 from ..polyalg.polynomial import Polynomial
 from .linalg import rank
 
@@ -108,7 +107,7 @@ def rank_profile(matrix_rows: Sequence[Sequence[Polynomial]],
     nvars = len(variables)
     lower = 0
     for probe in _PROBE_SEEDS:
-        pt = [QQ(probe[i % len(probe)]) for i in range(nvars)]
+        pt = [probe[i % len(probe)] for i in range(nvars)]
         lower = max(lower, rank([[p.eval(pt) for p in row] for row in rows]))
     if upper is not None:
         if lower > upper:

@@ -387,7 +387,7 @@ def _casimir_kernel(structure: PoissonStructure, casimirs: Sequence[Polynomial],
     variables = structure.variables
     n = len(variables)
     seeds = _PROBE_SEEDS[0]
-    probe = [QQ(seeds[i % len(seeds)]) for i in range(n)]
+    probe = [seeds[i % len(seeds)] for i in range(n)]
     gradients: list[list[Polynomial]] = []
     values: list[list] = []
     for c in casimirs:
@@ -404,8 +404,13 @@ def _casimir_kernel(structure: PoissonStructure, casimirs: Sequence[Polynomial],
         return None
     basis = [polys_from_vec(v, n, variables)
              for v in buchberger(vec_from_polys(g) for g in gradients)]
-    profile = rank_profile([[g[i] for g in basis] for i in range(n)], variables, upper=r)
+    # generic rank r with no probing: the basis spans K' over the fraction
+    # field, where r gradients are independent at the probe point, and
+    # K' lies in K, whose generic rank is at most r
+    profile = RankProfile([[g[i] for g in basis] for i in range(n)], variables, r)
     minors = sorted(profile.drop_ideal(), key=Polynomial.total_degree)
+    if not minors:
+        raise AssertionError(f"every {r}-minor of the Casimir kernel module vanishes")
     gcd = minors[0]
     for minor in minors[1:]:
         if gcd.is_constant():

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Mapping, Sequence
 
-from .._kernel import QQ, termops, to_qq
+from .._kernel import QQ, qq_div, termops, to_qq
 
 Chart = tuple[str, ...]
 
@@ -89,7 +89,7 @@ class Polynomial:
 
     @classmethod
     def _raw(cls, variables: Chart, terms: dict) -> "Polynomial":
-        # Internal: trusts that terms is already clean (QQ coefficients, no zeros).
+        # Internal: trusts that terms is already clean (exact coefficients, no zeros).
         p = object.__new__(cls)
         p.variables = variables
         p.terms = terms
@@ -405,7 +405,7 @@ def divides_exactly(num: Polynomial, den: Polynomial) -> Polynomial | None:
         diff = tuple(x - y for x, y in zip(e, le))
         if any(d < 0 for d in diff):
             return None
-        c = rem[e] / lc
+        c = qq_div(rem[e], lc)
         q[diff] = c
         rem = termops.t_axpy(rem, -c, diff, den.terms)
     return Polynomial._raw(num.variables, q)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._kernel import QQ_ZERO, to_qq
+from ._kernel import to_qq
 from .polyalg import IDENTIFIER, MultivectorField, Polynomial, degrevlex_key
 from .modcalc import SubmodulePresentation
 from .poisson import (
@@ -211,7 +211,7 @@ def _is_cube(value, n: int, depth: int) -> bool:
 
 
 def _parse_constants(constants, n: int):
-    table = [[[QQ_ZERO] * n for _ in range(n)] for _ in range(n)]
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
     if isinstance(constants, list) and (not constants or isinstance(constants[0], dict)):
         seen: dict[tuple[int, int, int], dict] = {}   # ({i, j} sorted, k) -> entry
         for entry in constants:

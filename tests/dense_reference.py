@@ -1,20 +1,21 @@
 """Dense ``Fraction`` Gauss-Jordan routines, the reference the exact linear
 algebra of ``poiskit.modcalc.linalg`` is checked against.
 
-They are plain textbook code over ``QQ``: a reduced row echelon form with
-pivot division, and the rank, kernel basis, particular solution and
-determinant read off it.
+They are plain textbook code over ``fractions.Fraction``: a reduced row
+echelon form with pivot division, and the rank, kernel basis, particular
+solution and determinant read off it. Every entry is built with ``Fraction``
+directly, not with poiskit's own coercion, so a coercion or division fault in
+the package cannot pass on both sides.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
-
-from poiskit._kernel import QQ, to_qq
 
 
 def _copy(rows) -> list[list]:
-    return [[to_qq(x) for x in row] for row in rows]
+    return [[Fraction(x) for x in row] for row in rows]
 
 
 def qq_rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
@@ -53,14 +54,14 @@ def qq_nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[lis
     if not rows:
         if ncols is None:
             raise ValueError("ncols required for an empty matrix")
-        return [[QQ(int(i == j)) for j in range(ncols)] for i in range(ncols)]
+        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
     ncols = len(rows[0])
     rref, pivots = qq_rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [QQ(0)] * ncols
-        v[f] = QQ(1)
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
         for r, c in enumerate(pivots):
             v[c] = -rref[r][f]
         basis.append(v)
@@ -71,13 +72,13 @@ def qq_solve(rows: Sequence[Sequence], rhs: Sequence) -> list | None:
     """One solution of ``A x = b`` (0 at the free unknowns) or ``None`` when
     inconsistent."""
     rows = _copy(rows)
-    b = [to_qq(x) for x in rhs]
+    b = [Fraction(x) for x in rhs]
     aug = [row + [bv] for row, bv in zip(rows, b)]
     rref, pivots = qq_rref(aug)
     ncols = len(rows[0]) if rows else 0
     if ncols in pivots:
         return None
-    x = [QQ(0)] * ncols
+    x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
         x[c] = rref[r][-1]
     return x
@@ -86,11 +87,11 @@ def qq_solve(rows: Sequence[Sequence], rhs: Sequence) -> list | None:
 def qq_det(rows: Sequence[Sequence]):
     m = _copy(rows)
     n = len(m)
-    det = QQ(1)
+    det = Fraction(1)
     for c in range(n):
         pivot = next((i for i in range(c, n) if m[i][c]), None)
         if pivot is None:
-            return QQ(0)
+            return Fraction(0)
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
             det = -det

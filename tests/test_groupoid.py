@@ -588,6 +588,33 @@ def test_profile_matches_polynomial_eval(profile):
         assert all(model.f_at(t) == 0 and type(model.f_at(t)) is int for t in points)
 
 
+def test_structure_maps_return_the_documented_types():
+    """The int / QQ / float contract of the ``LinearGroupoidModel`` docstring."""
+    model = LinearGroupoidModel(STANDARD_PI, Polynomial.parse(T, "2*t + 1"))
+    half = QQ(1, 2)
+    for h, xi_type in ((((1, 2), (3, 4), 1), int), (((half, half), (3, QQ(1, 3)), half), QQ)):
+        w, t = model.target(h)
+        assert all(type(x) is QQ for x in w) and t is h[2]        # QQ, integral or not
+        inv_xi, inv_w, _ = model.inverse(h)
+        assert [type(x) for x in inv_xi] == [xi_type] * 2 and inv_w == w
+        g = (h[0], w, t)
+        gh_xi, gh_v, _ = model.multiply(g, h)
+        assert [type(x) for x in gh_xi] == [xi_type] * 2 and gh_v is h[1]
+        for w_in in (w, tuple(int(x) if x.denominator == 1 else x for x in w)):
+            xi, _, _ = model.pair_slice_inverse((w_in, h[1], t))
+            assert xi == h[0]
+            assert all(type(x) is int if x.denominator == 1 else type(x) is QQ for x in xi)
+    # a QQ sum is not put back into canonical form
+    h = ((half, half), (0, 0), 0)
+    gh_xi = model.multiply(((half, half), model.target(h)[0], 0), h)[0]
+    assert gh_xi == (1, 1) and all(type(x) is QQ for x in gh_xi)
+    floats = ((1.0, 2.0), (3.0, 4.0), 1.0)
+    assert all(type(x) is float for x in model.target(floats)[0])
+    assert all(type(x) is float for x in model.inverse(floats)[0])
+    with pytest.raises(TypeError, match="exact"):
+        model.pair_slice_inverse(model.pair_map(floats))
+
+
 def test_numpy_float_times_are_read_as_floats():
     # np.float64 is a float subclass; np.float32 and np.float16 are not
     model = LinearGroupoidModel(STANDARD_PI, Polynomial.parse(T, "2*t^3 - t + 1/2"))

@@ -75,7 +75,7 @@ def test_groebner_deterministic():
 
 
 def _monic(p: Polynomial) -> Polynomial:
-    return p.scale(1 / p.leading()[1])
+    return p.scale(QQ(1) / p.leading()[1])
 
 
 def _sympy_expr(xs, terms: dict):
@@ -558,10 +558,12 @@ def test_origin_witness_needs_no_groebner_basis(monkeypatch):
 
 def _densified(vectors, ncols):
     """The sparse kernel vectors as dense lists, after checking their form:
-    every stored value a nonzero ``QQ``, columns ascending and in range."""
+    every stored value nonzero and canonical (an ``int`` when integral, else
+    a ``QQ``), columns ascending and in range."""
     for v in vectors:
         assert list(v) == sorted(v) and all(0 <= c < ncols for c in v)
-        assert all(type(x) is QQ and x for x in v.values())
+        assert all((type(x) is int if x.denominator == 1 else type(x) is QQ) and x
+                   for x in v.values())
     return [[v.get(c, QQ(0)) for c in range(ncols)] for v in vectors]
 
 
@@ -681,7 +683,8 @@ def test_rank_kernel_and_solve_equal_the_dense_reference(case, data):
     assert rank(rows) == qq_rank(rows)
     kernel = nullspace(rows, ncols)
     assert kernel == qq_nullspace(rows, ncols=ncols)
-    assert all(type(x) is QQ for v in kernel for x in v)
+    assert all(type(x) is int if x.denominator == 1 else type(x) is QQ
+               for v in kernel for x in v)
     # a right-hand side in the column space, and an arbitrary one that is
     # often inconsistent
     x = data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
