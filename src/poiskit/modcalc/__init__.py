@@ -11,16 +11,17 @@ The Poisson layer builds the kernel module of ``pi`` from Casimir
 differentials and calls ``syzygies`` on ``pi``'s matrix only when that
 route does not apply (see ``poisson.germinal_isotropy``).
 
-Two bounds a caller may have proved cut the work short. ``saturate`` takes a
+Two facts a caller may have proved cut the work short. ``saturate`` takes a
 ``target``: a saturated module that contains the input, hence every colon.
 It stops at the first step whose colon contains the target, with the same
 exponent the stabilization test would give, and without the colon that
-would confirm it. ``rank_profile`` takes ``upper``, a bound on the generic
-rank: a nonzero ``upper``-minor then fixes the rank, and the
-``(upper+1)``-minors are not listed. The Poisson constant-rank decision has
-both from ``sharp(g) = 0`` on every kernel generator ``g``: the image module
-lies in the annihilator of the kernel module, which is saturated, and the
-kernel matrix has generic rank at most ``n - 2k``."""
+would confirm it. ``rank_profile`` finds a generic rank by probe points and
+minors; a caller that knows the rank builds ``RankProfile(rows, variables,
+r)`` itself, and one nonzero ``r``-minor then confirms it. The Poisson
+constant-rank decision has both from ``sharp(g) = 0`` on every kernel
+generator ``g``: the image module lies in the annihilator of the kernel
+module, which is saturated, and the kernel matrix has generic rank at most
+``n - 2k``, so exactly ``n - 2k`` once an ``(n - 2k)``-minor is nonzero."""
 
 from .verdict import Verdict
 from .presentation import (

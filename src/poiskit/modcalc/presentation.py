@@ -144,8 +144,11 @@ def syzygies(matrix_rows: Sequence[Sequence[Polynomial]],
 def polynomial_gcd(polys: Sequence[Polynomial]) -> Polynomial:
     """Greatest common divisor over Q of a nonempty family, one pair at a
     time, with coprime integer coefficients and a positive degrevlex-leading
-    coefficient. A family of one polynomial is returned as it is,
-    unnormalised.
+    coefficient. The fold ends at the first running gcd that is a nonzero
+    constant, with ``1``, so a family sorted by degree that holds a coprime
+    pair early costs that pair only. A family of one polynomial is returned
+    as it is, unnormalised; a family on more than one chart is a
+    ``ChartMismatchError``.
 
     For nonzero ``a`` and ``b`` with gcd ``g`` the syzygies of the 1-by-2
     matrix ``[a, b]`` form the principal module generated by
@@ -157,7 +160,11 @@ def polynomial_gcd(polys: Sequence[Polynomial]) -> Polynomial:
     if not polys:
         raise ValueError("gcd of an empty family")
     acc = polys[0]
+    if any(b.variables != acc.variables for b in polys[1:]):
+        raise ChartMismatchError("gcd of polynomials on different charts")
     for b in polys[1:]:
+        if acc.is_constant() and not acc.is_zero:
+            return Polynomial.one(acc.variables)
         acc = _gcd_pair(acc, b)
     return acc
 

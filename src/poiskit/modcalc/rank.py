@@ -72,31 +72,22 @@ class RankProfile:
         return self.minor_ideal(self.generic_rank)
 
     def rank_at(self, point: Sequence) -> int:
+        """Rank at a point with exact coordinates; the exact elimination
+        refuses a nonzero float value with ``TypeError``."""
         n, m = self.shape
         if m == 0 or n == 0:
             return 0
-        values = [[p.eval(point) for p in row] for row in self.rows]
-        if any(isinstance(v, float) for row in values for v in row):
-            import numpy as np
-
-            return int(np.linalg.matrix_rank(np.array(values, dtype=float)))
-        return rank(values)
+        return rank([[p.eval(point) for p in row] for row in self.rows])
 
 
 def rank_profile(matrix_rows: Sequence[Sequence[Polynomial]],
-                 variables: Sequence[str] | None = None, *,
-                 upper: int | None = None) -> RankProfile:
+                 variables: Sequence[str] | None = None) -> RankProfile:
     """Generic rank of a polynomial matrix, certified by minors.
 
     Probe points give a lower bound ``r``; then some ``r``-minor is nonzero
-    and every ``(r+1)``-minor vanishes identically. ``upper`` is a generic
-    rank bound the caller has proved (``germinal_isotropy`` passes
-    ``n - 2k``: every kernel generator is annihilated by ``sharp``, whose
-    generic rank is ``2k``). A probe rank above it raises ``AssertionError``.
-    When some ``upper``-minor is nonzero the rank is at least ``upper``, so
-    it is ``upper``, and the ``(upper+1)``-minors are never listed; the
-    ``upper``-minors are the drop ideal, needed anyway. When all of them
-    vanish, the rank is found as without a bound."""
+    and every ``(r+1)``-minor vanishes identically. A caller that has
+    proved the rank builds ``RankProfile(rows, variables, r)`` directly
+    (``germinal_isotropy`` does, at ``n - 2k``)."""
     rows = [list(r) for r in matrix_rows]
     if not rows or not rows[0]:
         return RankProfile(rows, tuple(variables or ()), 0)
@@ -105,17 +96,10 @@ def rank_profile(matrix_rows: Sequence[Sequence[Polynomial]],
     n, m = profile.shape
 
     nvars = len(variables)
-    lower = 0
+    r = 0
     for probe in _PROBE_SEEDS:
         pt = [probe[i % len(probe)] for i in range(nvars)]
-        lower = max(lower, rank([[p.eval(pt) for p in row] for row in rows]))
-    if upper is not None:
-        if lower > upper:
-            raise AssertionError(f"probe rank {lower} exceeds the bound {upper}")
-        if profile.minor_ideal(upper):
-            profile.generic_rank = upper
-            return profile
-    r = lower
+        r = max(r, rank([[p.eval(pt) for p in row] for row in rows]))
     while r < min(n, m) and profile.minor_ideal(r + 1):
         r += 1
     if r > 0 and not profile.minor_ideal(r):

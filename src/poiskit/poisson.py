@@ -363,8 +363,6 @@ class GerminalIsotropy:
         return self.profile.drop_ideal()
 
     def dim_at(self, point: Sequence) -> int:
-        if not self.module.generators:
-            return 0
         return self.profile.rank_at(point)
 
     def generator_forms(self) -> list[DifferentialForm]:
@@ -373,17 +371,15 @@ class GerminalIsotropy:
 
 
 def _casimir_kernel(structure: PoissonStructure, casimirs: Sequence[Polynomial],
-                    r: int) -> tuple[SubmodulePresentation, RankProfile] | None:
-    """The kernel module generated by ``r`` Casimir differentials, with its
-    rank profile, or ``None`` when the route does not apply.
+                    r: int) -> SubmodulePresentation | None:
+    """The module ``K'`` generated by ``r`` Casimir differentials, or ``None``
+    when fewer than ``r`` of them are independent.
 
     The Casimirs are taken in the order given; each nonconstant one is kept
     when its gradient at the first rank probe point raises the rank of those
-    kept. With ``r`` kept, their module ``K'`` is free of rank ``r``. Its
-    reduced Groebner basis (untagged ``buchberger``) is the generator list;
-    its ``r``-minors are the drop ideal. They are taken by total degree until
-    their gcd is constant; ``None`` if it never is, or if fewer than ``r``
-    gradients are independent."""
+    kept. With ``r`` kept, ``K'`` is free of rank ``r``. Its generators are
+    its reduced Groebner basis (untagged ``buchberger``). Whether ``K'`` is
+    the whole kernel is decided by ``germinal_isotropy``."""
     variables = structure.variables
     n = len(variables)
     seeds = _PROBE_SEEDS[0]
@@ -404,29 +400,16 @@ def _casimir_kernel(structure: PoissonStructure, casimirs: Sequence[Polynomial],
         return None
     basis = [polys_from_vec(v, n, variables)
              for v in buchberger(vec_from_polys(g) for g in gradients)]
-    # generic rank r with no probing: the basis spans K' over the fraction
-    # field, where r gradients are independent at the probe point, and
-    # K' lies in K, whose generic rank is at most r
-    profile = RankProfile([[g[i] for g in basis] for i in range(n)], variables, r)
-    minors = sorted(profile.drop_ideal(), key=Polynomial.total_degree)
-    if not minors:
-        raise AssertionError(f"every {r}-minor of the Casimir kernel module vanishes")
-    gcd = minors[0]
-    for minor in minors[1:]:
-        if gcd.is_constant():
-            break
-        gcd = polynomial_gcd([gcd, minor])
-    if not gcd.is_constant():
-        return None
-    return SubmodulePresentation(variables, n, basis), profile
+    return SubmodulePresentation(variables, n, basis)
 
 
 def germinal_isotropy(structure: PoissonStructure,
                       casimirs: Sequence[Polynomial] | None = None) -> GerminalIsotropy:
     """Kernel ``K`` of the sharp map as a polynomial module: the left kernel
-    of the component matrix, of generic rank ``r = n - 2k``. Three routes,
+    of the component matrix, of generic rank ``r = n - 2k``. Four routes,
     recorded as ``route``:
 
+    * ``"full"``: the zero bivector. ``K`` is all of ``R^n`` and ``r = n``.
     * ``"zero"``: ``r = 0``. Then ``pi`` is invertible over the fraction
       field, so ``K = 0``; nothing is eliminated.
     * ``"casimir"``: ``casimirs`` (a basis such as ``casimir_search``
@@ -446,42 +429,40 @@ def germinal_isotropy(structure: PoissonStructure,
       differentials in it, or a minor gcd that is not 1), the syzygies of
       the component matrix.
 
-    The zero bivector has the full module (``route`` ``"full"``). Every
-    generator is checked to satisfy ``sharp(g) = 0``, and the generic rank
-    of the result to be ``r``."""
+    Every route ends the same way. Each generator is checked to satisfy
+    ``sharp(g) = 0``; as ``pi`` has generic rank ``2k``, the generic rank of
+    the generators is then at most ``r``. The rank profile is built at rank
+    ``r``, and ``AssertionError`` is raised if every ``r``-minor vanishes,
+    since the rank is then below ``r``."""
     variables = structure.variables
     n = len(variables)
-    if structure.is_zero:
-        module = SubmodulePresentation.full(variables, n)
-        profile = rank_profile([[g[i] for g in module.generators] for i in range(n)], variables)
-        return GerminalIsotropy(module, n, profile, "full")
-    expected = n - 2 * structure.k
-    found = None
-    if expected == 0:
-        route = "zero"
-        module = SubmodulePresentation.zero(variables, n)
-    elif casimirs is not None and (found := _casimir_kernel(structure, casimirs, expected)):
-        route = "casimir"
-        module, profile = found
-    else:
-        route = "syzygy"
-        module = syzygies(structure.pi_matrix(), variables)
-    for g in module.generators:
-        image = structure.sharp(DifferentialForm.from_coefficients(variables, g))
-        if not image.is_zero:
-            raise AssertionError("kernel generator not annihilated by sharp")
-    if found is None:
-        if module.generators:
-            # sharp(g) = 0 for every generator, and pi has generic rank 2k:
-            # the generic rank is at most n - 2k
-            matrix = [[g[i] for g in module.generators] for i in range(n)]
-            profile = rank_profile(matrix, variables, upper=expected)
+    r = n - 2 * structure.k
+
+    def routes():
+        # only the Casimir route can be turned down (by its minor gcd); the
+        # syzygy route follows it
+        if structure.is_zero:
+            yield "full", SubmodulePresentation.full(variables, n)
+        elif r == 0:
+            yield "zero", SubmodulePresentation.zero(variables, n)
         else:
-            profile = rank_profile([[] for _ in range(n)], variables)
-    if profile.generic_rank != expected:
-        raise AssertionError(
-            f"kernel module has generic rank {profile.generic_rank}, expected {expected}")
-    return GerminalIsotropy(module, expected, profile, route)
+            if casimirs is not None and (found := _casimir_kernel(structure, casimirs, r)):
+                yield "casimir", found
+            yield "syzygy", syzygies(structure.pi_matrix(), variables)
+
+    for route, module in routes():
+        for g in module.generators:
+            image = structure.sharp(DifferentialForm.from_coefficients(variables, g))
+            if not image.is_zero:
+                raise AssertionError("kernel generator not annihilated by sharp")
+        profile = RankProfile([[g[i] for g in module.generators] for i in range(n)], variables, r)
+        minors = profile.drop_ideal()
+        if not minors:
+            raise AssertionError(f"every {r}-minor of the kernel module vanishes: "
+                                 f"its generic rank is below {r}")
+        if route != "casimir" or polynomial_gcd(
+                sorted(minors, key=Polynomial.total_degree)).is_constant():
+            return GerminalIsotropy(module, r, profile, route)
 
 
 @dataclass

@@ -493,19 +493,6 @@ class TensorValue:
     def is_zero(self) -> bool:
         return not self.components
 
-    def scalar(self):
-        if self.grade != 0:
-            raise ValueError("not a scalar")
-        return self.components.get((), 0)
-
-    def vector(self) -> list:
-        if self.grade != 1:
-            raise ValueError("not a vector")
-        out = [0] * self.dimension
-        for (i,), v in self.components.items():
-            out[i] = v
-        return out
-
     def skew_matrix(self) -> list[list]:
         """Grade-2 value as a full skew matrix."""
         if self.grade != 2:

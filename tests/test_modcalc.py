@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import functools
+import json
 import random
 
 import pytest
@@ -460,7 +460,6 @@ def _low_rank_matrix(seed: int):
              for j in range(m)] for i in range(n)]
 
 
-@functools.lru_cache(maxsize=None)
 def _sympy_rank(seed: int) -> int:
     """Rank of ``_low_rank_matrix(seed)`` by sympy's ``Matrix.rank``."""
     sympy = pytest.importorskip("sympy")
@@ -472,31 +471,15 @@ def _sympy_rank(seed: int) -> int:
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_rank_profile_with_a_true_bound_agrees_with_sympy(seed):
-    rows = _low_rank_matrix(seed)
-    true_rank = _sympy_rank(seed)
-    plain = rank_profile(rows)
-    bounded = rank_profile(rows, upper=true_rank)
-    assert plain.generic_rank == bounded.generic_rank == true_rank
-    assert bounded.minor_ideal(true_rank) == plain.minor_ideal(true_rank)
-    assert bounded.drop_ideal() == plain.drop_ideal()
+def test_rank_profile_agrees_with_sympy(seed):
+    assert rank_profile(_low_rank_matrix(seed)).generic_rank == _sympy_rank(seed)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_rank_profile_bound_below_the_probe_rank_raises(seed):
-    rows = _low_rank_matrix(seed)
-    true_rank = _sympy_rank(seed)
-    assert true_rank > 0
-    with pytest.raises(AssertionError, match="exceeds the bound"):
-        rank_profile(rows, upper=true_rank - 1)
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_rank_profile_loose_bound_falls_back_to_the_true_rank(seed):
-    rows = _low_rank_matrix(seed)
-    true_rank = _sympy_rank(seed)
-    for upper in range(true_rank + 1, min(len(rows), len(rows[0])) + 2):
-        assert rank_profile(rows, upper=upper).generic_rank == true_rank
+def test_rank_at_refuses_a_float_point():
+    profile = rank_profile([[P3("x"), P3("y"), P3("z")]])
+    assert profile.rank_at([1, 0, 0]) == 1
+    with pytest.raises(TypeError, match="not exact"):
+        profile.rank_at([1.0, 0.0, 0.0])
 
 
 def test_pointwise_rank_matches_exact_linear_algebra():
@@ -554,6 +537,22 @@ def test_origin_witness_needs_no_groebner_basis(monkeypatch):
     verdict = variety_emptiness(gens)
     assert verdict.is_no
     assert verdict.witness == {"point": [QQ(0)] * 7, "kind": "rational"}
+
+
+@pytest.mark.parametrize("variables, gens, point", [
+    (V2, ["0"], [0, 0]),                  # the zero ideal
+    (V2, ["x*y"], [0, 0]),                # the origin, before any Groebner basis
+    (V2, ["x - 1"], [1, 0]),              # the integer grid
+    # beyond the grid's reach (5^7 > 20000): the seed-0 samples
+    (V7, ["x1 - 1"], [1, QQ(-29, 50), QQ(77, 100), QQ(9, 10), QQ(1, 50), QQ(-27, 50), QQ(-21, 25)]),
+], ids=["zero-ideal", "origin", "grid", "sample"])
+def test_witness_coordinates_are_qq_and_encode_as_json_strings(variables, gens, point):
+    verdict = variety_emptiness([parse_polynomial(variables, g) for g in gens])
+    witness = verdict.witness["point"]
+    assert witness == point
+    assert all(type(c) is QQ for c in witness)
+    encoded = json.loads(json.dumps(verdict.to_json()))["witness"]["point"]
+    assert encoded == [str(c) for c in point]
 
 
 def _densified(vectors, ncols):

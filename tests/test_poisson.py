@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import qq_nullspace, qq_rank
+import poiskit.poisson
 from poiskit._kernel import QQ
 from poiskit.polyalg import (
     DifferentialForm,
@@ -189,6 +190,14 @@ def test_kernel_module_heisenberg(heis):
     iso = germinal_isotropy(heis)
     assert [[str(p) for p in g] for g in iso.module.generators] == [["0", "0", "1"]]
     assert iso.dim_at([2, 3, 5]) == 1 and iso.dim_at([0, 0, 0]) == 1
+
+
+def test_kernel_module_below_the_generic_rank_raises(su2, monkeypatch):
+    # a syzygy module without su(2)'s generator x dx + y dy + z dz has rank 0, not 1
+    monkeypatch.setattr(poiskit.poisson, "syzygies",
+                        lambda matrix, variables: SubmodulePresentation.zero(variables, 3))
+    with pytest.raises(AssertionError, match="every 1-minor of the kernel module vanishes"):
+        germinal_isotropy(su2)
 
 
 def test_kernel_module_symplectic_r4_is_zero():

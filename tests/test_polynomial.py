@@ -121,6 +121,27 @@ def test_gcd_of_one_polynomial_is_that_polynomial_unnormalised():
         polynomial_gcd([P("x"), parse_polynomial(("x", "y"), "x")])
 
 
+def test_gcd_fold_ends_at_a_constant(monkeypatch):
+    from poiskit.modcalc import presentation
+
+    pairs = []
+    gcd_pair = presentation._gcd_pair
+
+    def recorded(a, b):
+        pairs.append((str(a), str(b)))
+        return gcd_pair(a, b)
+
+    monkeypatch.setattr(presentation, "_gcd_pair", recorded)
+    # a constant first: no pair is taken
+    assert polynomial_gcd([P("3"), P("x"), P("y")]) == P("1")
+    assert pairs == []
+    # the running gcd turns constant at the second pair; the last member is never paired
+    assert polynomial_gcd([P("x*y"), P("x*z"), P("y*z"), P("x")]) == P("1")
+    assert pairs == [("x*y", "x*z"), ("x", "y*z")]
+    with pytest.raises(ChartMismatchError):
+        polynomial_gcd([P("1"), parse_polynomial(("x", "y"), "x")])
+
+
 def test_gcd_divides_random_products():
     rng = random.Random(5)
 
