@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
+from .._kernel import to_qq
 from ..polyalg.polynomial import Polynomial
 from .linalg import rank
 
@@ -72,8 +73,9 @@ class RankProfile:
         return self.minor_ideal(self.generic_rank)
 
     def rank_at(self, point: Sequence) -> int:
-        """Rank at a point with exact coordinates; the exact elimination
-        refuses a nonzero float value with ``TypeError``."""
+        """Rank at a point with exact coordinates; a float coordinate (numpy
+        floats included) raises ``TypeError``, whatever its value."""
+        point = [to_qq(x) for x in point]
         n, m = self.shape
         if m == 0 or n == 0:
             return 0

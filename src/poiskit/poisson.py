@@ -65,6 +65,7 @@ __all__ = [
     "verify_distribution",
     "linear_bivector",
     "lie_jacobi_defect",
+    "linear_structure",
     "linear_poisson",
     "center_check",
     "foliation_module",
@@ -93,26 +94,29 @@ def check_jacobi(bivector: MultivectorField) -> Verdict:
     return Verdict.no(witness={"indices": idx, "coefficient": bracket.components[idx]})
 
 
+_CHECK = object()
+
+
 class PoissonStructure:
     """A polynomial bivector on a chart with its rank data cached eagerly.
 
     ``k`` is the largest integer with ``wedge^k pi != 0``; the regular-locus
-    ideal is generated by the coefficients of ``wedge^k pi``. Constructors
-    verify Jacobi unless :meth:`unchecked` is used (``jacobi`` records which).
+    ideal is generated by the coefficients of ``wedge^k pi``. ``jacobi``
+    holds the proof of ``[pi, pi] = 0``: the constructor computes it with
+    :func:`check_jacobi`, :func:`linear_structure` takes it from the
+    structure constants, and :meth:`unchecked` leaves it ``None``.
     """
 
-    def __init__(self, bivector: MultivectorField, *, _verify: bool = True):
+    def __init__(self, bivector: MultivectorField, *, _jacobi=_CHECK):
         if bivector.grade != 2:
             raise ValueError("a Poisson structure is a bivector")
         self.bivector = bivector
         self.variables = bivector.variables
-        if _verify:
-            verdict = check_jacobi(bivector)
-            if not verdict.is_yes:
-                raise ValueError(f"Jacobi identity fails: {verdict.witness}")
-            self.jacobi: Verdict | None = verdict
-        else:
-            self.jacobi = None
+        if _jacobi is _CHECK:
+            _jacobi = check_jacobi(bivector)
+            if not _jacobi.is_yes:
+                raise ValueError(f"Jacobi identity fails: {_jacobi.witness}")
+        self.jacobi: Verdict | None = _jacobi
         n = len(self.variables)
         k = 0
         power = wedge_power(bivector, 0)
@@ -127,18 +131,18 @@ class PoissonStructure:
             power.components.values(), key=str) if k > 0 else [Polynomial.one(self.variables)]
 
     @classmethod
-    def from_components(cls, variables: Sequence[str], components, *, verify: bool = True) -> "PoissonStructure":
+    def from_components(cls, variables: Sequence[str], components) -> "PoissonStructure":
         """Components ``{(i, j): coeff}`` with i < j; strings are parsed."""
         parsed = {}
         for (i, j), c in dict(components).items():
             poly = c if isinstance(c, Polynomial) else Polynomial.parse(variables, str(c))
             parsed[(i, j)] = poly
-        return cls(MultivectorField.bivector(variables, parsed), _verify=verify)
+        return cls(MultivectorField.bivector(variables, parsed))
 
     @classmethod
     def unchecked(cls, bivector: MultivectorField) -> "PoissonStructure":
         """Skip Jacobi verification (exploratory inputs); flagged in reports."""
-        return cls(bivector, _verify=False)
+        return cls(bivector, _jacobi=None)
 
     @property
     def is_zero(self) -> bool:
@@ -624,8 +628,11 @@ def lie_jacobi_defect(constants) -> list[tuple]:
     """Direct check of antisymmetry and the Lie-Jacobi identity on structure
     constants; returns the offending index tuples (empty = a Lie algebra).
 
-    This is the independent route used to cross-check ``check_jacobi`` on the
-    associated linear bivector.
+    This is the proof of ``[pi, pi] = 0`` for the linear bivector of the
+    constants (:func:`linear_structure`): the bracket of a linear bivector
+    vanishes exactly when its constants are antisymmetric and satisfy Jacobi,
+    so no Schouten bracket runs on a structure-constant input. The tests
+    cross-check the two routes on random tables.
     """
     c = _normalize_constants(constants)
     n = len(c)
@@ -650,8 +657,9 @@ def lie_jacobi_defect(constants) -> list[tuple]:
 
 
 def linear_bivector(constants, variables: Sequence[str] | None = None) -> MultivectorField:
-    """Linear bivector ``{x_i, x_j} = sum_k c^k_ij x_k`` on the dual chart
-    (no Lie-Jacobi gate; see :func:`linear_poisson` for the gated builder)."""
+    """Linear bivector ``{x_i, x_j} = sum_k c^k_ij x_k`` on the dual chart,
+    read off the constants with ``i < j``; no Lie-Jacobi gate (see
+    :func:`linear_structure` for the gated builder)."""
     c = _normalize_constants(constants)
     n = len(c)
     if variables is None:
@@ -679,16 +687,25 @@ class LinearPoissonData:
     h0_matches_center: Verdict
 
 
-def linear_poisson(constants, variables: Sequence[str] | None = None) -> LinearPoissonData:
-    """Linear structure on the dual of a Lie algebra given by structure
-    constants, with the center cross-check at the origin: the kernel module
-    evaluated at 0 must span the center."""
+def linear_structure(constants, variables: Sequence[str] | None = None) -> PoissonStructure:
+    """The linear Poisson structure on the dual of the Lie algebra with these
+    structure constants, gated by :func:`lie_jacobi_defect`: a non-Lie table
+    raises ``ValueError``, and the structure's ``jacobi`` is the proof the
+    gate gives, so no Schouten bracket runs."""
     defects = lie_jacobi_defect(constants)
     if defects:
-        raise ValueError(f"structure constants are not a Lie algebra: {defects[:3]}")
+        raise ValueError(f"structure constants fail the Lie-Jacobi identity: {defects[:3]}")
+    return PoissonStructure(linear_bivector(constants, variables),
+                            _jacobi=Verdict.yes(certificate={"identity": "[pi,pi] = 0"}))
+
+
+def linear_poisson(constants, variables: Sequence[str] | None = None) -> LinearPoissonData:
+    """Linear structure on the dual of a Lie algebra given by structure
+    constants (built and proved Poisson by :func:`linear_structure`), with the
+    center cross-check at the origin: the kernel module evaluated at 0 must
+    span the center."""
     c = _normalize_constants(constants)
-    bivector = linear_bivector(c, variables)
-    structure = PoissonStructure(bivector)
+    structure = linear_structure(c, variables)
     iso = germinal_isotropy(structure)
     center, verdict = center_check(c, iso)
     return LinearPoissonData(structure, center, iso, verdict)

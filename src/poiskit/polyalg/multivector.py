@@ -52,10 +52,6 @@ def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | Non
     return tuple(idx), sign
 
 
-def _merge_increasing(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    return _sort_with_sign(left + right)
-
-
 class _Alternating:
     """Shared implementation for multivectors and forms."""
 
@@ -143,16 +139,9 @@ class _Alternating:
 
     def scale(self, factor):
         """Multiply by a polynomial or rational scalar."""
-        if isinstance(factor, Polynomial):
-            out = {}
-            for k, p in self.components.items():
-                q = p * factor
-                if not q.is_zero:
-                    out[k] = q
-            return type(self)._raw(self.variables, self.grade, out)
         out = {}
         for k, p in self.components.items():
-            q = p.scale(factor)
+            q = p * factor
             if not q.is_zero:
                 out[k] = q
         return type(self)._raw(self.variables, self.grade, out)
@@ -306,7 +295,7 @@ def wedge(a: _Alternating, b: _Alternating) -> _Alternating:
     out: dict[tuple[int, ...], Polynomial] = {}
     for ka, pa in a.components.items():
         for kb, pb in b.components.items():
-            merged = _merge_increasing(ka, kb)
+            merged = _sort_with_sign(ka + kb)
             if merged is None:
                 continue
             key, sign = merged
@@ -363,7 +352,7 @@ def _odd_contraction(a: MultivectorField, b: MultivectorField) -> dict:
             if dpb.is_zero:
                 continue
             for ka, pa in da.items():
-                merged = _merge_increasing(ka, kb)
+                merged = _sort_with_sign(ka + kb)
                 if merged is None:
                     continue
                 key, sign = merged

@@ -23,8 +23,7 @@ from .poisson import (
     center_check,
     check_jacobi,
     germinal_isotropy,
-    linear_bivector,
-    lie_jacobi_defect,
+    linear_structure,
     verify_distribution,
     DENSITY_RATIONALE,
     SMOOTHNESS_NOTE,
@@ -142,7 +141,9 @@ class AnalysisReport:
 def parse_input(document: dict) -> tuple[PoissonStructure, dict, list | None]:
     """Build the structure from the JSON document; returns (structure, echo,
     table), ``table`` the structure constants in ``lie_algebra`` mode and
-    ``None`` in ``bivector`` mode."""
+    ``None`` in ``bivector`` mode. A ``lie_algebra`` structure is proved
+    Poisson on its constants (a non-Lie table is an ``InputError``); a
+    ``bivector`` structure is unchecked, and :func:`analyze` proves it."""
     if not isinstance(document, dict):
         raise InputError(f"input must be a JSON object, got {type(document).__name__}")
     if "coordinates" not in document:
@@ -163,10 +164,10 @@ def parse_input(document: dict) -> tuple[PoissonStructure, dict, list | None]:
             raise InputError("lie_algebra mode needs 'structure_constants'")
         n = len(coords)
         table = _parse_constants(constants, n)
-        defects = lie_jacobi_defect(table)
-        if defects:
-            raise InputError(f"structure constants fail the Lie-Jacobi identity: {defects[:3]}")
-        bivector = linear_bivector(table, coords)
+        try:
+            structure = linear_structure(table, coords)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         echo["structure_constants"] = [[[str(to_qq(v)) for v in row] for row in plane]
                                        for plane in table]
     elif mode == "bivector":
@@ -185,12 +186,11 @@ def parse_input(document: dict) -> tuple[PoissonStructure, dict, list | None]:
             poly = Polynomial.parse(coords, coeff)
             comps[(i, j)] = (comps.get((i, j), Polynomial.zero(coords))) + poly
             echo_entries.append({"i": i, "j": j, "coeff": coeff})
-        bivector = MultivectorField.bivector(coords, comps)
+        structure = PoissonStructure.unchecked(MultivectorField.bivector(coords, comps))
         echo["bivector"] = echo_entries
     else:
         raise InputError(f"unknown mode {mode!r}")
-    structure = PoissonStructure.unchecked(bivector)
-    echo["bivector_pretty"] = str(bivector)
+    echo["bivector_pretty"] = str(structure.bivector)
     return structure, echo, table
 
 
@@ -265,7 +265,9 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
         data["jacobi"] = {"outcome": "skipped", "skipped": True,
                           "note": "jacobi verification skipped (exploratory run)"}
     else:
-        jac = check_jacobi(structure.bivector)
+        # a lie_algebra structure carries its proof from the constants; a
+        # bivector document is proved here, by the Schouten bracket
+        jac = structure.jacobi or check_jacobi(structure.bivector)
         data["jacobi"] = jac.to_json()
         if not jac.is_yes:
             raise InputError(

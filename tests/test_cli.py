@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 import poiskit
 from poiskit._kernel import QQ
 from poiskit.cli import main
+from poiskit.poisson import check_jacobi, lie_jacobi_defect, linear_bivector
 from poiskit.report import AnalysisOptions, InputError, analyze, parse_input
 from conftest import gl_constants
 
@@ -22,6 +24,8 @@ SU2 = {"coordinates": ["x", "y", "z"], "mode": "bivector",
        "bivector": [{"i": 0, "j": 1, "coeff": "z"},
                     {"i": 1, "j": 2, "coeff": "x"},
                     {"i": 0, "j": 2, "coeff": "-y"}]}
+HEIS_LIE = {"coordinates": ["x", "y", "z"], "mode": "lie_algebra",
+            "structure_constants": [{"i": 0, "j": 1, "k": 2, "c": "1"}]}
 SYMPLECTIC = {"coordinates": ["x", "y"], "mode": "bivector",
               "bivector": [{"i": 0, "j": 1, "coeff": "1"}]}
 # zeros of the kernel drop ideal sit outside the witness search box
@@ -120,6 +124,83 @@ def test_lie_algebra_mode_dense_constants():
            "structure_constants": dense}
     report = analyze(doc)
     assert report.data["lie_algebra"]["center_dimension"] == 1
+
+
+def _random_lie_document(rng: random.Random, n: int):
+    """A seeded antisymmetric integer table of dimension ``n``, most entries
+    zero so that some draws are Lie algebras, as a sparse ``lie_algebra``
+    document."""
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    entries = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if rng.random() < 0.2:
+                    v = rng.choice([-2, -1, 1, 2])
+                    c[i][j][k], c[j][i][k] = v, -v
+                    entries.append({"i": i, "j": j, "k": k, "c": str(v)})
+    return c, {"coordinates": [f"x{i + 1}" for i in range(n)], "mode": "lie_algebra",
+               "structure_constants": entries}
+
+
+def test_lie_algebra_jacobi_section_agrees_with_the_bracket():
+    """The structure-constant check is the only Jacobi proof of a
+    ``lie_algebra`` input: it rejects exactly the tables whose linear bivector
+    fails ``[pi, pi] = 0``, and accepts the others with the bracket's own
+    ``jacobi`` section; ``--skip-jacobi`` lets no non-Lie table through."""
+    rng = random.Random(19)
+    outcomes = []
+    for n in (3, 4) * 12:
+        c, doc = _random_lie_document(rng, n)
+        bracket = check_jacobi(linear_bivector(c))
+        defects = lie_jacobi_defect(c)
+        assert bracket.is_yes == (not defects)
+        for skip in (False, True):
+            options = AnalysisOptions(max_degree=2, samples=50, skip_jacobi=skip)
+            if defects:
+                with pytest.raises(InputError) as raised:
+                    analyze(doc, options)
+                assert str(raised.value) == (
+                    f"structure constants fail the Lie-Jacobi identity: {defects[:3]}")
+            elif skip:
+                assert analyze(doc, options).data["jacobi"]["outcome"] == "skipped"
+            else:
+                assert analyze(doc, options).data["jacobi"] == bracket.to_json()
+        outcomes.append(bracket.is_yes)
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_dense_constants_that_break_only_antisymmetry_are_refused(skip):
+    # Heisenberg with c^3_21 = +1: the bivector read off i < j is Poisson,
+    # and only the antisymmetry check refuses the table
+    dense = [[[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+             [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+             [[0, 0, 0], [0, 0, 0], [0, 0, 0]]]
+    doc = {"coordinates": ["x", "y", "z"], "mode": "lie_algebra",
+           "structure_constants": dense}
+    with pytest.raises(InputError, match=r"Lie-Jacobi identity: \[\('antisymmetry', 0, 1, 2\)"):
+        analyze(doc, AnalysisOptions(skip_jacobi=skip))
+
+
+@pytest.mark.parametrize("doc,skip,expected", [
+    (HEIS_LIE, False, 0), (HEIS_LIE, True, 0), (SU2, False, 1), (SU2, True, 0)])
+def test_one_jacobi_proof_per_analysis(monkeypatch, doc, skip, expected):
+    import poiskit.poisson
+    import poiskit.report
+
+    calls = []
+    original = poiskit.poisson.check_jacobi
+
+    def counted(bivector):
+        calls.append(bivector)
+        return original(bivector)
+
+    for module in (poiskit.poisson, poiskit.report):
+        monkeypatch.setattr(module, "check_jacobi", counted)
+    report = analyze(doc, AnalysisOptions(skip_jacobi=skip))
+    assert len(calls) == expected
+    assert report.data["jacobi"]["outcome"] == ("skipped" if skip else "yes")
 
 
 def gl3_document():

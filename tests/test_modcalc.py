@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -480,6 +481,11 @@ def test_rank_at_refuses_a_float_point():
     assert profile.rank_at([1, 0, 0]) == 1
     with pytest.raises(TypeError, match="not exact"):
         profile.rank_at([1.0, 0.0, 0.0])
+    # refused whatever its value: every entry evaluates to zero here
+    with pytest.raises(TypeError, match="not exact"):
+        profile.rank_at([0.0, 0.0, 0.0])
+    with pytest.raises(TypeError):
+        profile.rank_at([np.float32(0.0), 0, 0])
 
 
 def test_pointwise_rank_matches_exact_linear_algebra():

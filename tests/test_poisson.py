@@ -379,8 +379,18 @@ def test_linear_rejects_non_lie_constants():
     c[0][1][2], c[1][0][2] = 1, -1
     c[1][2][1], c[2][1][1] = 1, -1
     assert lie_jacobi_defect(c)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="structure constants fail the Lie-Jacobi identity"):
         linear_poisson(c)
+
+
+def test_linear_poisson_runs_no_schouten_bracket(monkeypatch):
+    calls = []
+    original = poiskit.poisson.schouten_bracket
+    monkeypatch.setattr(poiskit.poisson, "schouten_bracket",
+                        lambda *args: calls.append(args) or original(*args))
+    data = linear_poisson(su2_constants())
+    assert calls == []
+    assert data.structure.jacobi.to_json() == check_jacobi(data.structure.bivector).to_json()
 
 
 def test_jacobi_equivalence_randomized():
