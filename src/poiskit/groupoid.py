@@ -544,41 +544,30 @@ class MonodromyProblem:
             ext, {k: lift(p) for k, p in self.structure.bivector.components.items()})
         alpha_ext = DifferentialForm.from_coefficients(ext, [lift(a) for a in self.alpha])
         u = Polynomial.variable(ext, "_u")
+        zero = Polynomial.zero(ext)
+        lam = None if self.gauge is None else [Polynomial.constant(ext, c) for c in self.gauge]
 
         def sigma_of_hamiltonian(g_ext: Polynomial) -> DifferentialForm:
-            # minimal-norm preimage of sharp(dg): dg - u <dg, alpha> alpha
+            # minimal-norm preimage of sharp(dg): dg - u <dg, alpha> alpha; the
+            # gauge adds <lambda, sharp(dg)> alpha
             dg = DifferentialForm.d_of(g_ext)
-            inner = Polynomial.zero(ext)
+            inner = zero
             for i in range(n):
                 inner = inner + g_ext.diff(i) * lift(self.alpha[i])
-            return dg - alpha_ext.scale(inner * u)
+            sigma = dg - alpha_ext.scale(inner * u)
+            if lam is not None:
+                v = pi_ext.sharp(dg).coefficients()
+                sigma = sigma + alpha_ext.scale(sum((lam[j] * v[j] for j in range(n)), zero))
+            return sigma
 
-        betas = []
-        for i in range(n):
-            g = Polynomial.variable(ext, ext[i])
-            betas.append(sigma_of_hamiltonian(g))
-        if self.gauge is not None:
-            # gauge term: sigma'(V) = sigma(V) + <lambda, V> alpha
-            lam = [Polynomial.constant(ext, c) for c in self.gauge]
-            for i in range(n):
-                v = pi_ext.sharp(DifferentialForm.coordinate_differential(ext, i))
-                inner = sum((lam[j] * v.coefficients()[j] for j in range(n)),
-                            Polynomial.zero(ext))
-                betas[i] = betas[i] + alpha_ext.scale(inner)
-        pi_mat_ext = pi_ext.component_matrix()
+        betas = [sigma_of_hamiltonian(Polynomial.variable(ext, ext[i])) for i in range(n)]
 
         # <R(V_i, V_j), dx_a> for pairs i < j in row-major order, then a
         self.curvature_scalars: list[Polynomial] = []
         for i in range(n):
             for j in range(i + 1, n):
-                bracket_ham = pi_mat_ext[i][j]        # {x_i, x_j}
-                sigma_bracket = sigma_of_hamiltonian(bracket_ham)
-                if self.gauge is not None:
-                    lam = [Polynomial.constant(ext, c) for c in self.gauge]
-                    vb = pi_ext.sharp(DifferentialForm.d_of(bracket_ham))
-                    inner = sum((lam[a] * vb.coefficients()[a] for a in range(n)),
-                                Polynomial.zero(ext))
-                    sigma_bracket = sigma_bracket + alpha_ext.scale(inner)
+                # sigma of the Hamiltonian field of {x_i, x_j}
+                sigma_bracket = sigma_of_hamiltonian(pi_ext.components.get((i, j), zero))
                 curv = sigma_bracket - koszul_bracket(betas[i], betas[j], pi_ext)
                 self.curvature_scalars.extend(curv.coefficients()[:n])
         self._pairs = np.triu_indices(n, 1)

@@ -556,25 +556,34 @@ def almost_regular_decide(structure: PoissonStructure, *, seed: int = 0,
                        distribution=dist, isotropy=iso)
 
 
+def _unclosed_bracket(variables: Sequence[str], generators: Sequence[Sequence[Polynomial]],
+                      module: SubmodulePresentation
+                      ) -> tuple[tuple[int, int], MultivectorField] | None:
+    """The first pair ``(i, j)`` of generator fields, in row-major order, whose
+    Schouten bracket is not in ``module``, with that bracket; ``None`` when
+    the module is closed under the bracket."""
+    fields = [MultivectorField.from_coefficients(variables, g) for g in generators]
+    for i in range(len(fields)):
+        for j in range(i + 1, len(fields)):
+            bracket = schouten_bracket(fields[i], fields[j])
+            if not module.contains(bracket.coefficients()).is_yes:
+                return (i, j), bracket
+    return None
+
+
 def verify_distribution(dist: DistributionPresentation, structure: PoissonStructure,
                         *, seed: int = 0, samples: int = 10000) -> Verdict:
     """Involutivity, invariance (columns of pi are sections), and pointwise
     rank ``2k`` everywhere."""
     variables = structure.variables
     module = dist.module
-    gens = [MultivectorField.from_coefficients(variables, g) for g in module.generators]
 
     involutive: Verdict = Verdict.yes()
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            bracket = schouten_bracket(gens[i], gens[j])
-            member = module.contains(bracket.coefficients())
-            if not member.is_yes:
-                involutive = Verdict.no(witness={"pair": (i, j),
-                                                 "bracket": [str(p) for p in bracket.coefficients()]})
-                break
-        if involutive.is_no:
-            break
+    unclosed = _unclosed_bracket(variables, module.generators, module)
+    if unclosed is not None:
+        ij, bracket = unclosed
+        involutive = Verdict.no(witness={"pair": ij,
+                                         "bracket": [str(p) for p in bracket.coefficients()]})
 
     poisson_cols: Verdict = Verdict.yes()
     for col in structure.bivector.columns():
@@ -783,13 +792,8 @@ class FoliationModule:
                                     unresolved_ideal=[str(p) for p in self.syzygy_profile.drop_ideal()])
 
     def is_bracket_closed(self) -> Verdict:
-        fields = [MultivectorField.from_coefficients(self.variables, g) for g in self.generators]
-        for i in range(len(fields)):
-            for j in range(i + 1, len(fields)):
-                bracket = schouten_bracket(fields[i], fields[j])
-                if not self.module.contains(bracket.coefficients()).is_yes:
-                    return Verdict.no(witness={"pair": (i, j)})
-        return Verdict.yes()
+        unclosed = _unclosed_bracket(self.variables, self.generators, self.module)
+        return Verdict.yes() if unclosed is None else Verdict.no(witness={"pair": unclosed[0]})
 
 
 def foliation_module(fields: Sequence[MultivectorField | Sequence[Polynomial]],

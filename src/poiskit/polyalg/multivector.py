@@ -5,6 +5,20 @@ is normalized away and equality of component maps is equality of tensors.
 ``MultivectorField`` is contravariant (wedges of coordinate vector fields),
 ``DifferentialForm`` covariant (wedges of coordinate differentials).
 
+Every graded operation is built from three private primitives:
+
+* ``_accumulate``: ``out[key] += term``, dropping a key whose sum is zero.
+  Every sum goes through it: the constructor, ``+`` and the two below.
+* ``_add_products``: adds ``a_I * b_J`` at the sorted merge of ``I + J``
+  with the sign of that sort (``_sort_with_sign``); a repeated index gives
+  nothing. ``wedge`` is this product, ``exterior_derivative`` is
+  ``sum_k dx_k wedge d_k omega``, and the Schouten bracket sums the odd
+  contractions, the products of ``d A / d zeta_k`` with ``d_k B``.
+* ``_zeta_derivative``: the left odd derivative ``d / d zeta_k``, which
+  removes index ``k`` with the sign of moving it first. It feeds the odd
+  contraction and ``_contract``, ``sum_j x^j d t / d zeta_j``, which is
+  ``interior_product(X, omega)`` and ``pi.sharp(alpha)``.
+
 Sign conventions used throughout the package, fixed here once:
 
 * the Schouten bracket restricts to the Lie bracket on vector fields and
@@ -12,7 +26,9 @@ Sign conventions used throughout the package, fixed here once:
 * a bivector ``pi`` has component matrix ``PI[i][j] = pi(dx_i, dx_j)``
   (upper triangle = stored components) and its sharp map is
   ``sharp(alpha) = PI^T alpha``, so that ``sharp(df)`` is the Hamiltonian
-  vector field of ``f`` and ``{f, g} = pi(df, dg) = sharp(df)(g)``.
+  vector field of ``f`` and ``{f, g} = pi(df, dg) = sharp(df)(g)``;
+* ``interior_product`` contracts the first slot, ``(iota_X omega)_I =
+  sum_j X^j omega_(jI)``, and is an antiderivation like ``d``.
 """
 
 from __future__ import annotations
@@ -52,6 +68,52 @@ def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | Non
     return tuple(idx), sign
 
 
+def _accumulate(out: dict, key: tuple[int, ...], term: Polynomial) -> None:
+    """``out[key] += term``; a key whose sum is zero is dropped."""
+    s = out.get(key)
+    if s is not None:
+        term = s + term
+    if term.is_zero:
+        out.pop(key, None)
+    else:
+        out[key] = term
+
+
+def _add_products(out: dict, a: Mapping, b: Mapping) -> dict:
+    """Add ``a_I * b_J`` to ``out`` at the sorted merge of ``I + J``, with the
+    sign of the sort, for every pair of components without a shared index;
+    returns ``out``."""
+    for ka, pa in a.items():
+        for kb, pb in b.items():
+            merged = _sort_with_sign(ka + kb)
+            if merged is not None:
+                key, sign = merged
+                term = pa * pb
+                _accumulate(out, key, term if sign == 1 else -term)
+    return out
+
+
+def _zeta_derivative(a: "_Alternating", k: int, sign: int = 1) -> dict[tuple[int, ...], Polynomial]:
+    """Left odd derivative, times ``sign``: removes index k with the sign of
+    moving it first. Distinct index tuples stay distinct, so nothing is
+    summed."""
+    out = {}
+    for idx, p in a.components.items():
+        if k in idx:
+            pos = idx.index(k)
+            out[idx[:pos] + idx[pos + 1:]] = p if (pos % 2 == 0) == (sign == 1) else -p
+    return out
+
+
+def _contract(x: "_Alternating", t: "_Alternating") -> dict[tuple[int, ...], Polynomial]:
+    """``sum_j x^j d t / d zeta_j`` for a grade-1 ``x``, over ascending ``j``."""
+    out: dict[tuple[int, ...], Polynomial] = {}
+    for (j,), xj in sorted(x.components.items()):
+        for rest, p in _zeta_derivative(t, j).items():
+            _accumulate(out, rest, xj * p)
+    return out
+
+
 class _Alternating:
     """Shared implementation for multivectors and forms."""
 
@@ -80,13 +142,7 @@ class _Alternating:
                 if norm is None:
                     continue
                 key, sign = norm
-                p = poly if sign == 1 else -poly
-                if key in clean:
-                    p = clean[key] + p
-                if p.is_zero:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = p
+                _accumulate(clean, key, poly if sign == 1 else -poly)
         self.components = clean
 
     # -- basics --------------------------------------------------------------
@@ -122,12 +178,7 @@ class _Alternating:
             raise ValueError("cannot add tensors of different grade")
         out = dict(self.components)
         for k, p in other.components.items():
-            s = out.get(k)
-            s = p if s is None else s + p
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
+            _accumulate(out, k, p)
         return type(self)._raw(self.variables, self.grade, out)
 
     def __sub__(self, other):
@@ -231,24 +282,16 @@ class MultivectorField(_Alternating):
         return mat
 
     def sharp(self, alpha: "DifferentialForm") -> "MultivectorField":
-        """Contraction of a grade-1 form with a bivector: ``sharp(df)`` is the
-        Hamiltonian vector field of ``f``."""
+        """``sharp(alpha) = PI^T alpha = sum_i alpha_i d pi / d zeta_i`` for a
+        grade-1 form, read off the stored components: ``sharp(df)`` is the
+        Hamiltonian vector field of ``f``. Each coordinate sums its terms over
+        ascending ``i``."""
         if self.grade != 2 or alpha.grade != 1:
             raise ValueError("sharp needs a bivector and a grade-1 form")
         if alpha.variables != self.variables:
             raise ChartMismatchError("chart mismatch in sharp")
-        mat = self.component_matrix()
-        a = alpha.coefficients()
-        n = len(self.variables)
-        out = []
-        for j in range(n):
-            s = Polynomial.zero(self.variables)
-            for i in range(n):
-                if mat[i][j].is_zero or a[i].is_zero:
-                    continue
-                s = s + a[i] * mat[i][j]
-            out.append(s)
-        return MultivectorField.from_coefficients(self.variables, out)
+        return MultivectorField._raw(self.variables, 1,
+                                     dict(sorted(_contract(alpha, self).items())))
 
     def columns(self) -> list[list[Polynomial]]:
         """Images of the coordinate differentials under sharp, as coefficient
@@ -292,23 +335,7 @@ def wedge(a: _Alternating, b: _Alternating) -> _Alternating:
     grade = a.grade + b.grade
     if grade > len(a.variables):
         return type(a).zero(a.variables, grade)
-    out: dict[tuple[int, ...], Polynomial] = {}
-    for ka, pa in a.components.items():
-        for kb, pb in b.components.items():
-            merged = _sort_with_sign(ka + kb)
-            if merged is None:
-                continue
-            key, sign = merged
-            term = pa * pb
-            if sign < 0:
-                term = -term
-            s = out.get(key)
-            s = term if s is None else s + term
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return type(a)._raw(a.variables, grade, out)
+    return type(a)._raw(a.variables, grade, _add_products({}, a.components, b.components))
 
 
 def wedge_power(a: _Alternating, k: int) -> _Alternating:
@@ -321,51 +348,17 @@ def wedge_power(a: _Alternating, k: int) -> _Alternating:
     return out
 
 
-def _zeta_derivative(a: _Alternating, k: int) -> dict[tuple[int, ...], Polynomial]:
-    """Left odd derivative: removes index k with the sign of moving it first."""
-    out: dict[tuple[int, ...], Polynomial] = {}
-    for idx, p in a.components.items():
-        if k not in idx:
-            continue
-        pos = idx.index(k)
-        rest = idx[:pos] + idx[pos + 1:]
-        q = p if pos % 2 == 0 else -p
-        if rest in out:
-            q = out[rest] + q
-        if q.is_zero:
-            out.pop(rest, None)
-        else:
-            out[rest] = q
-    return out
+def _partials(a: _Alternating, k: int) -> dict[tuple[int, ...], Polynomial]:
+    """The nonzero ``d_k`` of the components of ``a``."""
+    return {idx: dp for idx, p in a.components.items() if not (dp := p.diff(k)).is_zero}
 
 
-def _odd_contraction(a: MultivectorField, b: MultivectorField) -> dict:
-    """``sum_k (d a / d zeta_k) wedge (d b / d x_k)`` on component maps."""
-    n = len(a.variables)
-    out: dict[tuple[int, ...], Polynomial] = {}
-    for k in range(n):
-        da = _zeta_derivative(a, k)
-        if not da:
-            continue
-        for kb, pb in b.components.items():
-            dpb = pb.diff(k)
-            if dpb.is_zero:
-                continue
-            for ka, pa in da.items():
-                merged = _sort_with_sign(ka + kb)
-                if merged is None:
-                    continue
-                key, sign = merged
-                term = pa * dpb
-                if sign < 0:
-                    term = -term
-                s = out.get(key)
-                s = term if s is None else s + term
-                if s.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return out
+def _odd_contraction(out: dict, a: MultivectorField, b: MultivectorField, sign: int) -> None:
+    """Add ``sign * sum_k (d a / d zeta_k) wedge (d b / d x_k)`` to ``out``."""
+    for k in range(len(a.variables)):
+        da = _zeta_derivative(a, k, sign)
+        if da:
+            _add_products(out, da, _partials(b, k))
 
 
 def schouten_bracket(a: MultivectorField, b: MultivectorField) -> MultivectorField:
@@ -383,73 +376,36 @@ def schouten_bracket(a: MultivectorField, b: MultivectorField) -> MultivectorFie
     grade = a.grade + b.grade - 1
     if grade < 0:
         return MultivectorField.zero(a.variables, 0)
-    first = _odd_contraction(a, b)
-    second = _odd_contraction(b, a)
-    sign_first = 1 if (a.grade - 1) % 2 == 0 else -1
-    sign_second = -1 if (a.grade * (b.grade - 1)) % 2 == 0 else 1
     out: dict[tuple[int, ...], Polynomial] = {}
-    for source, sign in ((first, sign_first), (second, sign_second)):
-        for k, p in source.items():
-            q = p if sign == 1 else -p
-            s = out.get(k)
-            s = q if s is None else s + q
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
+    _odd_contraction(out, a, b, 1 if a.grade % 2 else -1)
+    _odd_contraction(out, b, a, 1 if (a.grade * (b.grade - 1)) % 2 else -1)
     return MultivectorField._raw(a.variables, grade, out)
 
 
 def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
+    """``d omega = sum_k dx_k wedge d_k omega``."""
     if not isinstance(omega, DifferentialForm):
         raise TypeError("exterior derivative acts on differential forms")
-    n = len(omega.variables)
+    one = Polynomial.one(omega.variables)
     out: dict[tuple[int, ...], Polynomial] = {}
-    for idx, p in omega.components.items():
-        for k in range(n):
-            if k in idx:
-                continue
-            dp = p.diff(k)
-            if dp.is_zero:
-                continue
-            below = sum(1 for i in idx if i < k)
-            key = tuple(sorted(idx + (k,)))
-            term = dp if below % 2 == 0 else -dp
-            s = out.get(key)
-            s = term if s is None else s + term
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+    for k in range(len(omega.variables)):
+        _add_products(out, {(k,): one}, _partials(omega, k))
     return DifferentialForm._raw(omega.variables, omega.grade + 1, out)
 
 
-def interior_product(x: MultivectorField, omega: DifferentialForm) -> DifferentialForm | Polynomial:
-    """Contraction in the first slot; on a grade-1 form it returns the scalar
-    pairing as a grade-0 form."""
-    if x.grade != 1:
-        raise ValueError("interior product takes a vector field")
+def interior_product(x: MultivectorField, omega: DifferentialForm) -> DifferentialForm:
+    """Contraction of a vector field into the first slot of a form,
+    ``iota_X omega = sum_j X^j d omega / d zeta_j``; a grade-1 form gives the
+    pairing as a grade-0 form and a grade-0 form gives zero. Any other kind
+    of argument raises ``TypeError``."""
+    if not (isinstance(x, MultivectorField) and x.grade == 1
+            and isinstance(omega, DifferentialForm)):
+        raise TypeError("interior product takes a vector field and a differential form")
     if x.variables != omega.variables:
         raise ChartMismatchError("chart mismatch in interior product")
     if omega.grade == 0:
         return DifferentialForm.zero(omega.variables, 0)
-    coeff = x.coefficients()
-    out: dict[tuple[int, ...], Polynomial] = {}
-    for idx, p in omega.components.items():
-        for pos, j in enumerate(idx):
-            if coeff[j].is_zero:
-                continue
-            rest = idx[:pos] + idx[pos + 1:]
-            term = coeff[j] * p
-            if pos % 2 == 1:
-                term = -term
-            s = out.get(rest)
-            s = term if s is None else s + term
-            if s.is_zero:
-                out.pop(rest, None)
-            else:
-                out[rest] = s
-    return DifferentialForm._raw(omega.variables, omega.grade - 1, out)
+    return DifferentialForm._raw(omega.variables, omega.grade - 1, _contract(x, omega))
 
 
 def lie_derivative(x: MultivectorField, omega: DifferentialForm) -> DifferentialForm:
@@ -461,7 +417,8 @@ def lie_derivative(x: MultivectorField, omega: DifferentialForm) -> Differential
 
 
 def pair(alpha: DifferentialForm, x: MultivectorField) -> Polynomial:
-    """``<alpha, X>`` for a grade-1 form and a vector field."""
+    """``<alpha, X> = iota_X alpha`` for a grade-1 form and a vector field,
+    in that order; swapped arguments raise ``TypeError``."""
     if alpha.grade != 1 or x.grade != 1:
         raise ValueError("pairing needs grade-1 arguments")
     contracted = interior_product(x, alpha)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import pytest
 from dense_reference import qq_rank
 from poiskit._kernel import QQ
 from poiskit.polyalg import (
@@ -182,6 +183,67 @@ def test_interior_product_basic():
     dxdy = form(V3, 2, {(0, 1): "1"})
     ddx = mv(V3, 1, {(0,): "1"})
     assert interior_product(ddx, dxdy) == form(V3, 1, {(1,): "1"})
+
+
+def test_exterior_derivative_graded_leibniz_seeded():
+    # d(a ^ b) = da ^ b + (-1)^p a ^ db for forms of grade p and q
+    rng = random.Random(62)
+    for _ in range(40):
+        p, q = rng.randint(0, 3), rng.randint(0, 3)
+        a, b = rand_form(rng, V4, p), rand_form(rng, V4, q)
+        sign = 1 if p % 2 == 0 else -1
+        rhs = (wedge(exterior_derivative(a), b)
+               + wedge(a, exterior_derivative(b)).scale(sign))
+        assert exterior_derivative(wedge(a, b)) == rhs
+
+
+def test_interior_product_is_an_antiderivation_seeded():
+    # iota_X (a ^ b) = iota_X a ^ b + (-1)^p a ^ iota_X b for p, q >= 1
+    rng = random.Random(63)
+    for _ in range(40):
+        p, q = rng.randint(1, 3), rng.randint(1, 3)
+        x = rand_mv(rng, V4, 1)
+        a, b = rand_form(rng, V4, p), rand_form(rng, V4, q)
+        sign = 1 if p % 2 == 0 else -1
+        rhs = (wedge(interior_product(x, a), b)
+               + wedge(a, interior_product(x, b)).scale(sign))
+        assert interior_product(x, wedge(a, b)) == rhs
+
+
+def test_interior_product_against_component_formula():
+    # (iota_X w)_I = sum_j X^j w_(jI), the sign of sorting jI counted as the
+    # number of indices in I below j
+    rng = random.Random(64)
+    for _ in range(30):
+        grade = rng.randint(2, 3)
+        x = rand_mv(rng, V4, 1)
+        omega = rand_form(rng, V4, grade)
+        xc = x.coefficients()
+        expected = {}
+        for rest in combinations(range(4), grade - 1):
+            acc = Polynomial.zero(V4)
+            for j in range(4):
+                if j in rest:
+                    continue
+                comp = omega.components.get(tuple(sorted(rest + (j,))), Polynomial.zero(V4))
+                below = sum(1 for i in rest if i < j)
+                acc = acc + (xc[j] * comp).scale(-1 if below % 2 else 1)
+            expected[rest] = acc
+        assert interior_product(x, omega) == DifferentialForm(V4, grade - 1, expected)
+
+
+X_DZ = mv(V3, 1, {(0,): "1", (1,): "z"})
+DF = form(V3, 1, {(0,): "y", (1,): "x"})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: interior_product(X_DZ, mv(V3, 2, {(0, 1): "z", (1, 2): "y"})),
+    lambda: interior_product(DF, form(V3, 2, {(0, 1): "1"})),
+    lambda: pair(X_DZ, DF),
+], ids=["bivector-as-form", "form-as-vector", "swapped-pair"])
+def test_interior_product_refuses_the_wrong_kind_of_tensor(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_cartan_identity_exact():

@@ -351,6 +351,15 @@ def test_verify_distribution_catches_non_involutive(heis):
     assert checks.payload["involutive"].is_no
 
 
+def test_verify_distribution_witness_is_the_pair_and_its_bracket(heis):
+    variables = ("x", "y", "t")
+    pv = lambda s: Polynomial.parse(variables, s)
+    gens = [[pv("1"), pv("0"), pv("0")], [pv("0"), pv("1"), pv("x")]]
+    dist = DistributionPresentation(SubmodulePresentation(variables, 3, gens), 2)
+    witness = verify_distribution(dist, heis).payload["involutive"].witness
+    assert witness == {"pair": (0, 1), "bracket": ["0", "0", "1"]}
+
+
 def test_verify_distribution_full_tangent_always_passes(heis):
     dist = DistributionPresentation(SubmodulePresentation.full(("x", "y", "t"), 3), 3)
     checks = verify_distribution(dist, heis)
@@ -694,6 +703,17 @@ def test_action_foliation_is_projective():
     assert fol.fiber_dim_at([1, 0, 0, 0]) == 2
     assert fol.projectivity().is_yes
     assert fol.is_bracket_closed().is_yes
+
+
+def test_bracket_closure_witness_is_the_first_open_pair():
+    # [d/dx, x d/dy] = d/dy, and (0, 1) is not in the module of (1, 0), (0, x)
+    variables = ("x", "y")
+    pv = lambda s: Polynomial.parse(variables, s)
+    fol = foliation_module([MultivectorField.from_coefficients(variables, [pv("1"), pv("0")]),
+                            MultivectorField.from_coefficients(variables, [pv("0"), pv("x")])])
+    verdict = fol.is_bracket_closed()
+    assert verdict.is_no
+    assert verdict.witness == {"pair": (0, 1)}
 
 
 def test_quadratic_image_foliation_not_projective():
