@@ -13,15 +13,18 @@ route does not apply (see ``poisson.germinal_isotropy``).
 
 Two facts a caller may have proved cut the work short. ``saturate`` takes a
 ``target``: a saturated module that contains the input, hence every colon.
-It stops at the first step whose colon contains the target, with the same
-exponent the stabilization test would give, and without the colon that
-would confirm it. ``rank_profile`` finds a generic rank by probe points and
-minors; a caller that knows the rank builds ``RankProfile(rows, variables,
-r)`` itself, and one nonzero ``r``-minor then confirms it. The Poisson
-constant-rank decision has both from ``sharp(g) = 0`` on every kernel
-generator ``g``: the image module lies in the annihilator of the kernel
-module, which is saturated, and the kernel matrix has generic rank at most
-``n - 2k``, so exactly ``n - 2k`` once an ``(n - 2k)``-minor is nonzero."""
+It tests ``target ⊆ M : I^k`` as ``I·target ⊆ M : I^(k-1)``, by normal forms
+on a basis it already has, and computes the colon ``M : I^k`` only when that
+fails; the colon's stabilization test then decides one step back. So a
+target reached at ``k <= 1`` costs no colon, and the exponent is the one the
+iterated colon gives. ``rank_profile`` finds a generic rank by probe points
+and minors; a caller that knows the rank builds ``RankProfile(rows,
+variables, r)`` itself, and one nonzero ``r``-minor then confirms it. The
+Poisson constant-rank decision has both from ``sharp(g) = 0`` on every
+kernel generator ``g``: the image module lies in the annihilator of the
+kernel module, which is saturated, and the kernel matrix has generic rank at
+most ``n - 2k``, so exactly ``n - 2k`` once an ``(n - 2k)``-minor is
+nonzero."""
 
 from .verdict import Verdict
 from .presentation import (

@@ -181,6 +181,15 @@ def _gcd_pair(a: Polynomial, b: Polynomial) -> Polynomial:
     return _normalize_primitive(g)
 
 
+def _ideal_generators(ideal_gens: Sequence[Polynomial]) -> list[Polynomial]:
+    """The distinct nonzero generators, in order; ``ValueError`` if there are
+    none, since the colon by the zero ideal is the whole module."""
+    gens = list(dict.fromkeys(f for f in ideal_gens if not f.is_zero))
+    if not gens:
+        raise ValueError("colon by the zero ideal")
+    return gens
+
+
 def colon_by_ideal(module: SubmodulePresentation,
                    ideal_gens: Sequence[Polynomial]) -> SubmodulePresentation:
     """``module : (f_1..f_k)`` = {v : f_j v in module for every j}, from one
@@ -194,9 +203,7 @@ def colon_by_ideal(module: SubmodulePresentation,
     in ``module`` for every ``j``, with ``v = s[:r]``, and every such ``v``
     extends to a syzygy. So the first ``r`` entries of the syzygies generate
     the colon."""
-    gens = list(dict.fromkeys(f for f in ideal_gens if not f.is_zero))
-    if not gens:
-        raise ValueError("colon by the zero ideal")
+    gens = _ideal_generators(ideal_gens)
     r, n = module.rank, len(module.generators)
     zero = Polynomial.zero(module.variables)
     rows = []
@@ -222,28 +229,49 @@ def saturate(module: SubmodulePresentation, ideal_gens: Sequence[Polynomial],
              cap: int = SATURATION_CAP, *,
              target: SubmodulePresentation | None = None) -> SaturationResult:
     """``module : ideal^infinity`` by iterated colon, with the stabilization
-    exponent; ``stabilized=False`` when the iteration cap is hit. Each colon
-    is one syzygy computation (``colon_by_ideal``, which drops zero and
-    repeated generators of the ideal).
+    exponent: the first ``k`` with ``module : I^k = module : I^(k+1)``, and
+    ``module : I^k`` as the result. ``stabilized=False`` when the iteration
+    cap is hit. Each colon is one syzygy computation (``colon_by_ideal``,
+    which drops zero and repeated generators of the ideal and refuses the
+    zero ideal).
 
     ``target`` is a saturated module that contains ``module``: ``f v`` in
     ``target`` with ``f != 0`` puts ``v`` in ``target``. Every
-    ``module : I^k`` then lies in ``target``. So if the saturation equals
-    ``target``, the first ``k`` with ``module : I^k = module : I^(k+1)`` is
-    the first ``k`` with ``target`` inside ``module : I^k``; if it does not,
-    ``target`` is never inside. At step ``k`` that membership is tried first.
-    When it holds, the iteration stops with exponent ``k``, and ``target_in``
-    holds its certificates; the colon that would only confirm it is skipped.
-    Otherwise the colon and the stabilization test run as without a target.
-    Exponent, module and ``stabilized`` are the same either way."""
+    ``C_k = module : I^k`` then lies in ``target``. Step ``k`` first tries
+    ``target ⊆ C_k``: at ``k = 0`` as membership in ``module``, and at
+    ``k >= 1`` as ``I·target ⊆ C_(k-1)``, the products ``f_j a_i`` of each
+    distinct nonzero ideal generator ``f_j`` and each target generator
+    ``a_i`` reduced on the basis of ``C_(k-1)`` (built at ``k = 1`` by the
+    test at ``k = 0``, and reused by the stabilization test). Only when that
+    fails is the colon ``C_k`` computed, and its stabilization test decides
+    stabilization at ``k - 1``. The test lags the colon by one step and
+    changes no answer: if ``target`` lies in ``C_k`` but in no earlier
+    ``C_j``, the chain cannot have stabilized before ``k``; and if the chain
+    stabilized at ``k - 1`` below ``target``, ``C_k = C_(k-1)`` does not
+    contain ``target``. So ``exponent`` and ``stabilized`` are those of the
+    iterated colon for every ``cap``, and the membership runs at ``k < cap``
+    only.
+
+    When the target is reached at ``k``, ``target_in`` holds the
+    certificates: one membership per product, in the order ``(a_0, f_0),
+    (a_0, f_1), ..., (a_1, f_0), ...``, each with the cofactors of ``f_j a_i``
+    over the generators of ``C_(k-1)``; at ``k = 0`` the one multiplier is
+    ``1`` and the cofactors of ``a_i`` are over those of ``module``, as they
+    are at ``k = 1``. The result's ``module`` is ``target``, which equals
+    ``C_k`` as a module (``C_k ⊆ target ⊆ C_k``)."""
     current = module
-    for k in range(cap):
-        if target is not None:
-            reached = target.is_submodule_of(current)
+    for k in range(cap + 1):
+        gens = _ideal_generators(ideal_gens) if k else [Polynomial.one(module.variables)]
+        if target is not None and k < cap:
+            products = SubmodulePresentation(
+                module.variables, module.rank,
+                [[f * p for p in a] for a in target.generators for f in gens])
+            reached = products.is_submodule_of(current)
             if reached.is_yes:
-                return SaturationResult(current, k, True, reached)
-        nxt = colon_by_ideal(current, ideal_gens)
-        if nxt.is_submodule_of(current).is_yes:
-            return SaturationResult(current, k, True)
-        current = nxt
+                return SaturationResult(target, k, True, reached)
+        if k:
+            nxt = colon_by_ideal(current, gens)
+            if nxt.is_submodule_of(current).is_yes:
+                return SaturationResult(current, k - 1, True)
+            current = nxt
     return SaturationResult(current, cap, False)

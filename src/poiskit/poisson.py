@@ -15,6 +15,7 @@ every built-in example, and flagged in reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import lcm
 from operator import mul
@@ -210,16 +211,19 @@ def casimir_test(structure: PoissonStructure, f: Polynomial) -> Verdict:
     return Verdict.no(witness={"component": idx[0], "coefficient": ham.components[idx]})
 
 
+@lru_cache(maxsize=64)
 def _monomial_array(n: int, degree: int) -> np.ndarray:
     """The exponents of the monomials of degree <= ``degree`` in ``n``
     variables, as the rows of an ``(count, n)`` array in ascending
     lexicographic order: each variable in turn splits every row into the
-    rows with that exponent 0, 1, ... up to what the degree leaves."""
+    rows with that exponent 0, 1, ... up to what the degree leaves. Built
+    once per ``(n, degree)`` and shared, so the array is read-only."""
     expos = np.zeros((1, n), dtype=np.int64)
     for k in range(n):
         reps = degree + 1 - expos.sum(axis=1)
         expos = np.repeat(expos, reps, axis=0)
         expos[:, k] = np.arange(len(expos)) - np.repeat(np.cumsum(reps) - reps, reps)
+    expos.flags.writeable = False
     return expos
 
 
@@ -513,9 +517,15 @@ def almost_regular_decide(structure: PoissonStructure, *, seed: int = 0,
     in ``A``). Hence ``C : I^k`` lies in ``A`` for every ``k``, and only
     ``A ⊆ C : I^k`` needs a membership proof: ``saturate`` tries it at each
     step with ``A`` as its target and stops at the first ``k`` where it holds,
-    which is the exponent where the colons stabilize. Its certificates go to
-    the provenance as ``annihilator_in_saturation``. If the colons stabilize
-    below ``A`` the verdict is inconclusive ("presentations disagree").
+    which is the exponent where the colons stabilize. For ``k >= 1`` the
+    proof is ``I·A ⊆ C : I^(k-1)``, so at ``k = 1`` (as at ``k = 0``) it is
+    membership in ``C`` itself and no colon is computed. Its certificates go
+    to the provenance as ``annihilator_in_saturation``: per annihilator
+    generator ``a_i`` and distinct nonzero generator ``f_j`` of ``I`` (``1``
+    at ``k = 0``), the cofactors of ``f_j a_i`` over the generators of
+    ``C : I^(k-1)``, which at ``k <= 1`` are the nonzero columns of ``pi``. If
+    the colons stabilize below ``A`` the verdict is inconclusive
+    ("presentations disagree").
     """
     variables = structure.variables
     n = len(variables)

@@ -285,7 +285,10 @@ class MultivectorField(_Alternating):
         """``sharp(alpha) = PI^T alpha = sum_i alpha_i d pi / d zeta_i`` for a
         grade-1 form, read off the stored components: ``sharp(df)`` is the
         Hamiltonian vector field of ``f``. Each coordinate sums its terms over
-        ascending ``i``."""
+        ascending ``i``. A vector field in place of the form raises
+        ``TypeError``, as in ``interior_product``."""
+        if not isinstance(alpha, DifferentialForm):
+            raise TypeError("sharp takes a differential form")
         if self.grade != 2 or alpha.grade != 1:
             raise ValueError("sharp needs a bivector and a grade-1 form")
         if alpha.variables != self.variables:

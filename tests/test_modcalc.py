@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import qq_det, qq_nullspace, qq_rank, qq_solve
@@ -21,6 +21,7 @@ from poiskit.modcalc import (
     syzygies,
     variety_emptiness,
 )
+from poiskit.modcalc import presentation
 from poiskit.modcalc.engine import _divides, _lcm, split_key, term_key
 from poiskit.modcalc.linalg import nullspace, rank, solve, sparse_nullspace
 from poiskit.modcalc.rank import _det
@@ -330,6 +331,111 @@ def test_saturation_cap_with_a_target():
     assert not aimed.stabilized and aimed.exponent == 1
     assert aimed.target_in is None
     assert [str(g[0]) for g in aimed.module.generators] == ["x"]
+
+
+
+def test_saturation_cap_below_a_target_reached_at_one():
+    # I·A = x R^2 lies in C = x R^2, so the target R^2 is reached at k = 1;
+    # caps 0 and 1 stop before that test, as the iterated colon does
+    x, zero = P2("x"), P2("0")
+    module = SubmodulePresentation(V2, 2, [[x, zero], [zero, x]])
+    full = SubmodulePresentation.full(V2, 2)
+    assert saturate(module, [x], target=full).exponent == 1
+    none = saturate(module, [x], cap=0, target=full)
+    assert (none.module, none.exponent, none.stabilized, none.target_in) == (module, 0, False, None)
+    one = saturate(module, [x], cap=1, target=full)
+    assert (one.exponent, one.stabilized, one.target_in) == (1, False, None)
+    assert one.module.equals_module(colon_by_ideal(module, [x])).is_yes
+
+
+@pytest.mark.parametrize("ideal", [[], [Polynomial.zero(V2)]], ids=["empty", "zero"])
+@pytest.mark.parametrize("aimed", [False, True], ids=["untargeted", "targeted"])
+def test_saturation_by_the_zero_ideal_is_refused(ideal, aimed):
+    module = SubmodulePresentation.ideal(V2, [P2("x")])
+    target = SubmodulePresentation.ideal(V2, [P2("1")]) if aimed else None
+    with pytest.raises(ValueError, match="zero ideal"):
+        saturate(module, ideal, target=target)
+    # a target already inside the module is reached before any colon
+    assert saturate(module, ideal, target=module).exponent == 0
+
+
+def test_a_target_reached_at_exponent_0_or_1_computes_no_colon(monkeypatch):
+    calls = []
+    monkeypatch.setattr(presentation, "colon_by_ideal",
+                        lambda *args: calls.append(args) or colon_by_ideal(*args))
+    x, zero = P2("x"), P2("0")
+    full = SubmodulePresentation.full(V2, 2)
+    scaled = SubmodulePresentation(V2, 2, [[x, zero], [zero, x]])
+    at_zero = saturate(full, [x], target=full)
+    at_one = saturate(scaled, [x, P2("x^2 + x*y")], target=full)
+    assert (at_zero.exponent, at_one.exponent) == (0, 1)
+    assert at_zero.target_in.is_yes and at_one.target_in.is_yes
+    # one membership per (target generator, distinct ideal generator)
+    assert len(at_one.target_in.certificate["memberships"]) == 4
+    assert calls == []
+
+
+def _colon_chain(module, ideal, cap, target):
+    """Reference: the iterated colon, trying ``target`` inside each
+    ``module : I^k`` before the next colon. Returns (module, exponent,
+    stabilized, reached)."""
+    current = module
+    for k in range(cap):
+        if target is not None and target.is_submodule_of(current).is_yes:
+            return current, k, True, True
+        nxt = colon_by_ideal(current, ideal)
+        if nxt.is_submodule_of(current).is_yes:
+            return current, k, True, False
+        current = nxt
+    return current, cap, False, False
+
+
+_ENTRIES = st.sampled_from(["0", "1", "x", "y", "x + y", "x - y + 1", "y^2", "x*y - 1"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(scale=st.sampled_from(["x", "y", "x + y", "x*y"]), power=st.integers(0, 3),
+       vectors=st.lists(st.tuples(_ENTRIES, _ENTRIES), min_size=1, max_size=2),
+       extra=st.lists(st.sampled_from(["0", "y", "x^2", "x + y"]), max_size=1),
+       cap=st.integers(0, 4), kind=st.sampled_from(["saturation", "full", "module"]))
+# exponent 2, and the caps below and at it
+@example(scale="x", power=2, vectors=[("1", "0"), ("0", "1")], extra=[], cap=50,
+         kind="saturation")
+@example(scale="x", power=2, vectors=[("1", "0"), ("0", "1")], extra=[], cap=1, kind="full")
+@example(scale="x", power=2, vectors=[("1", "0"), ("0", "1")], extra=[], cap=2, kind="full")
+# y is a nonzerodivisor on R^2 / (y, 0): the chain stabilizes at 0 below R^2
+@example(scale="y", power=1, vectors=[("1", "0")], extra=[], cap=50, kind="full")
+# x is a zero divisor and x + y is not: stabilizes below the unit module
+@example(scale="x", power=1, vectors=[("y", "0"), ("0", "x")], extra=["0"], cap=3,
+         kind="full")
+def test_targeted_saturation_matches_the_colon_chain(scale, power, vectors, extra, cap, kind):
+    """On ``C = g^e <v_1, v_2>`` and ``I = (g, ...)``, the targeted loop gives
+    the iterated colon's exponent, stabilization and reached flag, and an
+    equal module. The targets are saturated modules that contain ``C``
+    (``C : I^infinity`` and ``R^2``), and ``C`` itself, reached at 0."""
+    g = P2(scale)
+    module = SubmodulePresentation(
+        V2, 2, [[g ** power * P2(a), g ** power * P2(b)] for a, b in vectors])
+    ideal = [g] + [P2(f) for f in extra]
+    if kind == "saturation":
+        saturation = saturate(module, ideal)
+        assert saturation.stabilized
+        target = saturation.module
+    else:
+        target = SubmodulePresentation.full(V2, 2) if kind == "full" else module
+    plain = saturate(module, ideal, cap)
+    aimed = saturate(module, ideal, cap, target=target)
+    ref_module, exponent, stabilized, reached = _colon_chain(module, ideal, cap, target)
+    assert (aimed.exponent, aimed.stabilized, aimed.target_in is not None) == (
+        exponent, stabilized, reached)
+    assert aimed.module.equals_module(ref_module).is_yes
+    assert (plain.exponent, plain.stabilized) == _colon_chain(module, ideal, cap, None)[1:3]
+    assert plain.target_in is None
+    if not reached:
+        assert (aimed.exponent, aimed.stabilized) == (plain.exponent, plain.stabilized)
+        assert aimed.module.equals_module(plain.module).is_yes
+    if kind == "saturation" and cap > plain.exponent:
+        assert reached and aimed.exponent == plain.exponent
 
 
 # -- membership -------------------------------------------------------------------------

@@ -240,7 +240,9 @@ DF = form(V3, 1, {(0,): "y", (1,): "x"})
     lambda: interior_product(X_DZ, mv(V3, 2, {(0, 1): "z", (1, 2): "y"})),
     lambda: interior_product(DF, form(V3, 2, {(0, 1): "1"})),
     lambda: pair(X_DZ, DF),
-], ids=["bivector-as-form", "form-as-vector", "swapped-pair"])
+    lambda: mv(V3, 2, {(0, 1): "z", (1, 2): "x", (0, 2): "-y"}).sharp(
+        mv(V3, 1, {(0,): "1", (1,): "y"})),
+], ids=["bivector-as-form", "form-as-vector", "swapped-pair", "vector-as-form-in-sharp"])
 def test_interior_product_refuses_the_wrong_kind_of_tensor(call):
     with pytest.raises(TypeError):
         call()

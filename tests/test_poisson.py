@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,8 @@ from poiskit.polyalg import (
     Polynomial,
     wedge,
 )
-from poiskit.modcalc import SubmodulePresentation, saturate, variety_emptiness
+from poiskit.modcalc import SubmodulePresentation, colon_by_ideal, saturate, variety_emptiness
+from poiskit.modcalc import presentation
 from poiskit.poisson import (
     DistributionPresentation,
     PoissonStructure,
@@ -57,6 +59,7 @@ from conftest import (
     zero_constants,
 )
 from poiskit.report import parse_input
+from test_corpus_digest import documents
 
 V3 = ("x", "y", "z")
 
@@ -305,8 +308,12 @@ def _saturation_chain_decide(structure: PoissonStructure) -> tuple[str, int | No
 
 
 _GOLDEN = Path(__file__).parent / "golden"
+# the first input set of the two exact benchmark workloads at seed 0
+_CORPUS_CASES = {f"{workload}:{name}": doc for workload in ("chart-batch", "lie-duals")
+                 for name, doc in documents(workload, 0).items()}
 _ORACLE_CASES = {
     **{path.name[:-len(".input.json")]: path for path in sorted(_GOLDEN.glob("*.input.json"))},
+    **_CORPUS_CASES,
     "heis": heisenberg_structure,
     "su2": su2_structure,
     "symplectic_r2": symplectic_r2,
@@ -314,20 +321,61 @@ _ORACLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
-def test_decision_matches_the_untargeted_saturation_chain(case):
-    source = _ORACLE_CASES[case]
+def _oracle_structure(source) -> PoissonStructure:
     if isinstance(source, Path):
-        structure = parse_input(json.loads(source.read_text(encoding="utf-8")))[0]
-    else:
-        structure = source()
+        source = json.loads(source.read_text(encoding="utf-8"))
+    return parse_input(source)[0] if isinstance(source, dict) else source()
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_decision_matches_the_untargeted_saturation_chain(case, monkeypatch):
+    structure = _oracle_structure(_ORACLE_CASES[case])
+    colons = []
+    monkeypatch.setattr(presentation, "colon_by_ideal",
+                        lambda *args: colons.append(args) or colon_by_ideal(*args))
     verdict = almost_regular_decide(structure)
+    made = len(colons)
     expected_outcome, expected_exponent = _saturation_chain_decide(structure)
     assert verdict.outcome == expected_outcome
     if verdict.is_yes:
         dist = verdict.payload["distribution"]
         assert dist.provenance["saturation_exponent"] == expected_exponent
         assert dist.provenance["annihilator_in_saturation"].is_yes
+        # the target is reached by membership: no colon at exponents 0 and 1
+        assert made == max(expected_exponent - 1, 0)
+
+
+def _sympy_poly(p: Polynomial, xs) -> sympy.Expr:
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(x ** e for x, e in zip(xs, expo)))
+                       for expo, c in p.terms.items()))
+
+
+@pytest.mark.parametrize("case", sorted(_CORPUS_CASES))
+def test_annihilator_certificates_recombine_in_sympy(case):
+    """Each ``f_j a_i`` of a corpus ``yes`` is recombined from its cofactors
+    over the nonzero columns of ``pi``, expanded in sympy."""
+    structure = parse_input(_CORPUS_CASES[case])[0]
+    verdict = almost_regular_decide(structure)
+    if not verdict.is_yes or structure.is_zero:
+        return
+    dist = verdict.payload["distribution"]
+    k = dist.provenance["saturation_exponent"]
+    memberships = dist.provenance["annihilator_in_saturation"].certificate["memberships"]
+    assert k <= 1      # so the cofactors are over the columns of pi themselves
+    xs = sympy.symbols(structure.variables)
+    columns = [[_sympy_poly(p, xs) for p in col] for col in structure.bivector.columns()]
+    columns = [col for col in columns if any(e != 0 for e in col)]
+    multipliers = [sympy.Integer(1)] if k == 0 else [
+        _sympy_poly(f, xs) for f in dict.fromkeys(structure.regular_ideal) if not f.is_zero]
+    products = [(a, f) for a in dist.generators for f in multipliers]
+    assert len(memberships) == len(products)
+    for (a, f), member in zip(products, memberships):
+        q = [_sympy_poly(c, xs) for c in member["coefficients"]]
+        assert len(q) == len(columns)
+        for row, entry in enumerate(a):
+            combination = sum((ql * col[row] for ql, col in zip(q, columns)), sympy.Integer(0))
+            assert sympy.expand(f * _sympy_poly(entry, xs) - combination) == 0
 
 
 # -- distribution verification ---------------------------------------------------------------
@@ -478,6 +526,13 @@ def test_monomial_array_lists_the_monomials_in_sorted_order():
             expos = _monomial_array(n, degree)
             assert expos.shape == (len(_monomials_up_to("x" * n, degree)), n)
             assert list(map(tuple, expos.tolist())) == _monomials_up_to("x" * n, degree)
+
+
+def test_monomial_array_is_shared_and_read_only():
+    expos = _monomial_array(3, 2)
+    assert _monomial_array(3, 2) is expos
+    with pytest.raises(ValueError):
+        expos[0, 0] = 1
 
 
 def _casimir_rows_via_sharp(structure, monos):
