@@ -257,8 +257,11 @@ def saturate(module: SubmodulePresentation, ideal_gens: Sequence[Polynomial],
     (a_0, f_1), ..., (a_1, f_0), ...``, each with the cofactors of ``f_j a_i``
     over the generators of ``C_(k-1)``; at ``k = 0`` the one multiplier is
     ``1`` and the cofactors of ``a_i`` are over those of ``module``, as they
-    are at ``k = 1``. The result's ``module`` is ``target``, which equals
-    ``C_k`` as a module (``C_k ⊆ target ⊆ C_k``)."""
+    are at ``k = 1``. The certificate names both lists: ``multipliers``, the
+    ``f_j`` in product order, and ``generators``, the generators of
+    ``C_(k-1)`` in cofactor order (at ``k <= 1`` those of ``module``, which
+    drops zero generators). The result's ``module`` is ``target``, which
+    equals ``C_k`` as a module (``C_k ⊆ target ⊆ C_k``)."""
     current = module
     for k in range(cap + 1):
         gens = _ideal_generators(ideal_gens) if k else [Polynomial.one(module.variables)]
@@ -268,7 +271,9 @@ def saturate(module: SubmodulePresentation, ideal_gens: Sequence[Polynomial],
                 [[f * p for p in a] for a in target.generators for f in gens])
             reached = products.is_submodule_of(current)
             if reached.is_yes:
-                return SaturationResult(target, k, True, reached)
+                certificate = {**reached.certificate, "multipliers": gens,
+                               "generators": list(current.generators)}
+                return SaturationResult(target, k, True, Verdict.yes(certificate=certificate))
         if k:
             nxt = colon_by_ideal(current, gens)
             if nxt.is_submodule_of(current).is_yes:

@@ -51,13 +51,10 @@ from .modcalc.rank import _PROBE_SEEDS
 __all__ = [
     "PoissonStructure",
     "ZeroBivectorError",
-    "TopPowerData",
     "GerminalIsotropy",
     "DistributionPresentation",
     "FoliationModule",
-    "LinearPoissonData",
     "check_jacobi",
-    "top_power",
     "koszul_bracket",
     "casimir_test",
     "casimir_search",
@@ -67,7 +64,6 @@ __all__ = [
     "linear_bivector",
     "lie_jacobi_defect",
     "linear_structure",
-    "linear_poisson",
     "center_check",
     "foliation_module",
     "foliation_inclusion",
@@ -101,8 +97,8 @@ _CHECK = object()
 class PoissonStructure:
     """A polynomial bivector on a chart with its rank data cached eagerly.
 
-    ``k`` is the largest integer with ``wedge^k pi != 0``; the regular-locus
-    ideal is generated by the coefficients of ``wedge^k pi``. ``jacobi``
+    ``k`` is the largest integer with ``wedge^k pi != 0`` and ``top`` is that
+    power; the regular-locus ideal is generated by its coefficients. ``jacobi``
     holds the proof of ``[pi, pi] = 0``: the constructor computes it with
     :func:`check_jacobi`, :func:`linear_structure` takes it from the
     structure constants, and :meth:`unchecked` leaves it ``None``.
@@ -165,27 +161,6 @@ class PoissonStructure:
 
     def __repr__(self):
         return f"PoissonStructure({self.bivector}, k={self.k})"
-
-
-@dataclass
-class TopPowerData:
-    k: int
-    top: MultivectorField
-    coefficient_ideal: list[Polynomial]
-    density: Verdict
-
-
-def top_power(structure: PoissonStructure) -> TopPowerData:
-    """Rank data of the bivector; density of the maximal-rank locus is
-    certified structurally, not sampled."""
-    if structure.is_zero:
-        raise ZeroBivectorError("zero bivector: k undefined")
-    return TopPowerData(
-        k=structure.k,
-        top=structure.top,
-        coefficient_ideal=structure.regular_ideal,
-        density=Verdict.yes(certificate={"rationale": DENSITY_RATIONALE}),
-    )
 
 
 def koszul_bracket(alpha: DifferentialForm, beta: DifferentialForm,
@@ -523,7 +498,8 @@ def almost_regular_decide(structure: PoissonStructure, *, seed: int = 0,
     to the provenance as ``annihilator_in_saturation``: per annihilator
     generator ``a_i`` and distinct nonzero generator ``f_j`` of ``I`` (``1``
     at ``k = 0``), the cofactors of ``f_j a_i`` over the generators of
-    ``C : I^(k-1)``, which at ``k <= 1`` are the nonzero columns of ``pi``. If
+    ``C : I^(k-1)``, which at ``k <= 1`` are the nonzero columns of ``pi``;
+    the certificate names both lists (``multipliers`` and ``generators``). If
     the colons stabilize below ``A`` the verdict is inconclusive
     ("presentations disagree").
     """
@@ -634,18 +610,10 @@ def verify_distribution(dist: DistributionPresentation, structure: PoissonStruct
 # -- linear Poisson structures ---------------------------------------------------
 
 
-def _normalize_constants(constants) -> list[list[list]]:
-    c = [[[to_qq(v) for v in row] for row in plane] for plane in constants]
-    n = len(c)
-    for i in range(n):
-        if len(c[i]) != n or any(len(c[i][j]) != n for j in range(n)):
-            raise ValueError("structure constants must be an n x n x n array")
-    return c
-
-
-def lie_jacobi_defect(constants) -> list[tuple]:
-    """Direct check of antisymmetry and the Lie-Jacobi identity on structure
-    constants; returns the offending index tuples (empty = a Lie algebra).
+def lie_jacobi_defect(c) -> list[tuple]:
+    """Direct check of antisymmetry and the Lie-Jacobi identity on an
+    ``n x n x n`` table of exact structure constants; returns the offending
+    index tuples (empty = a Lie algebra).
 
     This is the proof of ``[pi, pi] = 0`` for the linear bivector of the
     constants (:func:`linear_structure`): the bracket of a linear bivector
@@ -653,7 +621,6 @@ def lie_jacobi_defect(constants) -> list[tuple]:
     so no Schouten bracket runs on a structure-constant input. The tests
     cross-check the two routes on random tables.
     """
-    c = _normalize_constants(constants)
     n = len(c)
     bad = []
     for i in range(n):
@@ -675,11 +642,10 @@ def lie_jacobi_defect(constants) -> list[tuple]:
     return bad
 
 
-def linear_bivector(constants, variables: Sequence[str] | None = None) -> MultivectorField:
+def linear_bivector(c, variables: Sequence[str] | None = None) -> MultivectorField:
     """Linear bivector ``{x_i, x_j} = sum_k c^k_ij x_k`` on the dual chart,
-    read off the constants with ``i < j``; no Lie-Jacobi gate (see
-    :func:`linear_structure` for the gated builder)."""
-    c = _normalize_constants(constants)
+    read off an ``n x n x n`` table of exact constants with ``i < j``; no
+    Lie-Jacobi gate (see :func:`linear_structure` for the gated builder)."""
     n = len(c)
     if variables is None:
         variables = tuple(f"x{i+1}" for i in range(n))
@@ -698,48 +664,36 @@ def linear_bivector(constants, variables: Sequence[str] | None = None) -> Multiv
     return MultivectorField.bivector(variables, comps)
 
 
-@dataclass
-class LinearPoissonData:
-    structure: PoissonStructure
-    center_basis: list[list]
-    isotropy: GerminalIsotropy
-    h0_matches_center: Verdict
-
-
 def linear_structure(constants, variables: Sequence[str] | None = None) -> PoissonStructure:
     """The linear Poisson structure on the dual of the Lie algebra with these
-    structure constants, gated by :func:`lie_jacobi_defect`: a non-Lie table
-    raises ``ValueError``, and the structure's ``jacobi`` is the proof the
-    gate gives, so no Schouten bracket runs."""
-    defects = lie_jacobi_defect(constants)
+    structure constants (``constants[i][j][k] = c^k_ij``, normalised once
+    here), gated by :func:`lie_jacobi_defect`: a non-Lie table raises
+    ``ValueError``, and the structure's ``jacobi`` is the proof the gate
+    gives, so no Schouten bracket runs."""
+    c = [[[to_qq(v) for v in row] for row in plane] for plane in constants]
+    n = len(c)
+    if any(len(plane) != n or any(len(row) != n for row in plane) for plane in c):
+        raise ValueError("structure constants must be an n x n x n array")
+    defects = lie_jacobi_defect(c)
     if defects:
         raise ValueError(f"structure constants fail the Lie-Jacobi identity: {defects[:3]}")
-    return PoissonStructure(linear_bivector(constants, variables),
+    return PoissonStructure(linear_bivector(c, variables),
                             _jacobi=Verdict.yes(certificate={"identity": "[pi,pi] = 0"}))
 
 
-def linear_poisson(constants, variables: Sequence[str] | None = None) -> LinearPoissonData:
-    """Linear structure on the dual of a Lie algebra given by structure
-    constants (built and proved Poisson by :func:`linear_structure`), with the
-    center cross-check at the origin: the kernel module evaluated at 0 must
-    span the center."""
-    c = _normalize_constants(constants)
-    structure = linear_structure(c, variables)
-    iso = germinal_isotropy(structure)
-    center, verdict = center_check(c, iso)
-    return LinearPoissonData(structure, center, iso, verdict)
-
-
-def center_check(constants, iso: GerminalIsotropy) -> tuple[list[list], Verdict]:
-    """Center of the Lie algebra, and whether the kernel module of the linear
-    structure, evaluated at the origin, spans exactly the center."""
-    c = _normalize_constants(constants)
-    n = len(c)
-    # center: v with sum_i v_i c^k_ij = 0 for all j, k
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([c[i][j][k] for i in range(n)])
+def center_check(structure: PoissonStructure,
+                 iso: GerminalIsotropy) -> tuple[list[list], Verdict]:
+    """Center of the Lie algebra of a linear structure, read off ``pi`` (the
+    ``v`` with ``sum_i v_i c^k_ij = 0`` for all ``j, k``, ``c^k_ij`` the
+    coefficient of ``x_k`` in ``PI[i][j]``), and whether the kernel module at
+    the origin spans exactly the center. ``ValueError`` unless ``pi`` is linear."""
+    n = len(structure.variables)
+    if any(sum(e) != 1 for p in structure.bivector.components.values() for e in p.terms):
+        raise ValueError("center_check needs a linear structure")
+    mat = structure.pi_matrix()
+    units = [tuple(int(m == k) for m in range(n)) for k in range(n)]
+    rows = [[mat[i][j].terms.get(units[k], 0) for i in range(n)]
+            for j in range(n) for k in range(n)]
     center = nullspace(rows, n)
 
     origin = [QQ(0)] * n

@@ -1,5 +1,8 @@
 """End-to-end analysis pipeline and report assembly.
 
+:func:`parse_input` is the only reader of the input document; :func:`analyze`
+reads only the structure, echo and declared distribution it returns.
+
 The report is deterministic for a fixed seed and option set: ideals are
 printed as generator lists sorted under degrevlex, every inconclusive
 verdict carries its unresolved ideal verbatim, and wall-clock timing is kept
@@ -27,7 +30,6 @@ from .poisson import (
     verify_distribution,
     DENSITY_RATIONALE,
     SMOOTHNESS_NOTE,
-    top_power,
 )
 from .construct import logf_classify
 
@@ -139,11 +141,14 @@ class AnalysisReport:
 
 
 def parse_input(document: dict) -> tuple[PoissonStructure, dict, list | None]:
-    """Build the structure from the JSON document; returns (structure, echo,
-    table), ``table`` the structure constants in ``lie_algebra`` mode and
-    ``None`` in ``bivector`` mode. A ``lie_algebra`` structure is proved
-    Poisson on its constants (a non-Lie table is an ``InputError``); a
-    ``bivector`` structure is unchecked, and :func:`analyze` proves it."""
+    """Read and check the whole document, on every chart; returns
+    ``(structure, echo, declared)``, the mode as ``echo["mode"]`` and
+    ``declared`` the declared distribution's rows as polynomials (``None`` if
+    absent, ``null`` or empty). A ``lie_algebra`` table goes only to
+    :func:`linear_structure`, which proves the structure Poisson (a non-Lie
+    table is an ``InputError``); a ``bivector`` structure is unchecked, and
+    :func:`analyze` proves it. Malformed input is an ``InputError`` naming
+    the entry at fault."""
     if not isinstance(document, dict):
         raise InputError(f"input must be a JSON object, got {type(document).__name__}")
     if "coordinates" not in document:
@@ -157,13 +162,11 @@ def parse_input(document: dict) -> tuple[PoissonStructure, dict, list | None]:
         raise InputError("duplicate coordinate names")
     mode = document.get("mode", "bivector")
     echo: dict = {"coordinates": list(coords), "mode": mode}
-    table = None
     if mode == "lie_algebra":
         constants = document.get("structure_constants")
         if constants is None:
             raise InputError("lie_algebra mode needs 'structure_constants'")
-        n = len(coords)
-        table = _parse_constants(constants, n)
+        table = _parse_constants(constants, len(coords))
         try:
             structure = linear_structure(table, coords)
         except ValueError as exc:
@@ -174,6 +177,8 @@ def parse_input(document: dict) -> tuple[PoissonStructure, dict, list | None]:
         entries = document.get("bivector")
         if entries is None:
             raise InputError("missing 'bivector'")
+        if not isinstance(entries, list):
+            raise InputError(f"'bivector' must be a list of entries, got {entries!r}")
         comps: dict[tuple[int, int], Polynomial] = {}
         echo_entries = []
         for entry in entries:
@@ -191,7 +196,25 @@ def parse_input(document: dict) -> tuple[PoissonStructure, dict, list | None]:
     else:
         raise InputError(f"unknown mode {mode!r}")
     echo["bivector_pretty"] = str(structure.bivector)
-    return structure, echo, table
+    return structure, echo, _parse_declared(document.get("declared_distribution"), coords)
+
+
+def _parse_declared(rows, coords: tuple[str, ...]) -> list[list[Polynomial]] | None:
+    """The declared distribution's rows, each ``n`` polynomial strings or
+    JSON integers; ``None`` for ``None`` or an empty list."""
+    if rows is None:
+        return None
+    if not isinstance(rows, list):
+        raise InputError(f"'declared_distribution' must be a list of rows, got {rows!r}")
+    n = len(coords)
+    for row in rows:
+        if not isinstance(row, list) or len(row) != n:
+            raise InputError(f"declared row {row!r} must be a list of {n} entries")
+        for entry in row:
+            if type(entry) is not int and not isinstance(entry, str):
+                raise InputError(f"declared entry {entry!r} in row {row!r} must be "
+                                 f"a string or an integer")
+    return [[Polynomial.parse(coords, str(c)) for c in row] for row in rows] or None
 
 
 def _index(entry: dict, key: str) -> int:
@@ -242,8 +265,8 @@ def _parse_constants(constants, n: int):
     raise InputError("structure_constants must be a dense array or a sparse entry list")
 
 
-def _lie_section(table, iso) -> dict:
-    center, h0_matches_center = center_check(table, iso)
+def _lie_section(structure: PoissonStructure, iso) -> dict:
+    center, h0_matches_center = center_check(structure, iso)
     return {
         "center_dimension": len(center),
         "center_basis": [[str(v) for v in vec] for vec in center],
@@ -252,10 +275,12 @@ def _lie_section(table, iso) -> dict:
 
 
 def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisReport:
-    """Full pipeline: jacobi, rank data, kernel module, constant-rank
-    decision, distribution checks, log-type classification, Casimir search."""
+    """Full pipeline on the parsed document (:func:`parse_input`): jacobi,
+    rank data, kernel module, constant-rank decision, distribution checks,
+    log-type classification, Casimir search."""
     options = options or AnalysisOptions()
-    structure, echo, table = parse_input(document)
+    structure, echo, declared = parse_input(document)
+    lie_algebra = echo["mode"] == "lie_algebra"
     data: dict = {"schema": SCHEMA_VERSION, "input": echo,
                   "options": {"max_degree": options.max_degree, "samples": options.samples,
                               "seed": options.seed, "skip_jacobi": options.skip_jacobi}}
@@ -275,8 +300,8 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
                 f"has coefficient {jac.witness['coefficient']}")
 
     if structure.is_zero:
-        if table is not None:
-            data["lie_algebra"] = _lie_section(table, germinal_isotropy(structure))
+        if lie_algebra:
+            data["lie_algebra"] = _lie_section(structure, germinal_isotropy(structure))
         data["zero_bivector"] = True
         data["k"] = 0
         data["almost_regular"] = {"outcome": "yes",
@@ -284,9 +309,8 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
         data["assumptions"] = [SMOOTHNESS_NOTE]
         return AnalysisReport(data, inconclusive=False, structure=structure)
 
-    tp = top_power(structure)
-    data["k"] = tp.k
-    data["regular_locus_ideal"] = _poly_list(tp.coefficient_ideal)
+    data["k"] = structure.k
+    data["regular_locus_ideal"] = _poly_list(structure.regular_ideal)
     data["density_rationale"] = DENSITY_RATIONALE
 
     # the Casimir basis and the kernel module are computed once: the decision
@@ -295,8 +319,8 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
     decision = almost_regular_decide(structure, seed=options.seed, samples=options.samples,
                                      casimirs=basis)
     iso = decision.payload["isotropy"]
-    if table is not None:
-        data["lie_algebra"] = _lie_section(table, iso)
+    if lie_algebra:
+        data["lie_algebra"] = _lie_section(structure, iso)
     data["germinal_isotropy"] = {
         "generators": _gen_list(iso.module.generators),
         "generic_dimension": iso.generic_dimension,
@@ -319,16 +343,13 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
 
     if decision.is_yes:
         dist = decision.payload["distribution"]
-        declared = document.get("declared_distribution")
-        if declared:
-            gens = [[Polynomial.parse(structure.variables, str(c)) for c in row]
-                    for row in declared]
+        if declared is not None:
             declared_module = SubmodulePresentation(structure.variables,
-                                                    len(structure.variables), gens)
+                                                    len(structure.variables), declared)
             checked = DistributionPresentation(declared_module, dist.rank,
                                                provenance={"declared": True})
             data["declared_distribution"] = {
-                "generators": _gen_list(gens),
+                "generators": _gen_list(declared),
                 "equals_computed": declared_module.equals_module(dist.module).outcome,
             }
             target = checked

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import poiskit
-from poiskit._kernel import QQ
+from poiskit.polyalg import Polynomial
 from poiskit.cli import main
 from poiskit.poisson import check_jacobi, lie_jacobi_defect, linear_bivector
 from poiskit.report import AnalysisOptions, InputError, analyze, parse_input
@@ -106,8 +106,10 @@ def test_structure_constants_are_parsed_once(monkeypatch):
 
     doc = {"coordinates": ["x", "y", "z"], "mode": "lie_algebra",
            "structure_constants": [{"i": 0, "j": 1, "k": 2, "c": "1/2"}]}
-    _, _, table = parse_input(doc)
-    assert table[0][1][2] == QQ(1, 2) and table[1][0][2] == QQ(-1, 2)
+    structure, echo, _ = parse_input(doc)
+    assert structure.bivector.components == {(0, 1): Polynomial.parse(("x", "y", "z"), "1/2*z")}
+    assert echo["structure_constants"][0][1][2] == "1/2"
+    assert echo["structure_constants"][1][0][2] == "-1/2"
     calls = []
     original = report_module._parse_constants
     monkeypatch.setattr(report_module, "_parse_constants",
@@ -286,6 +288,56 @@ def test_declared_distribution_is_checked():
     assert report2.data["distribution_checks"]["outcome"] == "no"
 
 
+@pytest.mark.parametrize("doc", [HEIS, SU2, HEIS_LIE], ids=["heis-yes", "su2-no", "heis-lie"])
+@pytest.mark.parametrize("declared", [
+    5, [5], [[None, "0", "0"]], [[True, "0", "0"]], [[0.5, "0", "0"]], [["1", "0"]],
+    {"rows": []}, "1,0,0"])
+def test_malformed_declared_distribution_is_an_input_error(doc, declared):
+    """The declared distribution is checked when the document is read, on a
+    ``yes`` chart (Heisenberg, in both modes) and on a ``no`` chart (su(2))
+    alike."""
+    bad = {**doc, "declared_distribution": declared}
+    with pytest.raises(InputError, match="declared"):
+        parse_input(bad)
+    with pytest.raises(InputError, match="declared"):
+        analyze(bad)
+
+
+@pytest.mark.parametrize("entries", [
+    5, "x", {"i": 0, "j": 1, "coeff": "t"}, [5], [None], [[0, 1, "t"]], ["i"]])
+def test_malformed_bivector_is_an_input_error(entries):
+    with pytest.raises(InputError, match="bivector"):
+        analyze({**HEIS, "bivector": entries})
+
+
+def test_declared_distribution_accepts_strings_and_integers_and_empty_declares_none():
+    plain = analyze(HEIS).to_json()
+    for none_declared in ([], None):
+        doc = {**HEIS, "declared_distribution": none_declared}
+        assert parse_input(doc)[2] is None
+        assert analyze(doc).to_json() == plain
+    rows = [[1, 0, 0], ["0", "1", "0"]]        # JSON integers are entries too
+    _, _, declared = parse_input({**HEIS, "declared_distribution": rows})
+    assert [[str(p) for p in row] for row in declared] == [["1", "0", "0"], ["0", "1", "0"]]
+    # a well-formed declaration on a "no" chart is read and left out of the report
+    report = analyze({**SU2, "declared_distribution": [["1", "0", "0"]]})
+    assert "declared_distribution" not in report.data
+
+
+@pytest.mark.parametrize("bad", [
+    {**SU2, "bivector": 5},
+    {**HEIS, "declared_distribution": 5},
+    {**SU2, "declared_distribution": [[None, "0", "0"]]},
+])
+def test_cli_batch_keeps_the_good_reports_when_an_input_is_malformed(tmp_path, capsys, bad):
+    ok = write(tmp_path, "ok.json", SU2)
+    broken = write(tmp_path, "bad.json", bad)
+    assert main(["analyze", ok, broken]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"==== {ok} ====\n" + analyze(SU2).to_text()
+    assert captured.err.startswith(f"{broken}: ")
+
+
 def test_input_errors():
     with pytest.raises(InputError):
         parse_input({"coordinates": ["x", "x"], "mode": "bivector", "bivector": []})
@@ -439,11 +491,11 @@ def test_cli_trace_reuses_the_analysis(tmp_path, capsys, monkeypatch):
 def test_round_trip_parse_print_parse():
     from poiskit.polyalg import parse_polynomial
 
-    structure, echo, table = parse_input(HEIS)
+    structure, echo, declared = parse_input(HEIS)
     again = parse_polynomial(("x", "y", "t"), echo["bivector"][0]["coeff"])
     assert again == structure.bivector.components[(0, 1)]
     assert str(structure.bivector) == echo["bivector_pretty"]
-    assert table is None
+    assert declared is None
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -8,7 +8,8 @@ The sheared Heisenberg and flat charts hand the saturation a regular-locus
 ideal with two generators (in ``heis3_by_t`` the same one twice), so the
 colon meets more than one generator and a repeat. Both center basis vectors
 of ``heis3xR_dual_rational`` have non-integer entries, which pins the exact
-kernel behind ``center_check``. A change that alters a report on purpose
+kernel behind ``center_check``, which reads the rational constants back off
+the linear bivector, not off the input table. A change that alters a report on purpose
 rewrites the ``.report.*`` files with ``analyze(doc).to_text()`` and
 ``.to_json()``."""
 

@@ -25,6 +25,7 @@ from poiskit.polyalg import (
 )
 from poiskit.modcalc import SubmodulePresentation, colon_by_ideal, saturate, variety_emptiness
 from poiskit.modcalc import presentation
+from poiskit.construct import logf_classify
 from poiskit.poisson import (
     DistributionPresentation,
     PoissonStructure,
@@ -36,6 +37,7 @@ from poiskit.poisson import (
     almost_regular_decide,
     casimir_search,
     casimir_test,
+    center_check,
     check_jacobi,
     foliation_inclusion,
     foliation_module,
@@ -43,8 +45,7 @@ from poiskit.poisson import (
     koszul_bracket,
     lie_jacobi_defect,
     linear_bivector,
-    linear_poisson,
-    top_power,
+    linear_structure,
     verify_distribution,
 )
 from conftest import (
@@ -98,28 +99,30 @@ def test_constructor_rejects_non_poisson():
 
 
 def test_top_power_rotation(su2):
-    data = top_power(su2)
-    assert data.k == 1
-    assert sorted(str(p) for p in data.coefficient_ideal) == ["-y", "x", "z"]
-    assert data.density.is_yes
+    assert su2.k == 1
+    assert su2.top == su2.bivector
+    assert sorted(str(p) for p in su2.regular_ideal) == ["-y", "x", "z"]
 
 
 def test_top_power_heisenberg(heis):
-    data = top_power(heis)
-    assert data.k == 1 and [str(p) for p in data.coefficient_ideal] == ["t"]
+    assert heis.k == 1 and [str(p) for p in heis.regular_ideal] == ["t"]
 
 
 def test_top_power_constant_symplectic_r4():
     ps = PoissonStructure.from_components(("x", "y", "z", "w"), {(0, 1): "1", (2, 3): "1"})
-    data = top_power(ps)
-    assert data.k == 2
-    assert [str(p) for p in data.coefficient_ideal] == ["2"]
+    assert ps.k == 2
+    assert ps.top == wedge(ps.bivector, ps.bivector)
+    assert [str(p) for p in ps.regular_ideal] == ["2"]
 
 
 def test_top_power_zero_bivector_errors():
+    # the zero bivector has no nonzero power: k is 0, the regular-locus ideal
+    # is the unit ideal, and the log-type split, which needs k >= 1, refuses it
     ps = PoissonStructure(MultivectorField.zero(V3, 2))
-    with pytest.raises(ZeroBivectorError):
-        top_power(ps)
+    assert ps.is_zero and ps.k == 0
+    assert ps.regular_ideal == [Polynomial.one(V3)]
+    with pytest.raises(ZeroBivectorError, match="k undefined"):
+        logf_classify(ps)
 
 
 # -- Koszul bracket ---------------------------------------------------------------------
@@ -353,28 +356,34 @@ def _sympy_poly(p: Polynomial, xs) -> sympy.Expr:
 
 @pytest.mark.parametrize("case", sorted(_CORPUS_CASES))
 def test_annihilator_certificates_recombine_in_sympy(case):
-    """Each ``f_j a_i`` of a corpus ``yes`` is recombined from its cofactors
-    over the nonzero columns of ``pi``, expanded in sympy."""
+    """Each ``f_j a_i`` of a corpus ``yes`` is recombined, expanded in sympy,
+    from the certificate's own ``multipliers`` and ``generators``: the
+    distinct nonzero generators of ``I`` (``1`` at exponent 0) and the
+    nonzero columns of ``pi``. Where ``pi`` has a zero column (heis3xheis3,
+    lie-duals heis5) cofactor ``l`` is not column ``l``."""
     structure = parse_input(_CORPUS_CASES[case])[0]
     verdict = almost_regular_decide(structure)
     if not verdict.is_yes or structure.is_zero:
         return
     dist = verdict.payload["distribution"]
     k = dist.provenance["saturation_exponent"]
-    memberships = dist.provenance["annihilator_in_saturation"].certificate["memberships"]
+    certificate = dist.provenance["annihilator_in_saturation"].certificate
     assert k <= 1      # so the cofactors are over the columns of pi themselves
     xs = sympy.symbols(structure.variables)
-    columns = [[_sympy_poly(p, xs) for p in col] for col in structure.bivector.columns()]
-    columns = [col for col in columns if any(e != 0 for e in col)]
-    multipliers = [sympy.Integer(1)] if k == 0 else [
-        _sympy_poly(f, xs) for f in dict.fromkeys(structure.regular_ideal) if not f.is_zero]
+    sym = lambda vectors: [[_sympy_poly(p, xs) for p in v] for v in vectors]
+    generators = sym(certificate["generators"])
+    multipliers = [_sympy_poly(f, xs) for f in certificate["multipliers"]]
+    assert generators == [col for col in sym(structure.bivector.columns())
+                          if any(e != 0 for e in col)]
+    assert multipliers == ([sympy.Integer(1)] if k == 0 else [
+        _sympy_poly(f, xs) for f in dict.fromkeys(structure.regular_ideal) if not f.is_zero])
     products = [(a, f) for a in dist.generators for f in multipliers]
-    assert len(memberships) == len(products)
-    for (a, f), member in zip(products, memberships):
+    assert len(certificate["memberships"]) == len(products)
+    for (a, f), member in zip(products, certificate["memberships"]):
         q = [_sympy_poly(c, xs) for c in member["coefficients"]]
-        assert len(q) == len(columns)
+        assert len(q) == len(generators)
         for row, entry in enumerate(a):
-            combination = sum((ql * col[row] for ql, col in zip(q, columns)), sympy.Integer(0))
+            combination = sum((ql * g[row] for ql, g in zip(q, generators)), sympy.Integer(0))
             assert sympy.expand(f * _sympy_poly(entry, xs) - combination) == 0
 
 
@@ -426,9 +435,10 @@ def test_verify_distribution_full_tangent_always_passes(heis):
     (sl2_constants(), 0),
 ])
 def test_linear_origin_kernel_matches_center(constants, center_dim):
-    data = linear_poisson(constants)
-    assert len(data.center_basis) == center_dim
-    assert data.h0_matches_center.is_yes
+    structure = linear_structure(constants)
+    center, h0_matches_center = center_check(structure, germinal_isotropy(structure))
+    assert len(center) == center_dim
+    assert h0_matches_center.is_yes
 
 
 def test_linear_rejects_non_lie_constants():
@@ -437,17 +447,61 @@ def test_linear_rejects_non_lie_constants():
     c[1][2][1], c[2][1][1] = 1, -1
     assert lie_jacobi_defect(c)
     with pytest.raises(ValueError, match="structure constants fail the Lie-Jacobi identity"):
-        linear_poisson(c)
+        linear_structure(c)
 
 
-def test_linear_poisson_runs_no_schouten_bracket(monkeypatch):
+def test_linear_structure_runs_no_schouten_bracket(monkeypatch):
     calls = []
     original = poiskit.poisson.schouten_bracket
     monkeypatch.setattr(poiskit.poisson, "schouten_bracket",
                         lambda *args: calls.append(args) or original(*args))
-    data = linear_poisson(su2_constants())
+    structure = linear_structure(su2_constants())
+    center_check(structure, germinal_isotropy(structure))
     assert calls == []
-    assert data.structure.jacobi.to_json() == check_jacobi(data.structure.bivector).to_json()
+    assert structure.jacobi.to_json() == check_jacobi(structure.bivector).to_json()
+
+
+def _sympy_table(document: dict) -> list[list[list[sympy.Rational]]]:
+    """The structure constants of a sparse ``lie_algebra`` document, read by
+    sympy straight from the JSON entries."""
+    n = len(document["coordinates"])
+    c = [[[sympy.Integer(0)] * n for _ in range(n)] for _ in range(n)]
+    for entry in document["structure_constants"]:
+        i, j, k, v = entry["i"], entry["j"], entry["k"], sympy.Rational(entry["c"])
+        c[i][j][k], c[j][i][k] = v, -v
+    return c
+
+
+_CENTER_CASES = {
+    **{f"lie-duals:{name}": doc for name, doc in documents("lie-duals", 0).items()},
+    "heis3xR_dual_rational": json.loads(
+        (_GOLDEN / "heis3xR_dual_rational.input.json").read_text(encoding="utf-8")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CENTER_CASES))
+def test_center_check_spans_the_sympy_center_of_the_table(case):
+    """The center read off the linear bivector is the sympy nullspace of the
+    rows ``sum_i v_i c^k_ij = 0`` of the document's own table."""
+    document = _CENTER_CASES[case]
+    structure = parse_input(document)[0]
+    center, verdict = center_check(structure, germinal_isotropy(structure))
+    c = _sympy_table(document)
+    n = len(c)
+    rows = [[c[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
+    oracle = sympy.Matrix(rows).nullspace()
+    ours = [[sympy.Rational(v.numerator, v.denominator) for v in vec] for vec in center]
+    assert len(ours) == len(oracle)
+    if ours:
+        joint = sympy.Matrix([*ours, *(list(v) for v in oracle)])
+        assert joint.rank() == len(oracle) == sympy.Matrix(ours).rank()
+    assert verdict.is_yes
+
+
+def test_center_check_refuses_a_nonlinear_structure():
+    quadratic = PoissonStructure.from_components(V3, {(0, 1): "z^2"})
+    with pytest.raises(ValueError, match="linear structure"):
+        center_check(quadratic, germinal_isotropy(quadratic))
 
 
 def test_jacobi_equivalence_randomized():
@@ -722,7 +776,7 @@ def _su2_plus_r2_constants():
     (_su2_plus_r2_constants(), 22),    # polynomials in x1^2 + x2^2 + x3^2, x4, x5
 ])
 def test_casimir_search_on_five_dimensional_lie_duals_matches_dense(constants, count):
-    structure = linear_poisson(constants).structure
+    structure = linear_structure(constants)
     assert len(_monomials_up_to(structure.variables, 4)) == 126
     basis = casimir_search(structure, 4)
     assert basis == _casimir_basis_via_dense(structure, 4)
