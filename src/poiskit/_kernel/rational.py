@@ -5,7 +5,8 @@ an integral value is a Python ``int`` and any other value is a ``QQ``, so
 the common integer coefficients (structure constants, fraction-free kernels,
 monic Groebner leads) run on ``int`` arithmetic. :func:`to_qq` returns that
 canonical form for inputs from outside the program, including any rational
-with ``numerator`` and ``denominator``. Sums and products of coefficients
+with ``numerator`` and ``denominator``, and it is where every exact entry
+point refuses a float. Sums and products of coefficients
 are not put back into canonical form: a ``QQ`` result such as ``1/2 + 1/2``
 may stay a ``QQ``, and it compares and hashes equal to the ``int``.
 
@@ -15,6 +16,7 @@ a bare ``/``: ``1 / c`` on an ``int`` coefficient is a float.
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 
 QQ = Fraction
@@ -22,12 +24,13 @@ QQ = Fraction
 
 def to_qq(value):
     """Coerce ints, strings like ``3/4`` and rationals to the canonical exact
-    form: an ``int`` when integral, else a ``QQ``."""
+    form: an ``int`` when integral, else a ``QQ``. A real that is not
+    rational (``float``, a numpy float) is a ``TypeError``."""
     if type(value) is QQ:               # immutable, so no copy is needed
         return value if value.denominator != 1 else value.numerator
     if type(value) is int:
         return value
-    if isinstance(value, float):
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
         raise TypeError("floats are not exact; pass a rational or a string")
     if hasattr(value, "numerator") and not isinstance(value, (int, str)):
         value = QQ(int(value.numerator), int(value.denominator))

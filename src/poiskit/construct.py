@@ -2,7 +2,7 @@
 
 Covers: rescaling by Casimirs (same distribution), direct products, the
 induced structure on a foliation by cosymplectic subspaces (symbolic for
-constant subspaces, pointwise numeric otherwise), the zero locus ``Z`` of the
+constant subspaces, pointwise exact otherwise), the zero locus ``Z`` of the
 top power with its singular subset ``Z_sing``, and restriction to a leaf of a
 coordinate-aligned distribution.
 """
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from ._kernel import QQ, to_qq
 from .polyalg import (
@@ -23,7 +21,7 @@ from .polyalg import (
     pair,
 )
 from .modcalc import SubmodulePresentation, Verdict, polynomial_gcd, variety_emptiness
-from .modcalc.linalg import nullspace, solve
+from .modcalc.linalg import nullspace, rank, solve
 from .modcalc.rank import _det
 from .poisson import (
     DistributionPresentation,
@@ -149,9 +147,10 @@ class CosymplecticReduction:
     normal_covectors: list[list]             # basis of W°
     determinant: Polynomial
 
-    def pointwise(self, point: Sequence, *, cutoff: float = 1e-10):
-        """Induced skew matrix on W at one point (exact for rational points)."""
-        return induced_bivector_at(self.parent, self.w_basis, point, cutoff=cutoff)
+    def pointwise(self, point: Sequence):
+        """Induced skew matrix on W at one point, exact; a float coordinate
+        is a ``TypeError``."""
+        return induced_bivector_at(self.parent, self.w_basis, point)
 
 
 def _sharp_columns(structure: PoissonStructure, covectors: Sequence[Sequence]) -> list[list[Polynomial]]:
@@ -164,53 +163,38 @@ def _sharp_columns(structure: PoissonStructure, covectors: Sequence[Sequence]) -
     return out
 
 
-def induced_bivector_at(structure: PoissonStructure, w_basis, point: Sequence,
-                        *, cutoff: float = 1e-10):
+def induced_bivector_at(structure: PoissonStructure, w_basis, point: Sequence):
     """Pointwise cosymplectic reduction: the induced skew matrix on W in the
-    given basis. Exact for rational points, least-squares with a singular
-    value cutoff for float points. Raises on splitting failure."""
+    given basis, in exact arithmetic. The point goes through ``to_qq``, so a
+    float coordinate is a ``TypeError``. Raises ``CosymplecticError`` with the
+    defect dimensions where ``sharp(W°) ⊕ W`` is not all of ``R^n``."""
     w = _w_basis_matrix(structure, w_basis)
     n = len(structure.variables)
     p = len(w)
     normals = nullspace(w, n)
-    pi_mat = structure.pi_matrix()
-    exact = not any(isinstance(x, float) for x in point)
-    pt = [to_qq(x) for x in point] if exact else [float(x) for x in point]
-    pival = [[q.eval(pt) for q in row] for row in pi_mat]
+    pt = [to_qq(x) for x in point]
+    pival = [[q.eval(pt) for q in row] for row in structure.pi_matrix()]
     # columns of B: sharp(eta_j) then w_i
-    sharp_cols = []
-    for eta in normals:
-        col = [sum((pival[i][j] * eta[i] for i in range(n)),
-                   QQ(0) if exact else 0.0) for j in range(n)]
-        sharp_cols.append(col)
-    bmat = [[sharp_cols[j][i] for j in range(len(sharp_cols))] + [w[a][i] for a in range(p)]
+    sharp_cols = [[sum((pival[i][j] * eta[i] for i in range(n)), QQ(0)) for j in range(n)]
+                  for eta in normals]
+    bmat = [[col[i] for col in sharp_cols] + [w[a][i] for a in range(p)]
             for i in range(n)]
-    arr = np.array([[float(x) for x in row] for row in bmat])
-    rank = int(np.linalg.matrix_rank(arr, tol=cutoff))
-    if rank < n:
-        dim_s = int(np.linalg.matrix_rank(arr[:, : len(sharp_cols)], tol=cutoff))
-        defect = {"dim_sharp_W0": dim_s, "dim_W": p, "rank_sum": rank,
-                  "intersection_dim": dim_s + p - rank}
+    rank_sum = rank(bmat)
+    if rank_sum < n:
+        dim_s = rank([row[:len(sharp_cols)] for row in bmat])
+        defect = {"dim_sharp_W0": dim_s, "dim_W": p, "rank_sum": rank_sum,
+                  "intersection_dim": dim_s + p - rank_sum}
         raise CosymplecticError(
             f"sharp(W°) ⊕ W is not all of R^{n} at {list(point)}", defect)
-    # extensions xi_a: <xi, sharp eta_j> = 0, <xi, w_b> = delta_ab
-    ext = []
-    for a in range(p):
-        rhs = [0] * (n - p) + [1 if b == a else 0 for b in range(p)]
-        rows = [[bmat[i][c] for i in range(n)] for c in range(n)]
-        if exact:
-            sol = solve(rows, rhs)
-            if sol is None:
-                raise CosymplecticError("extension system inconsistent", {})
-        else:
-            sol, *_ = np.linalg.lstsq(np.array(rows, dtype=float),
-                                      np.array(rhs, dtype=float), rcond=cutoff)
-            sol = list(sol)
-        ext.append(sol)
+    # extensions xi_a: <xi, sharp eta_j> = 0, <xi, w_b> = delta_ab; B has
+    # full rank, so each system has exactly one solution
+    rows = [[bmat[i][c] for i in range(n)] for c in range(n)]
+    ext = [solve(rows, [0] * (n - p) + [1 if b == a else 0 for b in range(p)])
+           for a in range(p)]
     out = [[None] * p for _ in range(p)]
     for a in range(p):
         for b in range(p):
-            acc = QQ(0) if exact else 0.0
+            acc = QQ(0)
             for i in range(n):
                 for j in range(n):
                     if pival[i][j]:

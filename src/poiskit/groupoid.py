@@ -10,15 +10,15 @@ full-rank constant bivector scaled by a one-variable profile ``f(t)``:
 ``sharp`` uses the same transpose convention as the rest of the package
 (``sharp(xi) = PI^T xi``), which is what makes the slice target map Poisson
 and the target-source map into the fiberwise pair groupoid anti-Poisson.
-The model checks these laws in exact arithmetic, so it compiles its data
-once: the profile to its terms (``f_at`` returns what ``f.eval`` would,
-value and type, without calling it) and ``pi`` to the integer numerator and
-denominator of each nonzero entry of each column.  On exact input (``QQ``
-or int entries, no float) the structure maps work on integers: ``target``
+The model checks these laws in exact arithmetic, and it is exact only: every
+entry goes through ``to_qq``, so a float (``float`` or a numpy float) is a
+``TypeError``.  It compiles its data once: the profile to its terms
+(``f_at`` returns what ``f.eval`` would, value and type, without calling
+it) and ``pi`` to the integer numerator and denominator of each nonzero
+entry of each column.  The structure maps work on integers: ``target``
 forms each coordinate of ``v + f(t) sharp(xi)`` as one unreduced fraction
 and builds one reduced ``QQ`` from it, and ``composable`` compares a source
-with a target by cross-multiplication without building either.  Float and
-mixed input keep float arithmetic and the composability tolerance.
+with a target by cross-multiplication without building either.
 
 The monodromy integrator evaluates the kernel-valued curvature of the
 minimal-norm splitting of ``sharp`` over a 2-sphere inside a regular leaf,
@@ -69,23 +69,13 @@ __all__ = [
     "pairwise_sum",
 ]
 
-FLOAT_COMPOSABILITY_TOL = 1e-12
-_FLOAT_TYPES = (float, np.floating)
-
-
-def _is_float_entry(x) -> bool:
-    return isinstance(x, _FLOAT_TYPES)
-
-
-def _ratios(entries) -> list[tuple[int, int]] | None:
-    """``(numerator, denominator)`` of each exact entry, the denominator
-    positive; ``None`` when an entry is a float.  ``QQ`` and int entries are
-    read as they are, any other goes through ``to_qq``."""
+def _ratios(entries) -> list[tuple[int, int]]:
+    """``(numerator, denominator)`` of each entry, the denominator positive.
+    ``QQ`` and int entries are read as they are, any other goes through
+    ``to_qq``, which refuses a float."""
     out = []
     for x in entries:
         if type(x) is not QQ and type(x) is not int:
-            if _is_float_entry(x):
-                return None
             x = to_qq(x)
         out.append((x.numerator, x.denominator))
     return out
@@ -99,29 +89,26 @@ class LinearGroupoidModel:
     ``f(t) sharp(xi)``; ``pi`` must be a full-rank skew rational matrix.
 
     The profile is compiled once to its ``(exponent, coefficient)`` terms and
-    ``pi`` to the nonzero entries of each column, as floats and as integer
-    numerator and denominator.  Exact input (no float entry) is computed on
-    integer numerators and denominators, with one ``QQ`` per output
-    coordinate; float and mixed input keep the float path and the
-    composability tolerance.
+    ``pi`` to the integer numerator and denominator of the nonzero entries of
+    each column; every map computes on those integers, with one ``QQ`` per
+    output coordinate.  The model is exact only: an entry of ``xi``, ``v`` or
+    ``t`` goes through ``to_qq``, and a float entry (``float`` or a numpy
+    float) raises ``TypeError``.
 
     The package's exact coefficients are an ``int`` when integral and a
     ``QQ`` otherwise; the maps here return, for ``g = (xi, v, t)``:
 
-    * ``target(g)``: ``(w, t)`` with ``t`` as given.  With no float entry in
-      ``xi``, ``v`` or ``t`` (``int`` and ``QQ`` in any mix), every
-      coordinate of ``w = v + f(t) sharp(xi)`` is a ``QQ`` in lowest terms,
-      integral or not (``sharp`` likewise); a float entry (``float`` or a
-      numpy float) makes every coordinate a float.
+    * ``target(g)``: ``(w, t)`` with ``t`` as given.  For ``int`` and ``QQ``
+      entries in any mix, every coordinate of ``w = v + f(t) sharp(xi)`` is a
+      ``QQ`` in lowest terms, integral or not (``sharp`` likewise).
     * ``inverse(g)``: ``(-xi, target(g)[0], t)``; each ``xi`` entry keeps
       its type when negated.
     * ``multiply(g, h)``: ``(xi_g + xi_h, v_h, t_g)``, the sums formed by
       ``+`` and not put back into canonical form: int plus int is an int, a
-      sum with a ``QQ`` is a ``QQ`` (which may be integral), a sum with a
-      float is a float; ``v_h`` and ``t`` are returned as given.
+      sum with a ``QQ`` is a ``QQ`` (which may be integral); ``v_h`` and
+      ``t`` are returned as given.
     * ``pair_slice_inverse((w, v, t))``: ``(xi, v, t)`` with ``xi`` in
-      canonical form; it is exact only, and a float entry raises
-      ``TypeError``.
+      canonical form.
     """
 
     def __init__(self, pi_matrix: Sequence[Sequence], f: Polynomial):
@@ -141,31 +128,24 @@ class LinearGroupoidModel:
             raise ValueError("f must be a polynomial in the single variable t")
         self.f = f
         # the terms of f in f.terms order (which holds no zero coefficient);
-        # for exact t a coefficient of 1 becomes None and costs no product
+        # a coefficient of 1 becomes None and costs no product
         self._profile = [(e, c) for (e,), c in f.terms.items()]
         self._profile_exact = [(e, None if e and c == 1 else c) for e, c in self._profile]
-        # nonzero entries of each column of pi, the terms of sharp(xi)_j, as
-        # (i, entry) for float input and (i, numerator, denominator) for exact
-        columns = [[(i, self.pi[i][j]) for i in range(self.d) if self.pi[i][j]]
-                   for j in range(self.d)]
-        self._columns_float = [[(i, float(c)) for i, c in col] for col in columns]
-        self._columns_exact = [[(i, c.numerator, c.denominator) for i, c in col]
-                               for col in columns]
+        # (i, numerator, denominator) of the nonzero entries of each column of
+        # pi, the terms of sharp(xi)_j
+        self._columns = [[(i, c.numerator, c.denominator) for i, c in enumerate(col) if c]
+                         for col in zip(*self.pi)]
         self._zero = (0,) * self.d
 
     def f_at(self, t):
-        """``f(t)``, equal in value and type to ``self.f.eval([t])``: exact for
-        rational or int ``t``, bit for bit the same float for float ``t``, and
-        the int 0 for the zero profile. A numpy float that is not a ``float``
-        (``np.float32``) is read as ``float(t)``."""
-        if isinstance(t, float):
-            terms = self._profile             # c * t**e, as Polynomial.eval forms it
-        elif _is_float_entry(t):
-            t, terms = float(t), self._profile
-        else:
-            t, terms = to_qq(t), self._profile_exact
+        """``f(t)``, equal in value and type to ``self.f.eval([t])`` for exact
+        ``t``, and the int 0 for the zero profile; ``t`` goes through
+        ``to_qq``, so a float is a ``TypeError``.  The float ``f(t)`` of
+        ``pair_morphism_check`` is ``self.f.eval([t])`` at a float ``t``,
+        which sums ``c * t**e`` in ``f.terms`` order."""
+        t = to_qq(t)
         total = None
-        for e, c in terms:
+        for e, c in self._profile_exact:
             if not e:
                 term = c
             else:
@@ -176,25 +156,14 @@ class LinearGroupoidModel:
         return 0 if total is None else total
 
     def sharp(self, xi: Sequence):
-        """``PI^T xi`` with exact arithmetic for rational input."""
-        ratios = _ratios(xi)
-        if ratios is not None:
-            return [QQ(n, d) for n, d in self._sharp_ratios(ratios)]
-        vals = [float(x) for x in xi]
-        out = []
-        for col in self._columns_float:       # full rank: no column is empty
-            (i, c), rest = col[0], col[1:]
-            acc = vals[i] * c
-            for i, c in rest:
-                acc = acc + vals[i] * c
-            out.append(acc)
-        return out
+        """``PI^T xi``, each coordinate a ``QQ`` in lowest terms."""
+        return [QQ(n, d) for n, d in self._sharp_ratios(_ratios(xi))]
 
     def _sharp_ratios(self, ratios: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
         """``PI^T xi`` as unreduced fractions ``(numerator, denominator > 0)``
         from the ratios of ``xi``."""
         out = []
-        for col in self._columns_exact:
+        for col in self._columns:
             sn, sd = 0, 1
             for i, pn, pd in col:
                 xn, xd = ratios[i]
@@ -203,19 +172,14 @@ class LinearGroupoidModel:
             out.append((sn, sd))
         return out
 
-    def _target_ratios(self, g: GroupoidElement) -> list[tuple[int, int]] | None:
+    def _target_ratios(self, g: GroupoidElement) -> list[tuple[int, int]]:
         """Each coordinate of ``v + f(t) sharp(xi)`` as an unreduced fraction
-        ``(numerator, denominator > 0)``; ``None`` when an entry is a float."""
+        ``(numerator, denominator > 0)``."""
         xi, v, t = g
-        if _is_float_entry(t):
-            return None
-        xs, vs = _ratios(xi), _ratios(v)
-        if xs is None or vs is None:
-            return None
         c = self.f_at(t)
         cn, cd = c.numerator, c.denominator
         return [(vn * cd * sd + cn * sn * vd, vd * cd * sd)
-                for (vn, vd), (sn, sd) in zip(vs, self._sharp_ratios(xs))]
+                for (vn, vd), (sn, sd) in zip(_ratios(v), self._sharp_ratios(_ratios(xi)))]
 
     def translation(self, xi: Sequence, t):
         c = self.f_at(t)
@@ -229,12 +193,7 @@ class LinearGroupoidModel:
 
     def target(self, g: GroupoidElement):
         """``(v + f(t) sharp(xi), t)``."""
-        xi, v, t = g
-        ratios = self._target_ratios(g)
-        if ratios is not None:
-            return (tuple(QQ(n, d) for n, d in ratios), t)
-        c = self.f_at(t)
-        return (tuple(a + c * s for a, s in zip(v, self.sharp(xi))), t)
+        return (tuple(QQ(n, d) for n, d in self._target_ratios(g)), g[2])
 
     def unit(self, v: Sequence, t) -> GroupoidElement:
         return (self._zero, tuple(v), t)
@@ -245,17 +204,14 @@ class LinearGroupoidModel:
         return (tuple(-x for x in xi), w, t)
 
     def composable(self, g: GroupoidElement, h: GroupoidElement) -> bool:
-        (sv, st) = self.source(g)
-        source = None if _is_float_entry(st) else _ratios(sv)
-        target = None if source is None else self._target_ratios(h)
-        if target is not None:
-            # a/b == n/d with b, d > 0, compared without reducing either side
-            return st == h[2] and all(a * d == n * b for (a, b), (n, d) in zip(source, target))
-        (tv, tt) = self.target(h)
-        if abs(float(st) - float(tt)) > FLOAT_COMPOSABILITY_TOL:
-            return False
-        return all(abs(float(a) - float(b)) <= FLOAT_COMPOSABILITY_TOL
-                   for a, b in zip(sv, tv))
+        """Whether the source of ``g`` is the target of ``h``; every entry of
+        both is read, so a float anywhere in them is a ``TypeError``."""
+        xi, v, t = g
+        _ratios(xi)                           # multiply adds xi_g as given
+        source, target = _ratios(v), self._target_ratios(h)
+        # a/b == n/d with b, d > 0, compared without reducing either side
+        return (to_qq(t) == to_qq(h[2])
+                and all(a * d == n * b for (a, b), (n, d) in zip(source, target)))
 
     def multiply(self, g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
         if not self.composable(g, h):
@@ -273,18 +229,15 @@ class LinearGroupoidModel:
 
     def pair_slice_inverse(self, element, *, t=None):
         """Inverse of the slice map ``(xi, v) -> (v + f(t) sharp xi, v)``
-        when ``f(t) != 0``, for exact data only: a float entry is a
-        ``TypeError``."""
+        when ``f(t) != 0``."""
         w, v, t = element if len(element) == 3 else (*element, t)
-        if any(map(_is_float_entry, (*w, *v, t))):
-            raise TypeError("pair_slice_inverse is exact; pass rationals, not floats")
+        diff = [to_qq(a) - to_qq(b) for a, b in zip(w, v)]
         c = self.f_at(t)
         if not c:
             raise ValueError("slice map is not invertible where f(t) = 0")
-        diff = [qq_div(a - b, c) for a, b in zip(w, v)]
-        # solve PI^T xi = diff exactly
+        # solve PI^T xi = (w - v) / f(t) exactly
         rows = [[self.pi[i][j] for i in range(self.d)] for j in range(self.d)]
-        xi = solve(rows, diff)
+        xi = solve(rows, [qq_div(x, c) for x in diff])
         if xi is None:
             raise AssertionError("full-rank sharp failed to invert")
         return (tuple(xi), tuple(v), t)
@@ -388,7 +341,7 @@ def pair_morphism_check(model: LinearGroupoidModel, samples: int = 1000,
     rng2 = random.Random(seed + 1)
     for _ in range(ap_samples):
         t = 0.1 + 1.9 * rng2.random()
-        c = float(model.f_at(t))
+        c = float(model.f.eval([t]))
         if c == 0.0:
             continue
         omega = np.zeros((2 * d, 2 * d))
@@ -622,14 +575,14 @@ def _integrate(problem: MonodromyProblem, mesh: int) -> tuple[float, float]:
 
     n = problem.n
     rank = 2 * problem.structure.k
-    rcond = n * np.finfo(float).eps       # the cutoff lstsq uses by default
+    rcond = n * np.finfo(float).eps       # the rcond lstsq uses by default
     contributions: list[float] = []
     max_residual = 0.0
     for a, th in enumerate(theta):
         xs = problem.sphere.point(th, phi)                                    # (P, n)
         jac = problem.sphere.jacobian(th, phi)                                # (P, n, 2)
         sharp_mat = problem._pi_eval(xs).reshape(-1, n, n).transpose(0, 2, 1)
-        # one SVD per point: the rank guard, and np.linalg.pinv's own cutoff
+        # one SVD per point: the rank guard, and np.linalg.pinv's own rcond
         # and formula for the minimal-norm pseudo-inverse
         u, sv, vt = np.linalg.svd(sharp_mat, full_matrices=False)
         ranks = np.count_nonzero(sv > 1e-9, axis=-1)

@@ -173,7 +173,7 @@ def koszul_bracket(alpha: DifferentialForm, beta: DifferentialForm,
         raise ValueError("koszul_bracket needs grade-1 forms")
     xa = bivector.sharp(alpha)
     xb = bivector.sharp(beta)
-    inner = bivector.pairing(alpha, beta)
+    inner = pair(beta, xa)                    # pi(alpha, beta), from the xa in hand
     return lie_derivative(xa, beta) - lie_derivative(xb, alpha) - DifferentialForm.d_of(inner)
 
 

@@ -183,7 +183,7 @@ def parse_input(document: dict) -> tuple[PoissonStructure, dict, list | None]:
         echo_entries = []
         for entry in entries:
             try:
-                i, j, coeff = _index(entry, "i"), _index(entry, "j"), str(entry["coeff"])
+                i, j, coeff = _index(entry, "i"), _index(entry, "j"), _exact_text(entry["coeff"])
             except (KeyError, TypeError) as exc:
                 raise InputError(f"bad bivector entry {entry!r}: {exc}") from None
             if not 0 <= i < j < len(coords):
@@ -207,14 +207,33 @@ def _parse_declared(rows, coords: tuple[str, ...]) -> list[list[Polynomial]] | N
     if not isinstance(rows, list):
         raise InputError(f"'declared_distribution' must be a list of rows, got {rows!r}")
     n = len(coords)
+    parsed = []
     for row in rows:
         if not isinstance(row, list) or len(row) != n:
             raise InputError(f"declared row {row!r} must be a list of {n} entries")
-        for entry in row:
-            if type(entry) is not int and not isinstance(entry, str):
-                raise InputError(f"declared entry {entry!r} in row {row!r} must be "
-                                 f"a string or an integer")
-    return [[Polynomial.parse(coords, str(c)) for c in row] for row in rows] or None
+        try:
+            parsed.append([Polynomial.parse(coords, _exact_text(c)) for c in row])
+        except TypeError as exc:
+            raise InputError(f"bad declared row {row!r}: {exc}") from None
+    return parsed or None
+
+
+def _exact_text(value) -> str:
+    """An exact JSON value as text for the parsers: a JSON string or integer.
+    ``null``, booleans, floats, lists and objects are a ``TypeError``."""
+    if type(value) is not int and not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a JSON string or integer")
+    return str(value)
+
+
+def _rational(value):
+    """A structure constant: an exact JSON value that reads as a rational; a
+    string that does not is a ``ValueError``."""
+    text = _exact_text(value)
+    try:
+        return to_qq(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{value!r} is not a rational") from None
 
 
 def _index(entry: dict, key: str) -> int:
@@ -240,8 +259,8 @@ def _parse_constants(constants, n: int):
         for entry in constants:
             try:
                 i, j, k = _index(entry, "i"), _index(entry, "j"), _index(entry, "k")
-                c = to_qq(str(entry["c"]))
-            except (KeyError, TypeError) as exc:
+                c = _rational(entry["c"])
+            except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"bad structure constant {entry!r}: {exc}") from None
             if not all(0 <= v < n for v in (i, j, k)):
                 raise InputError(f"structure constant needs indices in [0, {n}), "
@@ -260,7 +279,10 @@ def _parse_constants(constants, n: int):
         for i, plane in enumerate(constants):
             for j, row in enumerate(plane):
                 for k, v in enumerate(row):
-                    table[i][j][k] = to_qq(str(v))
+                    try:
+                        table[i][j][k] = _rational(v)
+                    except (TypeError, ValueError) as exc:
+                        raise InputError(f"bad structure constant [{i}][{j}][{k}]: {exc}") from None
         return table
     raise InputError("structure_constants must be a dense array or a sparse entry list")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -369,6 +370,36 @@ def test_input_errors():
     with pytest.raises(InputError):  # dense structure constants are n x n x n
         parse_input({"coordinates": ["x", "y"], "mode": "lie_algebra",
                      "structure_constants": [[[0, 0, 0], [0, 0, 1]], [[0, 0], [0, 0]]]})
+    # an exact value (a structure constant, a bivector coefficient) is a JSON
+    # string or integer, and a structure constant reads as a rational
+    def sparse(c):
+        return {"coordinates": ["x", "y", "z"], "mode": "lie_algebra",
+                "structure_constants": [{"i": 0, "j": 1, "k": 2, "c": c}]}
+
+    def dense(c):
+        table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+        table[0][1][2] = c
+        return {"coordinates": ["x", "y", "z"], "mode": "lie_algebra",
+                "structure_constants": table}
+
+    def bivector(coeff):
+        return {"coordinates": ["x", "y"], "mode": "bivector",
+                "bivector": [{"i": 0, "j": 1, "coeff": coeff}]}
+
+    for value in (None, True, 1.5, [1], {"n": 1}):
+        kind = re.escape(f"{value!r} is not a JSON string or integer")
+        with pytest.raises(InputError, match=r"bad structure constant \{'i': 0, .*: " + kind):
+            parse_input(sparse(value))
+        with pytest.raises(InputError, match=r"bad structure constant \[0\]\[1\]\[2\]: " + kind):
+            parse_input(dense(value))
+        with pytest.raises(InputError, match=r"bad bivector entry \{'i': 0, .*: " + kind):
+            parse_input(bivector(value))
+    for text in ("x", "None", "1/0", "1.5.2"):
+        kind = re.escape(f"{text!r} is not a rational")
+        with pytest.raises(InputError, match=r"bad structure constant \{'i': 0, .*: " + kind):
+            parse_input(sparse(text))
+        with pytest.raises(InputError, match=r"bad structure constant \[0\]\[1\]\[2\]: " + kind):
+            parse_input(dense(text))
 
 
 def test_cli_exit_codes(tmp_path, capsys):

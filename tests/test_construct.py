@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from poiskit._kernel import QQ
@@ -177,6 +178,30 @@ def test_w_basis_of_the_wrong_length_is_rejected(reduce):
     ps = PoissonStructure.from_components(("x", "y", "z", "w"), {(0, 1): "1", (2, 3): "1"})
     with pytest.raises(ValueError, match="chart dimension"):
         reduce(ps, [[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("scale", [QQ(1, 10 ** 12), 10 ** 12], ids=["1e-12", "1e12"])
+def test_pointwise_is_exact_whatever_the_scale_of_the_normal_block(scale):
+    """``x3, x4`` carry ``scale * dx3 ^ dx4``: the determinant of
+    ``[sharp(W°) | W]`` is ``scale^2``, certified nonvanishing, so every
+    point splits, however small the entries of ``sharp(W°)``."""
+    ps = PoissonStructure.from_components(R6, {(0, 1): "t", (2, 3): "1", (4, 5): str(scale)})
+    red = cosymplectic_reduce(ps, _r6_w())
+    assert red.cosymplectic_certificate.is_yes
+    assert red.determinant == Polynomial.constant(R6, scale * scale)
+    assert red.pointwise([2, 1, 0, 0, 0, 0]) == [[0, 2, 0, 0], [-2, 0, 0, 0],
+                                                 [0, 0, 0, 1], [0, 0, -1, 0]]
+
+
+@pytest.mark.parametrize("ftype", [float, np.float64, np.float32, np.float16])
+def test_pointwise_refuses_a_float_coordinate(ftype):
+    ps = _r6_structure()
+    red = cosymplectic_reduce(ps, _r6_w())
+    point = [2, 1, 0, 0, 0, ftype(0.5)]
+    with pytest.raises(TypeError, match="not exact"):
+        induced_bivector_at(ps, _r6_w(), point)
+    with pytest.raises(TypeError, match="not exact"):
+        red.pointwise(point)
 
 
 def test_pointwise_matches_symbolic_at_rational_points():

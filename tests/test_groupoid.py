@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from poiskit._kernel import QQ
-from poiskit.polyalg import Polynomial
+from poiskit.polyalg import MultivectorField, Polynomial
 from poiskit.poisson import PoissonStructure
 from poiskit.groupoid import (
     LinearGroupoidModel,
@@ -168,15 +168,15 @@ def test_slice_bijection_when_profile_is_one():
         assert model.pair_slice_inverse(model.pair_map(g)) == g
 
 
-def test_float_composability_tolerance():
+def test_composable_is_exact_with_no_tolerance():
     model = height_model()
-    g_target = ((1.0, 0.0), (0.5, 0.25), 2.0)
-    w, t = model.target(g_target)
-    nudged = tuple(v + 1e-14 for v in w)
-    h = ((0.0, 1.0), nudged, t)
-    assert model.composable(h, g_target)
-    far = tuple(v + 1e-6 for v in w)
-    assert not model.composable(((0.0, 1.0), far, t), g_target)
+    h = ((1, 0), (QQ(1, 2), QQ(1, 4)), 2)
+    w, t = model.target(h)
+    assert model.composable(((0, 1), w, t), h)
+    nudged = tuple(x + QQ(1, 10 ** 14) for x in w)
+    assert not model.composable(((0, 1), nudged, t), h)
+    with pytest.raises(TypeError, match="not exact"):
+        model.composable(((0, 1), tuple(float(x) for x in w), t), h)
 
 
 def test_pairwise_sum_deterministic():
@@ -458,6 +458,20 @@ def test_guards_name_the_first_failing_point_in_mesh_order(theta0, message):
         _integrate(problem, 9)
 
 
+def test_gauged_build_runs_sharp_once_per_form(monkeypatch):
+    """Building the gauged su(2) problem runs ``sharp`` 14 times: once in
+    ``germinal_isotropy``, once for the Casimir check of ``|alpha|^2``, once
+    per gauged splitting (3 coordinate functions and 3 brackets), and twice
+    per Koszul bracket (3 pairs), which reads ``pi(alpha, beta)`` off the
+    ``#alpha`` it already holds."""
+    calls = []
+    original = MultivectorField.sharp
+    monkeypatch.setattr(MultivectorField, "sharp",
+                        lambda self, alpha: calls.append(1) or original(self, alpha))
+    gauged_su2_problem()
+    assert len(calls) == 14
+
+
 def test_row_curvature_matches_exact_per_point_evaluation():
     problem = gauged_su2_problem()
     theta = 0.7
@@ -487,13 +501,12 @@ DENSE_PI = [[0, 1, -2, QQ(1, 3)],
 PROFILES = ["2*t^3 - t + 1/2", "1", "t"]
 
 
+FLOAT_TYPES = [float, np.float64, np.float32, np.float16]
+
+
 def same(got, expected) -> bool:
-    """Equal value and type; floats bit for bit."""
-    if type(got) is not type(expected):
-        return False
-    if isinstance(expected, float):
-        return got.hex() == expected.hex()
-    return got == expected
+    """Equal value and type."""
+    return type(got) is type(expected) and got == expected
 
 
 def same_seq(got, expected) -> bool:
@@ -503,26 +516,54 @@ def same_seq(got, expected) -> bool:
 def reference_sharp(pi, xi):
     """Dense ``PI^T xi``, over every entry of each column."""
     d = len(pi)
-    if any(isinstance(x, float) for x in xi):
-        out = []
-        for j in range(d):
-            acc = 0.0
-            for i in range(d):
-                acc += float(xi[i]) * float(pi[i][j])
-            out.append(acc)
-        return out
     return [sum((QQ(xi[i]) * QQ(pi[i][j]) for i in range(d)), QQ(0)) for j in range(d)]
 
 
 def draw(rng, kind, d):
-    """A triple (xi, v, t) of QQ entries, Python ints or floats."""
+    """A triple (xi, v, t) of QQ entries or Python ints."""
     if kind == "qq":
         return rvec(rng, d), rvec(rng, d), QQ(rng.randint(-9, 9), rng.randint(1, 5))
-    if kind == "int":
-        return (tuple(rng.randint(-20, 20) for _ in range(d)),
-                tuple(rng.randint(-20, 20) for _ in range(d)), rng.randint(-4, 4))
-    return (tuple(rng.uniform(-5, 5) for _ in range(d)),
-            tuple(rng.uniform(-5, 5) for _ in range(d)), rng.uniform(-2, 2))
+    return (tuple(rng.randint(-20, 20) for _ in range(d)),
+            tuple(rng.randint(-20, 20) for _ in range(d)), rng.randint(-4, 4))
+
+
+def refused(call, *args):
+    with pytest.raises(TypeError, match="not exact"):
+        call(*args)
+
+
+def floated(g, slot, ftype):
+    """``g = (xi, v, t)``, or a pair-groupoid triple ``(w, v, t)``, with one
+    entry made a float of type ``ftype``: the first of the first vector (slot
+    0), the last of the second (slot 1) or ``t`` (slot 2)."""
+    a, b, t = g
+    if slot == 0:
+        return ((ftype(float(a[0])), *a[1:]), b, t)
+    if slot == 1:
+        return (a, (*b[:-1], ftype(float(b[-1]))), t)
+    return (a, b, ftype(float(t)))
+
+
+def assert_refuses_floats(model, h):
+    """Every structure map refuses a float entry, whatever its type and slot,
+    with ``to_qq``'s ``TypeError``."""
+    xi, v, t = h
+    g = (xi, model.target(h)[0], t)            # g starts where h ends
+    for ftype in FLOAT_TYPES:
+        ft, fxi = ftype(float(t)), floated(h, 0, ftype)[0]
+        refused(model.f_at, ft)
+        refused(model.sharp, fxi)
+        refused(model.translation, fxi, t)
+        refused(model.translation, xi, ft)
+        refused(omega_form, model, ft)
+        for slot in range(3):
+            bad_g, bad_h = floated(g, slot, ftype), floated(h, slot, ftype)
+            for call in (model.target, model.inverse, model.pair_map):
+                refused(call, bad_h)
+            for call in (model.composable, model.multiply):
+                refused(call, bad_g, h)
+                refused(call, g, bad_h)
+            refused(model.pair_slice_inverse, floated(model.pair_map(h), slot, ftype))
 
 
 def lowest_terms(x) -> bool:
@@ -541,6 +582,10 @@ def test_model_maps_match_dense_reference(pi, profile, kind):
     model = LinearGroupoidModel(pi, f)
     d = len(pi)
     rng = random.Random(f"{d}:{profile}:{kind}")
+    if kind == "float":
+        for _ in range(3):
+            assert_refuses_floats(model, draw(rng, "qq", d))
+        return
     for _ in range(40):
         xi, v, t = draw(rng, kind, d)
         c = f.eval([t])
@@ -553,8 +598,6 @@ def test_model_maps_match_dense_reference(pi, profile, kind):
         assert same_seq(got_w, w) and got_t is t
         inv_xi, inv_w, inv_t = model.inverse((xi, v, t))
         assert same_seq(inv_xi, [-x for x in xi]) and same_seq(inv_w, w) and inv_t is t
-        if kind == "float":
-            continue
         # composable and multiply against the same reference: g starts where h ends
         h = (xi, v, t)
         xi_g = draw(rng, kind, d)[0]
@@ -581,15 +624,18 @@ def test_model_maps_match_dense_reference(pi, profile, kind):
 def test_profile_matches_polynomial_eval(profile):
     f = Polynomial.parse(T, profile)
     model = LinearGroupoidModel(DENSE_PI, f)
-    points = [QQ(-7, 3), QQ(0), QQ(5, 2), -3, 0, 4, 0.0, -1.25, 0.1, 3.0000001, np.float64(0.3)]
+    points = [QQ(-7, 3), QQ(0), QQ(5, 2), -3, 0, 4]
     for t in points:
         assert same(model.f_at(t), f.eval([t])), t
     if profile == "0":
         assert all(model.f_at(t) == 0 and type(model.f_at(t)) is int for t in points)
+    for t in (0.0, -1.25, 0.1, 3.0000001, np.float64(0.3), np.float32(0.5), np.float16(0.5)):
+        refused(model.f_at, t)
 
 
 def test_structure_maps_return_the_documented_types():
-    """The int / QQ / float contract of the ``LinearGroupoidModel`` docstring."""
+    """The int / QQ contract of the ``LinearGroupoidModel`` docstring; a
+    float entry is refused."""
     model = LinearGroupoidModel(STANDARD_PI, Polynomial.parse(T, "2*t + 1"))
     half = QQ(1, 2)
     for h, xi_type in ((((1, 2), (3, 4), 1), int), (((half, half), (3, QQ(1, 3)), half), QQ)):
@@ -609,19 +655,19 @@ def test_structure_maps_return_the_documented_types():
     gh_xi = model.multiply(((half, half), model.target(h)[0], 0), h)[0]
     assert gh_xi == (1, 1) and all(type(x) is QQ for x in gh_xi)
     floats = ((1.0, 2.0), (3.0, 4.0), 1.0)
-    assert all(type(x) is float for x in model.target(floats)[0])
-    assert all(type(x) is float for x in model.inverse(floats)[0])
-    with pytest.raises(TypeError, match="exact"):
-        model.pair_slice_inverse(model.pair_map(floats))
+    refused(model.target, floats)
+    refused(model.inverse, floats)
+    refused(model.pair_slice_inverse, ((3.0, 4.0), (3.0, 4.0), 1.0))
 
 
-def test_numpy_float_times_are_read_as_floats():
+def test_numpy_float_times_are_refused():
     # np.float64 is a float subclass; np.float32 and np.float16 are not
     model = LinearGroupoidModel(STANDARD_PI, Polynomial.parse(T, "2*t^3 - t + 1/2"))
-    h = ((1.0, 2.0), (0.5, 0.25), 0.5)
-    for t in (np.float32(0.5), np.float16(0.5)):
-        assert same(model.f_at(t), model.f_at(0.5))
-        assert same_seq(model.target((*h[:2], t))[0], model.target(h)[0])
+    h = ((1, 2), (QQ(1, 2), QQ(1, 4)), QQ(1, 2))
+    for t in (np.float64(0.5), np.float32(0.5), np.float16(0.5)):
+        refused(model.f_at, t)
+        refused(model.target, (*h[:2], t))
+        refused(omega_form, model, t)
 
 
 def test_exact_model_keeps_its_checks_beyond_unit_entries():
