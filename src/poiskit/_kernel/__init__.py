@@ -10,8 +10,8 @@ An exact coefficient is an ``int`` when integral and a ``QQ`` otherwise
 from __future__ import annotations
 
 from . import _termops_py as termops
-from .rational import QQ, qq_div, to_qq
+from .rational import QQ, is_inexact, qq_div, to_qq
 
 BACKEND = termops.BACKEND
 
-__all__ = ["QQ", "BACKEND", "qq_div", "termops", "to_qq"]
+__all__ = ["QQ", "BACKEND", "is_inexact", "qq_div", "termops", "to_qq"]

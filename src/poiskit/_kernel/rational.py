@@ -22,6 +22,12 @@ from fractions import Fraction
 QQ = Fraction
 
 
+def is_inexact(value) -> bool:
+    """Whether ``value`` is a real that is not rational: a ``float`` or a
+    numpy float of any width."""
+    return isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational)
+
+
 def to_qq(value):
     """Coerce ints, strings like ``3/4`` and rationals to the canonical exact
     form: an ``int`` when integral, else a ``QQ``. A real that is not
@@ -30,7 +36,7 @@ def to_qq(value):
         return value if value.denominator != 1 else value.numerator
     if type(value) is int:
         return value
-    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
+    if is_inexact(value):
         raise TypeError("floats are not exact; pass a rational or a string")
     if hasattr(value, "numerator") and not isinstance(value, (int, str)):
         value = QQ(int(value.numerator), int(value.denominator))

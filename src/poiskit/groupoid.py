@@ -26,11 +26,15 @@ with the curvature assembled symbolically on a chart extended by one
 variable ``_u`` standing for ``1/<alpha, alpha>`` (a Casimir for the
 built-in family, hence leaf-constant).  ``alpha``, the matrix of ``pi`` and
 the curvature scalars are compiled once to float evaluators.  The
-Gauss-Legendre quadrature works one theta-row of the mesh at a time: the
-sphere's callables broadcast over the row's array of phi nodes, every
-evaluator takes the row in one numpy call, one SVD per point gives both the
-rank guard and numpy's minimal-norm pseudo-inverse, and every per-point
-guard is applied to the row in mesh order.
+Gauss-Legendre quadrature works on blocks of whole theta-rows of the mesh,
+about ``_BLOCK_POINTS`` points each: the sphere's callables broadcast over
+the block's column of theta nodes and the row of phi nodes, every evaluator
+takes the block in one numpy call, one stacked SVD gives each point both the
+rank guard and numpy's minimal-norm pseudo-inverse, and the contributions
+reach ``pairwise_sum`` in row-major mesh order.  A block that fails a guard,
+or would warn, is run again one row at a time, so the first failing row
+names the error and a row's splitting guards come before its curvature
+checks.
 """
 
 from __future__ import annotations
@@ -79,6 +83,14 @@ def _ratios(entries) -> list[tuple[int, int]]:
             x = to_qq(x)
         out.append((x.numerator, x.denominator))
     return out
+
+
+def _check_exact(entries) -> None:
+    """Send every entry that is not a ``QQ`` or an int through ``to_qq``,
+    which refuses a float."""
+    for x in entries:
+        if type(x) is not QQ and type(x) is not int:
+            to_qq(x)
 
 
 GroupoidElement = tuple  # (xi, v, t)
@@ -132,9 +144,11 @@ class LinearGroupoidModel:
         self._profile = [(e, c) for (e,), c in f.terms.items()]
         self._profile_exact = [(e, None if e and c == 1 else c) for e, c in self._profile]
         # (i, numerator, denominator) of the nonzero entries of each column of
-        # pi, the terms of sharp(xi)_j
-        self._columns = [[(i, c.numerator, c.denominator) for i, c in enumerate(col) if c]
-                         for col in zip(*self.pi)]
+        # pi, the terms of sharp(xi)_j, as (first, rest): full rank leaves no
+        # column empty
+        columns = [[(i, c.numerator, c.denominator) for i, c in enumerate(col) if c]
+                   for col in zip(*self.pi)]
+        self._columns = [(col[0], col[1:]) for col in columns]
         self._zero = (0,) * self.d
 
     def f_at(self, t):
@@ -163,9 +177,10 @@ class LinearGroupoidModel:
         """``PI^T xi`` as unreduced fractions ``(numerator, denominator > 0)``
         from the ratios of ``xi``."""
         out = []
-        for col in self._columns:
-            sn, sd = 0, 1
-            for i, pn, pd in col:
+        for (i, pn, pd), rest in self._columns:
+            xn, xd = ratios[i]
+            sn, sd = pn * xn, pd * xd
+            for i, pn, pd in rest:
                 xn, xd = ratios[i]
                 tn, td = pn * xn, pd * xd
                 sn, sd = sn * td + tn * sd, sd * td
@@ -178,8 +193,13 @@ class LinearGroupoidModel:
         xi, v, t = g
         c = self.f_at(t)
         cn, cd = c.numerator, c.denominator
-        return [(vn * cd * sd + cn * sn * vd, vd * cd * sd)
-                for (vn, vd), (sn, sd) in zip(_ratios(v), self._sharp_ratios(_ratios(xi)))]
+        out = []
+        for x, (sn, sd) in zip(v, self._sharp_ratios(_ratios(xi))):
+            if type(x) is not QQ and type(x) is not int:
+                x = to_qq(x)
+            vn, vd = x.numerator, x.denominator
+            out.append((vn * cd * sd + cn * sn * vd, vd * cd * sd))
+        return out
 
     def translation(self, xi: Sequence, t):
         c = self.f_at(t)
@@ -188,26 +208,32 @@ class LinearGroupoidModel:
     # -- structure maps ------------------------------------------------------
 
     def source(self, g: GroupoidElement):
+        """``(v, t)`` as given; every entry of ``g`` is read, so a float in
+        it is a ``TypeError``."""
         xi, v, t = g
+        _check_exact((*xi, *v, t))
         return (tuple(v), t)
 
     def target(self, g: GroupoidElement):
         """``(v + f(t) sharp(xi), t)``."""
-        return (tuple(QQ(n, d) for n, d in self._target_ratios(g)), g[2])
+        return (tuple([QQ(n, d) for n, d in self._target_ratios(g)]), g[2])
 
     def unit(self, v: Sequence, t) -> GroupoidElement:
+        """``(0, v, t)`` with ``v`` and ``t`` as given; a float entry is a
+        ``TypeError``."""
+        _check_exact((*v, t))
         return (self._zero, tuple(v), t)
 
     def inverse(self, g: GroupoidElement) -> GroupoidElement:
         xi, v, t = g
         w, _ = self.target(g)
-        return (tuple(-x for x in xi), w, t)
+        return (tuple([-x for x in xi]), w, t)
 
     def composable(self, g: GroupoidElement, h: GroupoidElement) -> bool:
         """Whether the source of ``g`` is the target of ``h``; every entry of
         both is read, so a float anywhere in them is a ``TypeError``."""
         xi, v, t = g
-        _ratios(xi)                           # multiply adds xi_g as given
+        _check_exact(xi)                      # multiply adds xi_g as given
         source, target = _ratios(v), self._target_ratios(h)
         # a/b == n/d with b, d > 0, compared without reducing either side
         return (to_qq(t) == to_qq(h[2])
@@ -218,7 +244,7 @@ class LinearGroupoidModel:
             raise ValueError("non-composable pair")
         xi_g, _, t = g
         xi_h, v_h, _ = h
-        return (tuple(a + b for a, b in zip(xi_g, xi_h)), tuple(v_h), t)
+        return (tuple([a + b for a, b in zip(xi_g, xi_h)]), tuple(v_h), t)
 
     # -- the target-source map into the fiberwise pair groupoid ----------------
 
@@ -324,9 +350,10 @@ def pair_morphism_check(model: LinearGroupoidModel, samples: int = 1000,
     for _ in range(samples):
         t = QQ(rng.randint(-20, 20), rng.randint(1, 10))
         h = (_random_rational_vector(rng, d), _random_rational_vector(rng, d), t)
-        g = (_random_rational_vector(rng, d), model.target(h)[0], t)
+        ph = model.pair_map(h)
+        g = (_random_rational_vector(rng, d), ph[0], t)
         lhs = model.pair_map(model.multiply(g, h))
-        pg, ph = model.pair_map(g), model.pair_map(h)
+        pg = model.pair_map(g)
         if pg[1] != ph[0]:
             failures += 1
             continue
@@ -336,28 +363,28 @@ def pair_morphism_check(model: LinearGroupoidModel, samples: int = 1000,
 
     pi_f = np.array([[float(x) for x in row] for row in model.pi])
     sharp_f = pi_f.T
-    max_res = 0.0
     ap_samples = 100
     rng2 = random.Random(seed + 1)
-    for _ in range(ap_samples):
-        t = 0.1 + 1.9 * rng2.random()
-        c = float(model.f.eval([t]))
-        if c == 0.0:
-            continue
-        omega = np.zeros((2 * d, 2 * d))
-        omega[:d, :d] = c * pi_f
-        omega[:d, d:] = -np.eye(d)
-        omega[d:, :d] = np.eye(d)
-        leaf = np.linalg.inv(omega)
-        jac = np.zeros((2 * d, 2 * d))
-        jac[:d, :d] = c * sharp_f
-        jac[:d, d:] = np.eye(d)
-        jac[d:, d:] = np.eye(d)
-        pushed = jac @ leaf @ jac.T
-        expected = np.zeros((2 * d, 2 * d))
-        expected[:d, :d] = -c * pi_f
-        expected[d:, d:] = c * pi_f
-        max_res = max(max_res, float(np.max(np.abs(pushed - expected))))
+    cs = np.array([float(model.f.eval([0.1 + 1.9 * rng2.random()])) for _ in range(ap_samples)])
+    # one stacked pass over the samples where f(t) != 0; LAPACK and matmul
+    # work matrix by matrix, so each residual is the one of a lone sample
+    c = cs[cs != 0.0][:, None, None]
+    eye = np.eye(d)
+    omega = np.zeros((len(c), 2 * d, 2 * d))
+    omega[:, :d, :d] = c * pi_f
+    omega[:, :d, d:] = -eye
+    omega[:, d:, :d] = eye
+    leaf = np.linalg.inv(omega)
+    jac = np.zeros((len(c), 2 * d, 2 * d))
+    jac[:, :d, :d] = c * sharp_f
+    jac[:, :d, d:] = eye
+    jac[:, d:, d:] = eye
+    pushed = jac @ leaf @ np.swapaxes(jac, 1, 2)
+    expected = np.zeros((len(c), 2 * d, 2 * d))
+    expected[:, :d, :d] = -c * pi_f
+    expected[:, d:, d:] = c * pi_f
+    # fmax ignores a NaN residual: the largest number is reported
+    max_res = float(np.fmax.reduce(np.max(np.abs(pushed - expected), axis=(1, 2)), initial=0.0))
 
     # rank of the full Jacobian at each rational zero of f
     rank_report = {}
@@ -400,8 +427,9 @@ class SphereMap:
     """Parameterized closed surface with exact tangents.
 
     Both callables broadcast over ``theta`` and ``phi``: the quadrature calls
-    each once per theta-row with the row's array of phi nodes, and a shape
-    ``S`` of ``broadcast(theta, phi)`` gives points of shape ``S + (n,)`` and
+    each once per block of theta-rows, with the block's theta nodes as a
+    column ``(R, 1)`` and the phi nodes as a row ``(P,)``, and a shape ``S``
+    of ``broadcast(theta, phi)`` gives points of shape ``S + (n,)`` and
     Jacobians of shape ``S + (n, 2)`` (``(n,)`` and ``(n, 2)`` for scalars).
     """
 
@@ -566,6 +594,45 @@ class PeriodResult:
     label: str = ""
 
 
+# the quadrature evaluates whole theta-rows in blocks of about this many
+# points: one block for the whole mesh measured no faster and held more memory
+_BLOCK_POINTS = 512
+
+
+def _integrate_rows(problem: MonodromyProblem, theta: np.ndarray, wt: np.ndarray,
+                    phi: np.ndarray, wp: np.ndarray) -> tuple[list[float], float]:
+    """The contributions of the mesh rows at ``theta`` (weights ``wt``), in
+    row-major order, and their largest relative splitting residual."""
+    n = problem.n
+    rank = 2 * problem.structure.k
+    rcond = n * np.finfo(float).eps       # the rcond lstsq uses by default
+    xs = problem.sphere.point(theta[:, None], phi).reshape(-1, n)           # (P, n)
+    jac = problem.sphere.jacobian(theta[:, None], phi).reshape(-1, n, 2)    # (P, n, 2)
+    sharp_mat = problem._pi_eval(xs).reshape(-1, n, n).transpose(0, 2, 1)
+    # one SVD per point: the rank guard, and np.linalg.pinv's own rcond and
+    # formula for the minimal-norm pseudo-inverse
+    u, sv, vt = np.linalg.svd(sharp_mat, full_matrices=False)
+    ranks = np.count_nonzero(sv > 1e-9, axis=-1)
+    large = sv > rcond * np.max(sv, axis=-1, keepdims=True)
+    inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=large)
+    pinv = np.matmul(np.swapaxes(vt, -1, -2), inv_sv[..., None] * np.swapaxes(u, -1, -2))
+    sol = pinv @ jac                                                          # minimal norm
+    residual = np.max(np.abs(sharp_mat @ sol - jac), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(jac), axis=(1, 2)))
+    bad_rank = ranks != rank
+    bad = bad_rank | (residual > problem.splitting_tol * scale * 10)
+    if np.any(bad):
+        b = int(np.argmax(bad))           # the first failing point, in mesh order
+        if bad_rank[b]:
+            raise ValueError("leaf hits the singular locus on the sphere")
+        raise ValueError(
+            f"splitting residual too large ({residual[b]:.2e}); sphere not tangent to the leaf")
+    smat = problem._curvature_rows(xs)
+    integrand = np.einsum("pi,pij,pj->p", sol[:, :, 0], smat, sol[:, :, 1])
+    weights = wt[:, None] * wp                                                # (rows, mesh)
+    return (weights.ravel() * integrand).tolist(), float(np.max(residual / scale))
+
+
 def _integrate(problem: MonodromyProblem, mesh: int) -> tuple[float, float]:
     nodes_t, weights_t = np.polynomial.legendre.leggauss(mesh)
     theta = 0.5 * np.pi * (nodes_t + 1.0)
@@ -573,37 +640,24 @@ def _integrate(problem: MonodromyProblem, mesh: int) -> tuple[float, float]:
     phi = np.pi * (nodes_t + 1.0)
     wp = np.pi * weights_t
 
-    n = problem.n
-    rank = 2 * problem.structure.k
-    rcond = n * np.finfo(float).eps       # the rcond lstsq uses by default
+    rows = max(1, _BLOCK_POINTS // mesh)
     contributions: list[float] = []
     max_residual = 0.0
-    for a, th in enumerate(theta):
-        xs = problem.sphere.point(th, phi)                                    # (P, n)
-        jac = problem.sphere.jacobian(th, phi)                                # (P, n, 2)
-        sharp_mat = problem._pi_eval(xs).reshape(-1, n, n).transpose(0, 2, 1)
-        # one SVD per point: the rank guard, and np.linalg.pinv's own rcond
-        # and formula for the minimal-norm pseudo-inverse
-        u, sv, vt = np.linalg.svd(sharp_mat, full_matrices=False)
-        ranks = np.count_nonzero(sv > 1e-9, axis=-1)
-        large = sv > rcond * np.max(sv, axis=-1, keepdims=True)
-        inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=large)
-        pinv = np.matmul(np.swapaxes(vt, -1, -2), inv_sv[..., None] * np.swapaxes(u, -1, -2))
-        sol = pinv @ jac                                                      # minimal norm
-        residual = np.max(np.abs(sharp_mat @ sol - jac), axis=(1, 2))
-        scale = np.maximum(1.0, np.max(np.abs(jac), axis=(1, 2)))
-        bad_rank = ranks != rank
-        bad = bad_rank | (residual > problem.splitting_tol * scale * 10)
-        if np.any(bad):
-            b = int(np.argmax(bad))       # the first failing point, in mesh order
-            if bad_rank[b]:
-                raise ValueError("leaf hits the singular locus on the sphere")
-            raise ValueError(
-                f"splitting residual too large ({residual[b]:.2e}); sphere not tangent to the leaf")
-        max_residual = max(max_residual, float(np.max(residual / scale)))
-        smat = problem._curvature_rows(xs)
-        integrand = np.einsum("pi,pij,pj->p", sol[:, :, 0], smat, sol[:, :, 1])
-        contributions.extend((wt[a] * wp * integrand).tolist())
+    for start in range(0, mesh, rows):
+        block = slice(start, start + rows)
+        try:
+            # a float warning is an error in the block, so the row-by-row run
+            # below gives it at its own row, after any earlier row's error
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                parts = [_integrate_rows(problem, theta[block], wt[block], phi, wp)]
+        except (ValueError, AssertionError, FloatingPointError):
+            # the first row that fails names the error: its splitting guards,
+            # then its curvature checks
+            parts = (_integrate_rows(problem, theta[a:a + 1], wt[a:a + 1], phi, wp)
+                     for a in range(start, min(start + rows, mesh)))
+        for values, residual in parts:
+            contributions.extend(values)
+            max_residual = max(max_residual, residual)
     return pairwise_sum(contributions), max_residual
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Mapping, Sequence
 
-from .._kernel import QQ, qq_div, termops, to_qq
+from .._kernel import QQ, is_inexact, qq_div, termops, to_qq
 
 Chart = tuple[str, ...]
 
@@ -149,10 +149,13 @@ class Polynomial:
         return Polynomial._raw(self.variables, termops.t_diff(self.terms, i))
 
     def eval(self, point: Sequence) -> object:
-        """Exact for rational coordinates, float for float coordinates."""
+        """Exact for rational coordinates, each put in canonical form by
+        ``to_qq``; a real that is not rational (a ``float`` or a numpy float
+        of any width) is evaluated as ``float(x)``."""
         if len(point) != len(self.variables):
             raise ValueError("point dimension does not match chart dimension")
-        pt = tuple(x if isinstance(x, float) else to_qq(x) for x in point)
+        pt = tuple([float(x) if type(x) is not int and type(x) is not QQ and is_inexact(x)
+                    else to_qq(x) for x in point])
         return termops.t_eval(self.terms, pt)
 
     def partial_eval(self, assignments: Mapping[str, object]) -> "Polynomial":

@@ -6,9 +6,14 @@ from __future__ import annotations
 import math
 import random
 import re
+import warnings
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poiskit._kernel import QQ
 from poiskit.polyalg import MultivectorField, Polynomial
@@ -17,6 +22,7 @@ from poiskit.groupoid import (
     LinearGroupoidModel,
     MonodromyProblem,
     SphereMap,
+    _BLOCK_POINTS,
     _integrate,
     monodromy_period,
     omega_form,
@@ -458,6 +464,150 @@ def test_guards_name_the_first_failing_point_in_mesh_order(theta0, message):
         _integrate(problem, 9)
 
 
+def row_loop_integrate(problem, mesh: int) -> tuple[float, float]:
+    """The integrator before the rows were blocked: one theta-row per pass,
+    its guards and then its curvature checks, row after row."""
+    nodes_t, weights_t = np.polynomial.legendre.leggauss(mesh)
+    theta = 0.5 * np.pi * (nodes_t + 1.0)
+    wt = 0.5 * np.pi * weights_t
+    phi = np.pi * (nodes_t + 1.0)
+    wp = np.pi * weights_t
+    n = problem.n
+    rank = 2 * problem.structure.k
+    rcond = n * np.finfo(float).eps
+    contributions = []
+    max_residual = 0.0
+    for a, th in enumerate(theta):
+        xs = problem.sphere.point(th, phi)
+        jac = problem.sphere.jacobian(th, phi)
+        sharp_mat = problem._pi_eval(xs).reshape(-1, n, n).transpose(0, 2, 1)
+        u, sv, vt = np.linalg.svd(sharp_mat, full_matrices=False)
+        ranks = np.count_nonzero(sv > 1e-9, axis=-1)
+        large = sv > rcond * np.max(sv, axis=-1, keepdims=True)
+        inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=large)
+        pinv = np.matmul(np.swapaxes(vt, -1, -2), inv_sv[..., None] * np.swapaxes(u, -1, -2))
+        sol = pinv @ jac
+        residual = np.max(np.abs(sharp_mat @ sol - jac), axis=(1, 2))
+        scale = np.maximum(1.0, np.max(np.abs(jac), axis=(1, 2)))
+        bad_rank = ranks != rank
+        bad = bad_rank | (residual > problem.splitting_tol * scale * 10)
+        if np.any(bad):
+            b = int(np.argmax(bad))
+            if bad_rank[b]:
+                raise ValueError("leaf hits the singular locus on the sphere")
+            raise ValueError(
+                f"splitting residual too large ({residual[b]:.2e}); sphere not tangent to the leaf")
+        max_residual = max(max_residual, float(np.max(residual / scale)))
+        smat = problem._curvature_rows(xs)
+        integrand = np.einsum("pi,pij,pj->p", sol[:, :, 0], smat, sol[:, :, 1])
+        contributions.extend((wt[a] * wp * integrand).tolist())
+    return pairwise_sum(contributions), max_residual
+
+
+@pytest.mark.parametrize("mesh", [32, 64, 40])
+@pytest.mark.parametrize("make", [
+    lambda: MonodromyProblem(su2_structure(), round_sphere(1.0, 3, axes=(0, 1, 2))),
+    lambda: MonodromyProblem(su2_structure(), round_sphere(0.8, 3, axes=(1, 2, 0))),
+    lambda: MonodromyProblem(su2_structure(), round_sphere(1.3, 3, axes=(2, 0, 1))),
+    flat_problem,
+    lambda: MonodromyProblem(PoissonStructure.from_components(("x", "y", "t"), {(0, 1): "t"}),
+                             planar_sphere(0.5, 3, axes=(0, 1), center=[0.25, -1, 2])),
+], ids=["su2-xyz", "su2-yzx", "su2-zxy", "flat", "flat-scaled"])
+def test_blocked_integrator_equals_the_row_loop(make, mesh):
+    # every mesh here takes more than one block; 40 rows leave a partial last one
+    assert _BLOCK_POINTS // mesh < mesh
+    problem = make()
+    got = _integrate(problem, mesh)
+    expected = row_loop_integrate(problem, mesh)
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+FLAT_PI = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+XT_PI = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+
+
+def stub_problem(mesh: int, *, singular=(), off_leaf=(), no_alpha=(), not_kernel=(),
+                 overflow=()):
+    """A problem on the unit disc of the (x, y) plane whose third coordinate
+    is theta, so each point names its mesh row.  Rows in ``singular`` have
+    ``pi = 0`` and fail the rank guard, rows in ``off_leaf`` have ``pi`` in
+    the (x, t) plane and fail the residual guard; ``_curvature_rows`` raises
+    "alpha vanishes" or "not kernel-valued" on a stack that holds a point of
+    a row in ``no_alpha`` or ``not_kernel``, and overflows on one in
+    ``overflow`` first, as the real evaluator would before its checks."""
+    nodes, _ = np.polynomial.legendre.leggauss(mesh)
+    theta_nodes = 0.5 * np.pi * (nodes + 1.0)
+
+    def row_of(t):
+        return int(np.flatnonzero(theta_nodes == t)[0])
+
+    def point(theta, phi):
+        x = np.empty(np.broadcast(theta, phi).shape + (3,))
+        x[..., 0] = np.sin(theta) * np.cos(phi)
+        x[..., 1] = np.sin(theta) * np.sin(phi)
+        x[..., 2] = theta
+        return x
+
+    def jacobian(theta, phi):
+        out = np.zeros(np.broadcast(theta, phi).shape + (3, 2))
+        out[..., 0, 0] = np.cos(theta) * np.cos(phi)
+        out[..., 1, 0] = np.cos(theta) * np.sin(phi)
+        out[..., 0, 1] = -np.sin(theta) * np.sin(phi)
+        out[..., 1, 1] = np.sin(theta) * np.cos(phi)
+        return out
+
+    def pi_eval(xs):
+        out = np.empty((len(xs), 3, 3))
+        for p, t in enumerate(xs[:, 2]):
+            row = row_of(t)
+            out[p] = 0.0 if row in singular else XT_PI if row in off_leaf else FLAT_PI
+        return out.reshape(len(xs), 9)
+
+    def curvature_rows(xs):
+        rows = {row_of(t) for t in xs[:, 2]}
+        if rows & set(overflow):
+            np.exp(np.float64(1000.0))
+        if rows & set(no_alpha):
+            raise ValueError("alpha vanishes: the point is outside the regular locus")
+        if rows & set(not_kernel):
+            raise AssertionError("curvature value is not kernel-valued on the leaf")
+        return np.zeros((len(xs), 3, 3))
+
+    return SimpleNamespace(n=3, structure=SimpleNamespace(k=1), splitting_tol=1e-12,
+                           sphere=SphereMap(point, jacobian, label="stub"),
+                           _pi_eval=pi_eval, _curvature_rows=curvature_rows)
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    # a curvature failure in row 1 comes before a guard failure in row 3
+    (dict(not_kernel=(1,), singular=(3,)), AssertionError, "not kernel-valued"),
+    (dict(no_alpha=(1,), off_leaf=(3,)), ValueError, "alpha vanishes"),
+    # inside one row the guards come first
+    (dict(not_kernel=(2,), singular=(2,)), ValueError, "singular locus"),
+    (dict(no_alpha=(2,), off_leaf=(2,)), ValueError, "splitting residual too large"),
+    # the two curvature checks, in different rows
+    (dict(no_alpha=(4,), not_kernel=(6,)), ValueError, "alpha vanishes"),
+    (dict(no_alpha=(6,), not_kernel=(4,)), AssertionError, "not kernel-valued"),
+    # a row after the failing one would overflow: the row loop never reaches it
+    (dict(not_kernel=(2,), overflow=(5,)), AssertionError, "not kernel-valued"),
+    (dict(), None, None),
+])
+@pytest.mark.parametrize("mesh", [9, 40])
+def test_blocked_integrator_keeps_the_row_loop_error_order(rows, error, message, mesh):
+    problem = stub_problem(mesh, **rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            got, expected = _integrate(problem, mesh), row_loop_integrate(problem, mesh)
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
+            return
+        with pytest.raises(error) as reference:
+            row_loop_integrate(problem, mesh)
+        assert message in str(reference.value)
+        with pytest.raises(error, match=re.escape(str(reference.value))):
+            _integrate(problem, mesh)
+
+
 def test_gauged_build_runs_sharp_once_per_form(monkeypatch):
     """Building the gauged su(2) problem runs ``sharp`` 14 times: once in
     ``germinal_isotropy``, once for the Casimir check of ``|alpha|^2``, once
@@ -556,9 +706,11 @@ def assert_refuses_floats(model, h):
         refused(model.translation, fxi, t)
         refused(model.translation, xi, ft)
         refused(omega_form, model, ft)
+        refused(model.unit, floated(h, 1, ftype)[1], t)
+        refused(model.unit, v, ft)
         for slot in range(3):
             bad_g, bad_h = floated(g, slot, ftype), floated(h, slot, ftype)
-            for call in (model.target, model.inverse, model.pair_map):
+            for call in (model.source, model.target, model.inverse, model.pair_map):
                 refused(call, bad_h)
             for call in (model.composable, model.multiply):
                 refused(call, bad_g, h)
@@ -686,3 +838,73 @@ def test_exact_model_keeps_its_checks_beyond_unit_entries():
     vanishing = LinearGroupoidModel(DENSE_PI, Polynomial.parse(T, "2*t^3 - t"))
     with pytest.raises(ValueError, match="f\\(t\\) = 0"):
         vanishing.pair_slice_inverse(vanishing.pair_map((rvec(rng, 4), rvec(rng, 4), QQ(0))))
+
+
+@pytest.mark.parametrize("ftype", [float, np.float64, np.float32])
+def test_unit_and_source_refuse_float_entries(ftype):
+    model = height_model()
+    half, quarter = ftype(0.5), ftype(0.25)
+    refused(model.unit, (half, quarter), ftype(1.0))
+    refused(model.unit, (QQ(1, 2), quarter), 1)
+    refused(model.unit, (QQ(1, 2), 1), half)
+    refused(model.source, ((1, 2), (half, 3), 1))
+    refused(model.source, ((half, 2), (1, 3), 1))
+    refused(model.source, ((1, 2), (1, 3), half))
+    # exact entries come back as given
+    v, t = (QQ(1, 2), 3), QQ(4, 2)
+    unit = model.unit(v, t)
+    assert unit == ((0, 0), v, t) and same_seq(unit[1], v) and unit[2] is t
+    source = model.source(((QQ(1, 3), 2), v, t))
+    assert same_seq(source[0], v) and source[1] is t
+
+
+# d = 4 with exactly two nonzero entries in every column; Pfaffian 1/2 - 6 != 0
+TWO_ENTRY_PI = [[0, 1, 2, 0],
+                [-1, 0, 0, 3],
+                [-2, 0, 0, QQ(1, 2)],
+                [0, -3, QQ(-1, 2), 0]]
+EXACT = st.one_of(st.integers(-40, 40),
+                  st.fractions(min_value=-40, max_value=40, max_denominator=12))
+
+
+@st.composite
+def model_cases(draw):
+    """A model, ``h`` and ``xi_g`` with int and ``QQ`` entries in any mix,
+    and a profile of degree at most 3 with a nonzero constant term."""
+    pi = draw(st.sampled_from([STANDARD_PI, WIDE_PI, DENSE_PI, TWO_ENTRY_PI]))
+    d = len(pi)
+    coeffs = draw(st.lists(EXACT, min_size=1, max_size=4))
+    coeffs[0] = coeffs[0] or 1
+    f = Polynomial(T, {(e,): c for e, c in enumerate(coeffs) if c})
+    vec = st.lists(EXACT, min_size=d, max_size=d).map(tuple)
+    return (LinearGroupoidModel(pi, f), pi, coeffs,
+            (draw(vec), draw(vec), draw(EXACT)), draw(vec))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_cases())
+def test_model_maps_equal_a_fraction_reference(case):
+    model, pi, coeffs, h, xi_g = case
+    xi, v, t = h
+    d = len(pi)
+    c = sum(Fraction(a) * Fraction(t) ** e for e, a in enumerate(coeffs))
+    sharp = [sum(Fraction(xi[i]) * Fraction(pi[i][j]) for i in range(d)) for j in range(d)]
+    w = [Fraction(a) + c * s for a, s in zip(v, sharp)]
+    assert model.f_at(t) == c
+    assert same_seq(model.sharp(xi), sharp)
+    got_w, got_t = model.target(h)
+    assert same_seq(got_w, w) and got_t is t
+    inv_xi, inv_w, inv_t = model.inverse(h)
+    assert same_seq(inv_xi, [-x for x in xi]) and same_seq(inv_w, w) and inv_t is t
+    assert same_seq(model.source(h)[0], v) and model.source(h)[1] is t
+    unit = model.unit(v, t)
+    assert same_seq(unit[0], [0] * d) and same_seq(unit[1], v) and unit[2] is t
+    # g starts where h ends; the sums of xi keep the types + gives them
+    g = (xi_g, got_w, t)
+    assert same(model.composable(g, h), True)
+    gh = model.multiply(g, h)
+    assert same_seq(gh[0], [a + b for a, b in zip(xi_g, xi)])
+    assert same_seq(gh[1], v) and gh[2] is t
+    moved = (xi_g, (got_w[0] + 1, *got_w[1:]), t)
+    assert same(model.composable(moved, h), False)
+    assert all(lowest_terms(x) for x in [*model.sharp(xi), *got_w, *inv_w, *gh[0]])

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -270,3 +272,24 @@ def test_kernel_inputs_never_mutated(name):
     assert [a, b] == snapshot
     if isinstance(out, dict):
         assert all(out is not d for d in (a, b))
+
+
+@pytest.mark.parametrize("ftype", [float, np.float64, np.float32, np.float16])
+def test_eval_reads_a_float_of_any_width_as_float(ftype):
+    p = P("x^2*y - 1/3*x + 2*z^3 - 5")
+    for point in ((0.5, -1.25, 3.0), (0.3, 7.1, -0.2), (-2.0, 0.1, 1e-3)):
+        floats = [ftype(a) for a in point]
+        got = p.eval(floats)
+        expected = p.eval([float(a) for a in floats])
+        assert type(got) is float and got.hex() == expected.hex()
+        mixed = p.eval([floats[0], QQ(1, 3), 2])
+        assert type(mixed) is float and mixed == p.eval([float(floats[0]), QQ(1, 3), 2])
+
+
+def test_eval_on_exact_coordinates_stays_exact():
+    p = P("x^2*y - 1/3*x + 2*z^3 - 5")
+    for point in ((1, 2, 3), (QQ(1, 2), -3, QQ(4, 7)), (QQ(6, 3), np.int64(2), "3/4")):
+        got = p.eval(list(point))
+        x, y, z = (Fraction(a) for a in point)
+        assert got == x * x * y - Fraction(1, 3) * x + 2 * z ** 3 - 5
+        assert type(got) in (int, QQ)
