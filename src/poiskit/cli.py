@@ -22,7 +22,7 @@ import sys
 import time
 
 from .polyalg import PolyParseError
-from .poisson import casimir_search
+from .poisson import DEFAULT_CASIMIR_DEGREE
 from .report import AnalysisOptions, AnalysisReport, InputError, analyze
 from .trace import TraceBlowupError, trace_leaf, trace_to_csv
 
@@ -77,8 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("inputs", nargs="+", help="input JSON files")
     an.add_argument("--json", dest="json_out", metavar="OUT",
                     help="write the machine-readable report (single input only)")
-    an.add_argument("--max-degree", type=_non_negative_int, default=4,
-                    help="degree bound for the Casimir search (default 4)")
+    an.add_argument("--max-degree", type=_non_negative_int, default=DEFAULT_CASIMIR_DEGREE,
+                    help="degree bound of the Casimir list in the report and of the "
+                         "invariants a --trace checks (default %(default)s); the "
+                         "kernel module does not depend on it")
     an.add_argument("--samples", type=_non_negative_int, default=10000,
                     help="witness-search sample count (default 10000)")
     an.add_argument("--seed", type=int, default=0, help="witness-search seed (default 0)")
@@ -120,11 +122,9 @@ def _run_one(path: str, options: AnalysisOptions) -> tuple[AnalysisReport | None
 def _run_trace(args, report: AnalysisReport) -> tuple[str | None, str | None]:
     structure = report.structure
     try:
-        # conserve the Casimirs of the analysis (it runs no search on the zero bivector)
-        casimirs = report.casimirs
-        if casimirs is None:
-            casimirs = casimir_search(structure, args.max_degree)
-        invariants = [p for p in casimirs if p.total_degree() > 0]
+        # the Casimirs of the report, cached on the structure (the zero
+        # bivector's report lists none, so its search runs here)
+        invariants = [p for p in structure.casimirs(args.max_degree) if p.total_degree() > 0]
         result = trace_leaf(structure, args.trace, steps=args.steps, dt=args.dt,
                             invariants=invariants)
     except (TraceBlowupError, ValueError) as exc:

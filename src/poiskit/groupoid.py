@@ -93,6 +93,12 @@ def _check_exact(entries) -> None:
             to_qq(x)
 
 
+def _length_error(d: int, **vectors) -> ValueError:
+    """The ``ValueError`` for the first of ``vectors`` without ``d`` entries."""
+    name, entries = next((k, e) for k, e in vectors.items() if len(e) != d)
+    return ValueError(f"{name} has {len(entries)} entries, expected {d}")
+
+
 GroupoidElement = tuple  # (xi, v, t)
 
 
@@ -105,7 +111,8 @@ class LinearGroupoidModel:
     each column; every map computes on those integers, with one ``QQ`` per
     output coordinate.  The model is exact only: an entry of ``xi``, ``v`` or
     ``t`` goes through ``to_qq``, and a float entry (``float`` or a numpy
-    float) raises ``TypeError``.
+    float) raises ``TypeError``.  Every map raises ``ValueError`` unless each
+    ``xi``, ``v`` and ``w`` it is given has ``d`` entries.
 
     The package's exact coefficients are an ``int`` when integral and a
     ``QQ`` otherwise; the maps here return, for ``g = (xi, v, t)``:
@@ -171,6 +178,8 @@ class LinearGroupoidModel:
 
     def sharp(self, xi: Sequence):
         """``PI^T xi``, each coordinate a ``QQ`` in lowest terms."""
+        if len(xi) != self.d:
+            raise _length_error(self.d, xi=xi)
         return [QQ(n, d) for n, d in self._sharp_ratios(_ratios(xi))]
 
     def _sharp_ratios(self, ratios: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -191,6 +200,8 @@ class LinearGroupoidModel:
         """Each coordinate of ``v + f(t) sharp(xi)`` as an unreduced fraction
         ``(numerator, denominator > 0)``."""
         xi, v, t = g
+        if len(xi) != self.d or len(v) != self.d:
+            raise _length_error(self.d, xi=xi, v=v)
         c = self.f_at(t)
         cn, cd = c.numerator, c.denominator
         out = []
@@ -211,6 +222,8 @@ class LinearGroupoidModel:
         """``(v, t)`` as given; every entry of ``g`` is read, so a float in
         it is a ``TypeError``."""
         xi, v, t = g
+        if len(xi) != self.d or len(v) != self.d:
+            raise _length_error(self.d, xi=xi, v=v)
         _check_exact((*xi, *v, t))
         return (tuple(v), t)
 
@@ -221,6 +234,8 @@ class LinearGroupoidModel:
     def unit(self, v: Sequence, t) -> GroupoidElement:
         """``(0, v, t)`` with ``v`` and ``t`` as given; a float entry is a
         ``TypeError``."""
+        if len(v) != self.d:
+            raise _length_error(self.d, v=v)
         _check_exact((*v, t))
         return (self._zero, tuple(v), t)
 
@@ -233,6 +248,8 @@ class LinearGroupoidModel:
         """Whether the source of ``g`` is the target of ``h``; every entry of
         both is read, so a float anywhere in them is a ``TypeError``."""
         xi, v, t = g
+        if len(xi) != self.d or len(v) != self.d:
+            raise _length_error(self.d, xi=xi, v=v)
         _check_exact(xi)                      # multiply adds xi_g as given
         source, target = _ratios(v), self._target_ratios(h)
         # a/b == n/d with b, d > 0, compared without reducing either side
@@ -253,10 +270,12 @@ class LinearGroupoidModel:
         (w, _) = self.target(g)
         return (w, tuple(v), t)
 
-    def pair_slice_inverse(self, element, *, t=None):
+    def pair_slice_inverse(self, element):
         """Inverse of the slice map ``(xi, v) -> (v + f(t) sharp xi, v)``
-        when ``f(t) != 0``."""
-        w, v, t = element if len(element) == 3 else (*element, t)
+        when ``f(t) != 0``, for ``element = (w, v, t)``."""
+        w, v, t = element
+        if len(w) != self.d or len(v) != self.d:
+            raise _length_error(self.d, w=w, v=v)
         diff = [to_qq(a) - to_qq(b) for a, b in zip(w, v)]
         c = self.f_at(t)
         if not c:

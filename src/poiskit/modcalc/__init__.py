@@ -7,9 +7,12 @@ answers membership (``contains``) from one Groebner engine built on first
 use. ``syzygies`` is the one kernel computation: ``colon_by_ideal`` is the
 syzygy module of one block matrix, ``saturate`` iterates that colon, and
 ``polynomial_gcd`` reads the gcd of a pair off the syzygies of ``[a, b]``.
-The Poisson layer builds the kernel module of ``pi`` from Casimir
-differentials and calls ``syzygies`` on ``pi``'s matrix only when that
-route does not apply (see ``poisson.germinal_isotropy``).
+The Poisson layer builds the kernel module of ``pi`` as the
+``groebner_basis`` of the presentation its Casimir differentials generate,
+and calls ``syzygies`` on ``pi``'s matrix only when that route does not
+apply (see ``poisson.germinal_isotropy``). Every Groebner basis comes from
+``ModuleEngine``; the ``engine`` module is internal to this package, and
+no module outside it imports it.
 
 Two facts a caller may have proved cut the work short. ``saturate`` takes a
 ``target``: a saturated module that contains the input, hence every colon.

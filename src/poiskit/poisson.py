@@ -44,7 +44,6 @@ from .modcalc import (
     syzygies,
     variety_emptiness,
 )
-from .modcalc.engine import buchberger, polys_from_vec, vec_from_polys
 from .modcalc.linalg import nullspace, rank, sparse_nullspace
 from .modcalc.rank import _PROBE_SEEDS
 
@@ -58,6 +57,7 @@ __all__ = [
     "koszul_bracket",
     "casimir_test",
     "casimir_search",
+    "DEFAULT_CASIMIR_DEGREE",
     "germinal_isotropy",
     "almost_regular_decide",
     "verify_distribution",
@@ -73,6 +73,9 @@ SMOOTHNESS_NOTE = ("kernel modules are computed over polynomials; agreement with
                    "smooth kernel sheaf is an assumption validated on the example suite")
 DENSITY_RATIONALE = ("the zero set of a nonzero polynomial has empty interior, so the "
                      "maximal-rank locus of a nonzero polynomial bivector is dense")
+# the degree bound of the Casimirs the kernel module's Casimir route reads,
+# and the default of the report's Casimir list
+DEFAULT_CASIMIR_DEGREE = 4
 
 
 class ZeroBivectorError(ValueError):
@@ -101,7 +104,9 @@ class PoissonStructure:
     power; the regular-locus ideal is generated by its coefficients. ``jacobi``
     holds the proof of ``[pi, pi] = 0``: the constructor computes it with
     :func:`check_jacobi`, :func:`linear_structure` takes it from the
-    structure constants, and :meth:`unchecked` leaves it ``None``.
+    structure constants, and :meth:`unchecked` leaves it ``None``. The
+    Casimir bases of :meth:`casimirs` are searched on first use, once per
+    degree.
     """
 
     def __init__(self, bivector: MultivectorField, *, _jacobi=_CHECK):
@@ -126,6 +131,7 @@ class PoissonStructure:
         self.top = power
         self.regular_ideal: list[Polynomial] = sorted(
             power.components.values(), key=str) if k > 0 else [Polynomial.one(self.variables)]
+        self._casimirs: dict[int, tuple[Polynomial, ...]] = {}
 
     @classmethod
     def from_components(cls, variables: Sequence[str], components) -> "PoissonStructure":
@@ -153,6 +159,14 @@ class PoissonStructure:
 
     def pi_matrix(self) -> list[list[Polynomial]]:
         return self.bivector.component_matrix()
+
+    def casimirs(self, max_degree: int) -> tuple[Polynomial, ...]:
+        """The :func:`casimir_search` basis to ``max_degree``, searched on
+        the first call for that degree."""
+        found = self._casimirs.get(max_degree)
+        if found is None:
+            found = self._casimirs[max_degree] = tuple(casimir_search(self, max_degree))
+        return found
 
     def columns_module(self) -> SubmodulePresentation:
         """Module generated by the images of the coordinate differentials."""
@@ -353,23 +367,23 @@ class GerminalIsotropy:
                 for g in self.module.generators]
 
 
-def _casimir_kernel(structure: PoissonStructure, casimirs: Sequence[Polynomial],
-                    r: int) -> SubmodulePresentation | None:
-    """The module ``K'`` generated by ``r`` Casimir differentials, or ``None``
-    when fewer than ``r`` of them are independent.
+def _casimir_kernel(structure: PoissonStructure, r: int) -> SubmodulePresentation | None:
+    """The module ``K'`` generated by ``r`` differentials of the structure's
+    Casimirs of degree at most ``DEFAULT_CASIMIR_DEGREE``, or ``None`` when
+    fewer than ``r`` of them are independent.
 
-    The Casimirs are taken in the order given; each nonconstant one is kept
-    when its gradient at the first rank probe point raises the rank of those
-    kept. With ``r`` kept, ``K'`` is free of rank ``r``. Its generators are
-    its reduced Groebner basis (untagged ``buchberger``). Whether ``K'`` is
-    the whole kernel is decided by ``germinal_isotropy``."""
+    The Casimirs are taken in basis order; each nonconstant one is kept when
+    its gradient at the first rank probe point raises the rank of those kept.
+    With ``r`` kept, ``K'`` is free of rank ``r``. Its generators are its
+    reduced Groebner basis (``SubmodulePresentation.groebner_basis``).
+    Whether ``K'`` is the whole kernel is decided by ``germinal_isotropy``."""
     variables = structure.variables
     n = len(variables)
     seeds = _PROBE_SEEDS[0]
     probe = [seeds[i % len(seeds)] for i in range(n)]
     gradients: list[list[Polynomial]] = []
     values: list[list] = []
-    for c in casimirs:
+    for c in structure.casimirs(DEFAULT_CASIMIR_DEGREE):
         if len(gradients) == r:
             break
         if c.is_constant():
@@ -381,13 +395,11 @@ def _casimir_kernel(structure: PoissonStructure, casimirs: Sequence[Polynomial],
             values.append(row)
     if len(gradients) < r:
         return None
-    basis = [polys_from_vec(v, n, variables)
-             for v in buchberger(vec_from_polys(g) for g in gradients)]
-    return SubmodulePresentation(variables, n, basis)
+    return SubmodulePresentation(
+        variables, n, SubmodulePresentation(variables, n, gradients).groebner_basis())
 
 
-def germinal_isotropy(structure: PoissonStructure,
-                      casimirs: Sequence[Polynomial] | None = None) -> GerminalIsotropy:
+def germinal_isotropy(structure: PoissonStructure) -> GerminalIsotropy:
     """Kernel ``K`` of the sharp map as a polynomial module: the left kernel
     of the component matrix, of generic rank ``r = n - 2k``. Four routes,
     recorded as ``route``:
@@ -395,9 +407,9 @@ def germinal_isotropy(structure: PoissonStructure,
     * ``"full"``: the zero bivector. ``K`` is all of ``R^n`` and ``r = n``.
     * ``"zero"``: ``r = 0``. Then ``pi`` is invertible over the fraction
       field, so ``K = 0``; nothing is eliminated.
-    * ``"casimir"``: ``casimirs`` (a basis such as ``casimir_search``
-      returns) holds ``r`` Casimirs whose differentials are independent at a
-      rational point. Each ``dC`` lies in ``K``, so they generate a free
+    * ``"casimir"``: ``structure.casimirs(DEFAULT_CASIMIR_DEGREE)`` holds
+      ``r`` Casimirs whose differentials are independent at a rational
+      point. Each ``dC`` lies in ``K``, so they generate a free
       submodule ``K'`` of rank ``r``, and ``R^n/K'`` has projective dimension
       at most 1. The ``r``-minors of any generator matrix of ``K'`` generate
       the same Fitting ideal of ``R^n/K'``, which is also the drop ideal. If
@@ -408,9 +420,13 @@ def germinal_isotropy(structure: PoissonStructure,
       Commutative Algebra, ch. 19-20). The generators are the reduced
       Groebner basis of ``K'``, which is unique for the engine's order, so
       they are the ones ``syzygies`` would return.
-    * ``"syzygy"``: otherwise (no Casimir basis, fewer than ``r`` independent
-      differentials in it, or a minor gcd that is not 1), the syzygies of
+    * ``"syzygy"``: otherwise (fewer than ``r`` independent differentials
+      among those Casimirs, or a minor gcd that is not 1), the syzygies of
       the component matrix.
+
+    The route depends on the structure alone: the Casimir search runs once
+    per structure and serves every later call, and no caller option changes
+    its degree bound.
 
     Every route ends the same way. Each generator is checked to satisfy
     ``sharp(g) = 0``; as ``pi`` has generic rank ``2k``, the generic rank of
@@ -429,7 +445,7 @@ def germinal_isotropy(structure: PoissonStructure,
         elif r == 0:
             yield "zero", SubmodulePresentation.zero(variables, n)
         else:
-            if casimirs is not None and (found := _casimir_kernel(structure, casimirs, r)):
+            if found := _casimir_kernel(structure, r):
                 yield "casimir", found
             yield "syzygy", syzygies(structure.pi_matrix(), variables)
 
@@ -474,8 +490,7 @@ def _annihilator_module(iso: GerminalIsotropy, variables, n: int) -> SubmodulePr
 
 
 def almost_regular_decide(structure: PoissonStructure, *, seed: int = 0,
-                          samples: int = 10000,
-                          casimirs: Sequence[Polynomial] | None = None) -> Verdict:
+                          samples: int = 10000) -> Verdict:
     """Constant-rank decision for the kernel module.
 
     Yes: the drop ideal of the kernel generator matrix is certified real-empty,
@@ -484,7 +499,7 @@ def almost_regular_decide(structure: PoissonStructure, *, seed: int = 0,
     distribution. No: a real witness point where the kernel dimension jumps.
     Inconclusive propagates from the emptiness certificate. Every verdict on a
     nonzero bivector carries the kernel module in its payload as
-    ``isotropy``. ``casimirs``, a Casimir basis, goes to ``germinal_isotropy``.
+    ``isotropy``, built by ``germinal_isotropy`` from the structure alone.
 
     ``germinal_isotropy`` has checked ``sharp(g) = 0`` for every kernel
     generator ``g``, so ``C`` lies in ``A``; and ``A`` is saturated (``R^n/A``
@@ -510,7 +525,7 @@ def almost_regular_decide(structure: PoissonStructure, *, seed: int = 0,
         dist = DistributionPresentation(SubmodulePresentation.zero(variables, n), 0,
                                         provenance={"degenerate": "zero bivector"})
         return Verdict.yes(certificate={"degenerate": "zero bivector"}, distribution=dist)
-    iso = germinal_isotropy(structure, casimirs=casimirs)
+    iso = germinal_isotropy(structure)
     drop = iso.drop_ideal
     emptiness = variety_emptiness(drop, seed=seed, samples=samples)
     if emptiness.is_inconclusive:

@@ -22,12 +22,12 @@ from .poisson import (
     DistributionPresentation,
     PoissonStructure,
     almost_regular_decide,
-    casimir_search,
     center_check,
     check_jacobi,
     germinal_isotropy,
     linear_structure,
     verify_distribution,
+    DEFAULT_CASIMIR_DEGREE,
     DENSITY_RATIONALE,
     SMOOTHNESS_NOTE,
 )
@@ -62,7 +62,7 @@ def _gen_list(gens) -> list[list[str]]:
 
 @dataclass
 class AnalysisOptions:
-    max_degree: int = 4
+    max_degree: int = DEFAULT_CASIMIR_DEGREE   # bounds the report's Casimir list only
     samples: int = 10000
     seed: int = 0
     skip_jacobi: bool = False
@@ -72,10 +72,9 @@ class AnalysisOptions:
 class AnalysisReport:
     data: dict
     inconclusive: bool
-    # the parsed structure and the Casimir basis, for callers that go on to
-    # trace leaves; neither is rendered (None where no Casimir search ran)
+    # the parsed structure, for callers that go on to trace leaves; its
+    # Casimir bases are cached on it (not rendered)
     structure: PoissonStructure | None = None
-    casimirs: list[Polynomial] | None = None
 
     def to_json(self) -> str:
         return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
@@ -335,11 +334,8 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
     data["regular_locus_ideal"] = _poly_list(structure.regular_ideal)
     data["density_rationale"] = DENSITY_RATIONALE
 
-    # the Casimir basis and the kernel module are computed once: the decision
-    # builds the kernel from the basis, and the report reuses both
-    basis = casimir_search(structure, options.max_degree)
-    decision = almost_regular_decide(structure, seed=options.seed, samples=options.samples,
-                                     casimirs=basis)
+    # the kernel module is computed once, by the decision, and reused here
+    decision = almost_regular_decide(structure, seed=options.seed, samples=options.samples)
     iso = decision.payload["isotropy"]
     if lie_algebra:
         data["lie_algebra"] = _lie_section(structure, iso)
@@ -400,11 +396,13 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
             lf["notes"] = classification.notes
         data["log_f"] = lf
 
+    # at the default degree this is the basis the kernel module's Casimir
+    # route read, searched once on the structure
+    basis = structure.casimirs(options.max_degree)
     data["casimirs"] = {"max_degree": options.max_degree, "basis": [str(p) for p in basis]}
 
     data["assumptions"] = [
         SMOOTHNESS_NOTE,
         "density of the maximal-rank locus is certified structurally: " + DENSITY_RATIONALE,
     ]
-    return AnalysisReport(data, inconclusive=inconclusive, structure=structure,
-                          casimirs=basis)
+    return AnalysisReport(data, inconclusive=inconclusive, structure=structure)

@@ -29,6 +29,9 @@ from .poisson import PoissonStructure
 __all__ = ["TraceResult", "compile_rk4_step", "trace_leaf", "trace_to_csv"]
 
 NORM_GUARD = 1e8
+# singular values below RANK_TOL times the largest field value (at least 1)
+# count as zero in the dimension estimate
+RANK_TOL = 1e-8
 
 
 class TraceBlowupError(RuntimeError):
@@ -88,7 +91,7 @@ def trace_leaf(structure: PoissonStructure, x0: Sequence[float],
                hamiltonians: Sequence[Polynomial] | None = None,
                steps: int = 1000, dt: float = 1e-3,
                invariants: Sequence[Polynomial] | None = None,
-               rank_tol: float = 1e-8, rank_every: int = 97) -> TraceResult:
+               rank_every: int = 97) -> TraceResult:
     """Classical RK4 along the Hamiltonian fields of the given functions.
 
     Raises ``ValueError`` on arguments that cannot be traced, before the first
@@ -131,7 +134,7 @@ def trace_leaf(structure: PoissonStructure, x0: Sequence[float],
             raise TraceBlowupError(f"field values are not finite at {y}")
         if not np.any(vals):
             return 0
-        return int(np.linalg.matrix_rank(vals, tol=rank_tol * max(1.0, float(np.max(np.abs(vals))))))
+        return int(np.linalg.matrix_rank(vals, tol=RANK_TOL * max(1.0, float(np.max(np.abs(vals))))))
 
     dim = rank_at(x)
     for s in range(steps):

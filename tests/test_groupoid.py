@@ -100,6 +100,36 @@ def test_non_composable_rejected():
         model.multiply(g, h)
 
 
+# H = (xi, v, t) has target w = (0, 1) under the height model at t = 1
+H = ((1, 0), (0, 0), 1)
+W = (0, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: m.sharp((1,)),
+    lambda m: m.sharp((1, 2, 3)),
+    lambda m: m.translation((1,), 1),
+    lambda m: m.source(((1, 2), (3,), 1)),
+    lambda m: m.target(((1, 2, 3), (0, 0), 1)),
+    lambda m: m.unit((1, 2, 3), 0),
+    lambda m: m.inverse(((1,), (0, 0), 1)),
+    lambda m: m.composable(((0, 0), (*W, 5), 1), H),
+    lambda m: m.composable(((0, 0), W[:1], 1), H),
+    lambda m: m.composable(((0, 0), W, 1), ((1, 0, 7), (0, 0), 1)),
+    lambda m: m.multiply(((0, 0, 5), W, 1), H),
+    lambda m: m.pair_map(((1, 2), (3, 4, 5), 1)),
+    lambda m: m.pair_slice_inverse(((1, 2, 3), (0, 0), 1)),
+    lambda m: m.pair_slice_inverse(((1, 2), (0,), 1)),
+], ids=["sharp-short", "sharp-long", "translation", "source", "target", "unit", "inverse",
+        "composable-long-v", "composable-short-v", "composable-long-h", "multiply",
+        "pair_map", "pair_slice_inverse-w", "pair_slice_inverse-v"])
+def test_every_map_checks_the_lengths(call):
+    model = height_model()
+    assert model.target(H) == (W, 1) and model.composable(((0, 0), W, 1), H)
+    with pytest.raises(ValueError, match=r"has \d+ entries, expected 2"):
+        call(model)
+
+
 def test_inverse_formula():
     model = height_model()
     g = ((QQ(2), QQ(-3)), (QQ(1), QQ(1)), QQ(2))

@@ -2,24 +2,37 @@
 gcd of the drop-ideal minors, the zero module at full rank, and the syzygy
 fallback.
 
-sl(3)*, gl(3)* and so(5)* are built here from matrix bases; the Casimir
-route decides each in well under a second (so(5)* did not finish on the
+The route depends on the structure alone: the Casimir route reads
+``structure.casimirs(DEFAULT_CASIMIR_DEGREE)``, searched once per structure,
+and ``--max-degree`` bounds only the report's Casimir list. sl(3)*, gl(3)*
+and so(5)* are built here from matrix bases; the Casimir route decides each
+in well under a second at every ``max_degree`` (so(5)* did not finish on the
 syzygy route). A sympy oracle re-checks ``sharp(dC) = 0`` and the minor gcd,
-and the nine ``lie-duals`` benchmark duals give the same sections whether
-the Casimir route applies (``max_degree`` 4) or not (0)."""
+and the nine ``lie-duals`` benchmark duals give the same sections on both
+routes; the tests force the syzygy route by setting
+``poiskit.poisson.DEFAULT_CASIMIR_DEGREE`` to 0, which leaves only the
+constant Casimir."""
 
 from __future__ import annotations
 
+import ast
+import json
 import time
 from functools import reduce
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 import sympy
 
+import poiskit
 import poiskit.poisson
+from poiskit.cli import main
+from poiskit.groupoid import MonodromyProblem, round_sphere
+from poiskit.poisson import germinal_isotropy
 from poiskit.report import AnalysisOptions, analyze
-from test_corpus_digest import documents
+from conftest import su2_structure
+from test_corpus_digest import WORKLOADS, documents
 
 
 def _unit(size: int, i: int, j: int) -> sympy.Matrix:
@@ -113,7 +126,7 @@ def _sympy_oracle(doc: dict, report, iso) -> None:
         return all(not sum((a * pi[i][j] for i, a in enumerate(covector)), ring.zero)
                    for j in range(n))
 
-    for casimir in report.casimirs:
+    for casimir in report.structure.casimirs(4):
         if casimir.total_degree() > 0:
             f = convert(casimir)
             assert annihilated([f.diff(x) for x in xs]), casimir
@@ -146,10 +159,28 @@ def test_casimir_route_decides_sl3_gl3_so5(monkeypatch, name, basis, k, kernel_d
     assert d["germinal_isotropy"]["generic_dimension"] == kernel_dim
     assert iso.route == "casimir"
     by_degree = [0] * 5
-    for casimir in report.casimirs:
+    for casimir in report.structure.casimirs(4):
         by_degree[casimir.total_degree()] += 1
     assert by_degree == _free_algebra_dims(degrees, 4)
     assert elapsed < 5.0, f"{name}* took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("max_degree", [0, 2, 3])
+@pytest.mark.parametrize("basis", [_sl3, _gl3, _so5], ids=["sl3", "gl3", "so5"])
+def test_max_degree_does_not_change_the_route(monkeypatch, basis, max_degree):
+    # the report's Casimir list stops below the Casimirs the route needs
+    # (degree 3 for sl(3)* and gl(3)*, 4 for so(5)*); the route still reads
+    # them from the structure
+    doc = lie_document(basis())
+    started = time.perf_counter()
+    report, iso = analyze_with_isotropy(monkeypatch, doc, AnalysisOptions(max_degree=max_degree))
+    elapsed = time.perf_counter() - started
+    assert iso.route == "casimir"
+    d = report.data
+    assert d["almost_regular"]["outcome"] == "no"
+    assert d["almost_regular"]["witness"] == ["0"] * len(doc["coordinates"])
+    assert d["casimirs"]["max_degree"] == max_degree
+    assert elapsed < 5.0, f"took {elapsed:.2f} s at max_degree {max_degree}"
 
 
 @pytest.mark.parametrize("basis", [_sl3, _gl3, _so5], ids=["sl3", "gl3", "so5"])
@@ -162,8 +193,10 @@ def test_sympy_oracle_on_the_casimir_route(monkeypatch, basis):
 
 @pytest.mark.parametrize("name, doc", sorted(documents("lie-duals", 7).items()))
 def test_lie_duals_agree_on_both_routes(monkeypatch, name, doc):
-    fallback, iso0 = analyze_with_isotropy(monkeypatch, doc, AnalysisOptions(max_degree=0))
-    direct, iso4 = analyze_with_isotropy(monkeypatch, doc, AnalysisOptions(max_degree=4))
+    with monkeypatch.context() as patched:
+        patched.setattr(poiskit.poisson, "DEFAULT_CASIMIR_DEGREE", 0)
+        fallback, iso0 = analyze_with_isotropy(patched, doc)
+    direct, iso4 = analyze_with_isotropy(monkeypatch, doc)
     expected = "zero" if iso4.generic_dimension == 0 else "casimir"
     assert (iso0.route, iso4.route) == ("zero" if expected == "zero" else "syzygy", expected)
     for section in ("germinal_isotropy", "almost_regular", "lie_algebra"):
@@ -182,3 +215,79 @@ def test_book_algebra_falls_back_to_syzygies(monkeypatch):
     assert iso.route == "syzygy"
     assert report.data["casimirs"]["basis"] == ["1"]
     assert report.data["germinal_isotropy"]["generators"] == [["x2", "-1/2*x1", "0"]]
+
+
+def _count_searches(monkeypatch) -> list[int]:
+    """The degree of each ``casimir_search`` call from here on."""
+    calls = []
+    original = poiskit.poisson.casimir_search
+
+    def counted(structure, max_degree):
+        calls.append(max_degree)
+        return original(structure, max_degree)
+
+    monkeypatch.setattr(poiskit.poisson, "casimir_search", counted)
+    return calls
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_one_casimir_search_serves_the_route_and_the_report(monkeypatch, workload):
+    calls = _count_searches(monkeypatch)
+    for name, doc in sorted(documents(workload, 0).items()):
+        calls.clear()
+        analyze(doc)
+        assert calls == [4], name
+
+
+def test_a_max_degree_other_than_4_costs_one_more_search(monkeypatch, tmp_path, capsys):
+    # the route reads degree 4 and the report degree 3; the trace reuses the
+    # report's (the default analysis and its trace run one search: test_cli)
+    path = tmp_path / "so5.json"
+    path.write_text(json.dumps(lie_document(_so5())))
+    calls = _count_searches(monkeypatch)
+    assert main(["analyze", str(path), "--max-degree", "3",
+                 "--trace", ",".join(["1"] + ["0"] * 9), "--steps", "10"]) == 0
+    assert sorted(calls) == [3, 4]
+    assert "almost regular: no" in capsys.readouterr().out
+
+
+def test_monodromy_problem_is_the_same_on_both_routes(monkeypatch):
+    sphere = round_sphere(1.0, 3)
+    direct = MonodromyProblem(su2_structure(), sphere)
+    assert germinal_isotropy(direct.structure).route == "casimir"
+    with monkeypatch.context() as patched:
+        patched.setattr(poiskit.poisson, "DEFAULT_CASIMIR_DEGREE", 0)
+        fallback = MonodromyProblem(su2_structure(), sphere)
+        assert germinal_isotropy(fallback.structure).route == "syzygy"
+    assert fallback.alpha == direct.alpha
+    assert fallback.curvature_scalars == direct.curvature_scalars
+
+
+def _imported_modules(path: Path, package: str) -> set[str]:
+    """The absolute names of the modules ``path`` (a module of ``package``)
+    imports, and of ``from`` targets that may be submodules."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0] if node.level > 1 else package
+                base = f"{parent}.{base}" if base else parent
+            out.add(base)
+            out.update(f"{base}.{alias.name}" for alias in node.names)
+    return out
+
+
+def test_only_modcalc_imports_the_groebner_engine():
+    root = Path(poiskit.__file__).resolve().parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root).with_suffix("").parts
+        if parts[0] == "modcalc":
+            continue
+        package = ".".join(("poiskit", *parts[:-1]))
+        if "poiskit.modcalc.engine" in _imported_modules(path, package):
+            offenders.append(str(path.relative_to(root)))
+    assert not offenders

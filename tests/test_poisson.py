@@ -199,7 +199,9 @@ def test_kernel_module_heisenberg(heis):
 
 
 def test_kernel_module_below_the_generic_rank_raises(su2, monkeypatch):
-    # a syzygy module without su(2)'s generator x dx + y dy + z dz has rank 0, not 1
+    # a syzygy module without su(2)'s generator x dx + y dy + z dz has rank 0,
+    # not 1; degree 0 leaves the Casimir route no Casimir, so the syzygy route runs
+    monkeypatch.setattr(poiskit.poisson, "DEFAULT_CASIMIR_DEGREE", 0)
     monkeypatch.setattr(poiskit.poisson, "syzygies",
                         lambda matrix, variables: SubmodulePresentation.zero(variables, 3))
     with pytest.raises(AssertionError, match="every 1-minor of the kernel module vanishes"):
