@@ -427,17 +427,20 @@ def pair_morphism_check(model: LinearGroupoidModel, samples: int = 1000,
 
 
 def pairwise_sum(values: Sequence[float]) -> float:
-    """Deterministic pairwise tree reduction (reproducible bit-for-bit)."""
-    vals = list(values)
-    if not vals:
+    """Deterministic pairwise tree reduction (reproducible bit-for-bit).
+
+    The values are read as float64. Each tree level is one numpy addition of
+    the even-indexed values to the odd-indexed ones, an odd tail carried to
+    the next level, so the sum is the one a Python loop over the same tree
+    gives. Overflow and ``inf + -inf`` give ``inf`` and ``nan`` without a
+    warning, as Python float addition does."""
+    vals = np.asarray(values, dtype=np.float64)
+    if not vals.size:
         return 0.0
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(vals) > 1:
+            pairs = vals[0:-1:2] + vals[1::2]
+            vals = np.append(pairs, vals[-1]) if len(vals) % 2 else pairs
     return float(vals[0])
 
 
@@ -619,7 +622,7 @@ _BLOCK_POINTS = 512
 
 
 def _integrate_rows(problem: MonodromyProblem, theta: np.ndarray, wt: np.ndarray,
-                    phi: np.ndarray, wp: np.ndarray) -> tuple[list[float], float]:
+                    phi: np.ndarray, wp: np.ndarray) -> tuple[np.ndarray, float]:
     """The contributions of the mesh rows at ``theta`` (weights ``wt``), in
     row-major order, and their largest relative splitting residual."""
     n = problem.n
@@ -649,7 +652,7 @@ def _integrate_rows(problem: MonodromyProblem, theta: np.ndarray, wt: np.ndarray
     smat = problem._curvature_rows(xs)
     integrand = np.einsum("pi,pij,pj->p", sol[:, :, 0], smat, sol[:, :, 1])
     weights = wt[:, None] * wp                                                # (rows, mesh)
-    return (weights.ravel() * integrand).tolist(), float(np.max(residual / scale))
+    return weights.ravel() * integrand, float(np.max(residual / scale))
 
 
 def _integrate(problem: MonodromyProblem, mesh: int) -> tuple[float, float]:
@@ -660,7 +663,7 @@ def _integrate(problem: MonodromyProblem, mesh: int) -> tuple[float, float]:
     wp = np.pi * weights_t
 
     rows = max(1, _BLOCK_POINTS // mesh)
-    contributions: list[float] = []
+    contributions: list[np.ndarray] = []
     max_residual = 0.0
     for start in range(0, mesh, rows):
         block = slice(start, start + rows)
@@ -675,9 +678,9 @@ def _integrate(problem: MonodromyProblem, mesh: int) -> tuple[float, float]:
             parts = (_integrate_rows(problem, theta[a:a + 1], wt[a:a + 1], phi, wp)
                      for a in range(start, min(start + rows, mesh)))
         for values, residual in parts:
-            contributions.extend(values)
+            contributions.append(values)
             max_residual = max(max_residual, residual)
-    return pairwise_sum(contributions), max_residual
+    return pairwise_sum(np.concatenate(contributions)), max_residual
 
 
 def monodromy_period(problem: MonodromyProblem,

@@ -6,7 +6,9 @@ certificates, rank stratification, and emptiness certificates.
 answers membership (``contains``) from one Groebner engine built on first
 use. ``syzygies`` is the one kernel computation: ``colon_by_ideal`` is the
 syzygy module of one block matrix, ``saturate`` iterates that colon, and
-``polynomial_gcd`` reads the gcd of a pair off the syzygies of ``[a, b]``.
+``polynomial_gcd`` first tries to certify gcd 1 by univariate gcds at
+rational specialisations, and otherwise reads the gcd of each pair off the
+syzygies of ``[a, b]``.
 The Poisson layer builds the kernel module of ``pi`` as the
 ``groebner_basis`` of the presentation its Casimir differentials generate,
 and calls ``syzygies`` on ``pi``'s matrix only when that route does not

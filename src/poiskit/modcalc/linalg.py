@@ -13,7 +13,8 @@ Every entry of an answer is an exact coefficient in canonical form: an
 ``int`` when integral, else a ``QQ``. Rationals are built only for the
 nonzero entries of the kernel vectors, by ``qq_div``. The elimination peels
 nothing: ``poisson.casimir_search`` strikes the columns that single-entry
-rows force to 0, in numpy, before it calls.
+rows force to 0, in numpy, and passes only the rows left, renumbered over
+the columns left.
 """
 
 from __future__ import annotations
@@ -133,9 +134,7 @@ def sparse_nullspace(rows: Sequence[dict], ncols: int) -> list[dict[int, QQ]]:
     row echelon form; it and the pivot columns depend only on the row space,
     so the order of ``rows`` does not change the result. A column outside
     ``range(ncols)`` is a ``ValueError``; the caller's dicts are never
-    modified. The one caller, ``poisson.casimir_search``, passes each column
-    that a single-entry row forces to 0 as a ``{column: 1}`` row, which
-    becomes a pivot with no arithmetic.
+    modified.
     """
     return _kernel(_echelon(rows, ncols), ncols)
 

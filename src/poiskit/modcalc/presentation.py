@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from ..polyalg.polynomial import (
@@ -12,6 +13,7 @@ from ..polyalg.polynomial import (
     divides_exactly,
 )
 from .engine import ModuleEngine
+from .rank import _PROBE_SEEDS
 from .verdict import Verdict
 
 SATURATION_CAP = 50
@@ -142,13 +144,16 @@ def syzygies(matrix_rows: Sequence[Sequence[Polynomial]],
 
 
 def polynomial_gcd(polys: Sequence[Polynomial]) -> Polynomial:
-    """Greatest common divisor over Q of a nonempty family, one pair at a
-    time, with coprime integer coefficients and a positive degrevlex-leading
-    coefficient. The fold ends at the first running gcd that is a nonzero
-    constant, with ``1``, so a family sorted by degree that holds a coprime
-    pair early costs that pair only. A family of one polynomial is returned
-    as it is, unnormalised; a family on more than one chart is a
-    ``ChartMismatchError``.
+    """Greatest common divisor over Q of a nonempty family, with coprime
+    integer coefficients and a positive degrevlex-leading coefficient. A
+    family of one polynomial is returned as it is, unnormalised; a family on
+    more than one chart is a ``ChartMismatchError``.
+
+    A family of two or more is first offered to ``_coprime_by_specialisation``,
+    which may prove the gcd is 1 with univariate gcds alone. Otherwise the
+    gcd is folded one pair at a time. The fold ends at the first running gcd
+    that is a nonzero constant, with ``1``, so a family sorted by degree that
+    holds a coprime pair early costs that pair only.
 
     For nonzero ``a`` and ``b`` with gcd ``g`` the syzygies of the 1-by-2
     matrix ``[a, b]`` form the principal module generated by
@@ -162,11 +167,90 @@ def polynomial_gcd(polys: Sequence[Polynomial]) -> Polynomial:
     acc = polys[0]
     if any(b.variables != acc.variables for b in polys[1:]):
         raise ChartMismatchError("gcd of polynomials on different charts")
+    if len(polys) > 1 and _coprime_by_specialisation(polys):
+        return Polynomial.one(acc.variables)
     for b in polys[1:]:
         if acc.is_constant() and not acc.is_zero:
             return Polynomial.one(acc.variables)
         acc = _gcd_pair(acc, b)
     return acc
+
+
+def _coprime_by_specialisation(polys: Sequence[Polynomial]) -> bool:
+    """``True`` only if the family's gcd is 1, proved with univariate gcds.
+
+    Take ``m1``, a nonzero member of least total degree. For each variable
+    ``x_i`` in which ``m1`` has positive degree, the other coordinates are
+    fixed at the first ``_PROBE_SEEDS`` row where the leading coefficient of
+    ``m1`` in ``x_i`` does not vanish, and Euclid runs over Q on the
+    specialised members until their gcd is constant. A common factor ``g``
+    divides ``m1``, so it has positive degree only where ``m1`` has, and its
+    leading coefficient in ``x_i`` divides that of ``m1``: ``g`` keeps its
+    degree in ``x_i`` under the specialisation and divides the univariate
+    gcd. So if every such gcd is constant, ``g`` is constant. ``False``
+    (undecided) when some univariate gcd is not constant or no probe row
+    keeps the leading coefficient."""
+    members = [p for p in polys if p]
+    if not members:
+        return False
+    m1 = min(members, key=Polynomial.total_degree)
+    n = len(m1.variables)
+    for i in range(n):
+        top = max(e[i] for e in m1.terms)
+        if not top:
+            continue
+        for seeds in _PROBE_SEEDS:
+            point = [seeds[j % len(seeds)] for j in range(n)]
+            acc = _specialise(m1, i, point)
+            if len(acc) == top + 1:
+                break
+        else:
+            return False
+        for p in members:
+            if len(acc) == 1:
+                break
+            if p is not m1:
+                acc = _univariate_gcd(acc, _specialise(p, i, point))
+        if len(acc) > 1:
+            return False
+    return True
+
+
+def _specialise(p: Polynomial, i: int, point: Sequence[int]) -> list[int]:
+    """``p`` with every coordinate but ``x_i`` fixed at ``point``: its
+    coefficients in ``x_i``, lowest degree first and trimmed, scaled to
+    coprime integers (``[]`` for 0)."""
+    coeffs = [0] * (1 + max(e[i] for e in p.terms))
+    for e, c in p.terms.items():
+        coeffs[e[i]] += c * prod(v ** k for j, (v, k) in enumerate(zip(point, e)) if j != i)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return _primitive_part(coeffs)
+
+
+def _primitive_part(coeffs: list) -> list[int]:
+    """Rational coefficients scaled to coprime integers, signs kept."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _univariate_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A gcd over Q of two integer coefficient lists (lowest degree first),
+    by Euclid on primitive pseudo-remainders."""
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            shift, lr, lb = len(r) - len(b), r[-1], b[-1]
+            g = gcd(lr, lb)
+            r = [c * (lb // g) for c in r]
+            for k, c in enumerate(b):
+                r[shift + k] -= c * (lr // g)
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _primitive_part(r)
+    return a
 
 
 def _gcd_pair(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -45,27 +45,61 @@ class RankProfile:
     variables: tuple[str, ...]
     generic_rank: int
     _minor_cache: dict = field(default_factory=dict)
+    _ideal_cache: dict = field(default_factory=dict)
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.rows), len(self.rows[0]) if self.rows else 0
 
     def minor_ideal(self, s: int) -> list[Polynomial]:
-        """Generators (all s-minors) of the s-th determinantal ideal."""
+        """Generators (all nonzero s-minors) of the s-th determinantal ideal,
+        row sets and then column sets in ``combinations`` order.
+
+        The minors are shared across sizes: each s-minor is one Laplace
+        expansion along its last column over (s-1)-minors, and every minor
+        is computed once, on first need, and kept (``_minor_cache``) for
+        every other minor and size that reads it. So the ``(r+1)``-minors of
+        ``rank_profile`` leave most ``r``-minors of ``drop_ideal`` computed."""
         if s <= 0:
             return [Polynomial.one(self.variables)]
         n, m = self.shape
         if s > min(n, m):
             return []
-        if s not in self._minor_cache:
-            minors = []
-            for ri in combinations(range(n), s):
-                for ci in combinations(range(m), s):
-                    d = _det([[self.rows[i][j] for j in ci] for i in ri])
-                    if not d.is_zero:
-                        minors.append(d)
-            self._minor_cache[s] = minors
-        return self._minor_cache[s]
+        ideal = self._ideal_cache.get(s)
+        if ideal is None:
+            ideal = self._ideal_cache[s] = [
+                d for ri in combinations(range(n), s) for ci in combinations(range(m), s)
+                if (d := self._minor(ri, ci))]
+        return ideal
+
+    def _minor(self, ri: tuple[int, ...], ci: tuple[int, ...]) -> Polynomial:
+        """The minor on rows ``ri`` and columns ``ci``, expanded along its
+        last column; a zero entry or a zero (s-1)-minor adds no product, and
+        the (s-1)-minor of a zero entry is never computed."""
+        d = self._minor_cache.get((ri, ci))
+        if d is not None:
+            return d
+        last, head = ci[-1], ci[:-1]
+        if not head:
+            d = self.rows[ri[0]][last]
+        else:
+            d = None
+            for k, i in enumerate(ri):
+                p = self.rows[i][last]
+                if not p:
+                    continue
+                sub = self._minor(ri[:k] + ri[k + 1:], head)
+                if not sub:
+                    continue
+                term = p * sub
+                if d is None:
+                    d = -term if (len(head) - k) % 2 else term
+                else:
+                    d = d - term if (len(head) - k) % 2 else d + term
+            if d is None:
+                d = Polynomial.zero(self.variables)
+        self._minor_cache[ri, ci] = d
+        return d
 
     def drop_ideal(self) -> list[Polynomial]:
         """Ideal whose real zero set is exactly where the rank drops below

@@ -291,16 +291,17 @@ def _casimir_entries(mat: list[list[Polynomial]], monos: Sequence | np.ndarray,
 
 
 def _casimir_rows(mat: list[list[Polynomial]], monos: Sequence | np.ndarray,
-                  scale: int | None = None) -> list[dict[int, object]]:
+                  scale: int | None = None) -> tuple[list[dict[int, object]], np.ndarray]:
     """The Casimir system (see ``_casimir_entries``) with its forced-zero
-    columns peeled, as rows for ``sparse_nullspace``.
+    columns peeled, as rows for ``sparse_nullspace`` over the live columns.
 
     A row with one live entry forces its column to 0 in every kernel vector,
     so that column is struck from every row. Each round strikes the columns
     of all such rows at once (``np.bincount`` counts the live entries per
-    row), until no row has one live entry. Only the rows left become
-    ``{column: value}`` dicts; each struck column goes along as a
-    ``{column: 1}`` row, so it stays a pivot column and never becomes free."""
+    row), until no row has one live entry. The columns left are renumbered
+    in order (``np.cumsum(~struck) - 1``), and only the rows left become
+    ``{live column: value}`` dicts. Returns those rows and ``live``, the
+    original column of each live column."""
     entries = _casimir_entries(mat, monos, scale)
     row, col, val = entries.row, entries.col, entries.val
     struck = np.zeros(len(monos), dtype=bool)
@@ -311,11 +312,10 @@ def _casimir_rows(mat: list[list[Polynomial]], monos: Sequence | np.ndarray,
         struck[col[single]] = True
         keep = ~struck[col]
         row, col, val = row[keep], col[keep], val[keep]
-    cols, vals = col.tolist(), val.tolist()
+    cols, vals = (np.cumsum(~struck) - 1)[col].tolist(), val.tolist()
     edges = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist(), len(cols)]
     rows = [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(edges, edges[1:]) if a < b]
-    rows += [{c: 1} for c in np.flatnonzero(struck).tolist()]
-    return rows
+    return rows, np.flatnonzero(~struck)
 
 
 def casimir_search(structure: PoissonStructure, max_degree: int) -> list[Polynomial]:
@@ -325,18 +325,21 @@ def casimir_search(structure: PoissonStructure, max_degree: int) -> list[Polynom
     column per monomial. It is built as integer arrays from the component
     matrix times the lcm of its coefficient denominators, and the columns
     that single-entry rows force to 0 are peeled there (``_casimir_rows``).
-    The rows left, with one unit row per struck column, are solved
-    fraction-free by ``sparse_nullspace``. The kernel basis, normalised at
-    the free columns, does not depend on the order of the rows. Each kernel
-    vector comes back sparse (its nonzero entries only) and becomes a
-    polynomial as it is."""
+    Only the rows left are solved, fraction-free by ``sparse_nullspace``,
+    over the live columns; the renumbering keeps the columns' order, so the
+    kernel basis, normalised at the free columns, is the one of the whole
+    system with every struck column 0. It does not depend on the order of
+    the rows. Each kernel vector comes back sparse (its nonzero entries
+    only) and becomes a polynomial as it is, its live columns mapped back
+    to their monomials."""
     variables = structure.variables
     expos = _monomial_array(len(variables), max_degree)
     mat = structure.pi_matrix()
     scale = lcm(*(int(c.denominator) for row in mat for p in row for c in p.terms.values()))
-    kernel = sparse_nullspace(_casimir_rows(mat, expos, scale), len(expos))
-    basis = [Polynomial(variables, dict(zip(map(tuple, expos[list(vec)].tolist()), vec.values())))
-             for vec in kernel]
+    rows, live = _casimir_rows(mat, expos, scale)
+    live_expos = expos[live]
+    basis = [Polynomial(variables, dict(zip(map(tuple, live_expos[list(vec)].tolist()), vec.values())))
+             for vec in sparse_nullspace(rows, len(live))]
     basis.sort(key=lambda p: (p.total_degree(), str(p)))
     return basis
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import struct
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -220,6 +221,48 @@ def test_pairwise_sum_deterministic():
     assert pairwise_sum(values) == pairwise_sum(list(values))
     assert pairwise_sum([]) == 0.0
     assert pairwise_sum([2.5]) == 2.5
+
+
+def _loop_pairwise_sum(values: list[float]) -> float:
+    """The tree of ``pairwise_sum`` in Python float addition, one pair at a time."""
+    vals = list(values)
+    if not vals:
+        return 0.0
+    while len(vals) > 1:
+        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
+        if len(vals) % 2:
+            nxt.append(vals[-1])
+        vals = nxt
+    return float(vals[0])
+
+
+def _bits(x: float) -> bytes:
+    return b"nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+_EDGE_FLOATS = st.sampled_from([math.inf, -math.inf, math.nan, 1.7e308, -1.7e308,
+                                8.9e307, -8.9e307, 5e-324, -0.0, 0.0])
+
+
+@st.composite
+def float_lists(draw) -> list[float]:
+    """Lists of length 0-2000: seeded values of every magnitude up to 1e308,
+    with hypothesis's own floats (infinities and NaN included) and values
+    near the overflow edge placed at drawn positions."""
+    size = draw(st.integers(0, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = (rng.standard_normal(size) * 10.0 ** rng.integers(-300, 308, size)).tolist()
+    for x in draw(st.lists(st.one_of(st.floats(), _EDGE_FLOATS), max_size=12)):
+        values.insert(draw(st.integers(0, len(values))), x)
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_lists())
+def test_pairwise_sum_matches_the_python_loop_bit_for_bit(values):
+    # overflow and inf + -inf raise no RuntimeWarning (tier-1 makes one an error)
+    assert _bits(pairwise_sum(values)) == _bits(_loop_pairwise_sum(values))
+    assert _bits(pairwise_sum(np.array(values))) == _bits(_loop_pairwise_sum(values))
 
 
 # -- monodromy ------------------------------------------------------------------------

@@ -11,28 +11,36 @@ syzygy route). A sympy oracle re-checks ``sharp(dC) = 0`` and the minor gcd,
 and the nine ``lie-duals`` benchmark duals give the same sections on both
 routes; the tests force the syzygy route by setting
 ``poiskit.poisson.DEFAULT_CASIMIR_DEGREE`` to 0, which leaves only the
-constant Casimir."""
+constant Casimir. The drop-ideal gcd is certified by specialisation: no
+lie-duals family reaches the engine fold, and eight sl(4)* gradient minors
+are decided within a second. The reports of sl(3)*, gl(3)*, so(5)* and the
+book algebra are pinned by digest."""
 
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import time
 from functools import reduce
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import sympy
 
 import poiskit
 import poiskit.poisson
+from poiskit._kernel import QQ
 from poiskit.cli import main
 from poiskit.groupoid import MonodromyProblem, round_sphere
-from poiskit.poisson import germinal_isotropy
+from poiskit.modcalc import polynomial_gcd, presentation
+from poiskit.polyalg import Polynomial
+from poiskit.poisson import casimir_search, germinal_isotropy, linear_bivector
 from poiskit.report import AnalysisOptions, analyze
 from conftest import su2_structure
-from test_corpus_digest import WORKLOADS, documents
+from test_corpus_digest import WORKLOADS, _corpus, documents
 
 
 def _unit(size: int, i: int, j: int) -> sympy.Matrix:
@@ -41,9 +49,13 @@ def _unit(size: int, i: int, j: int) -> sympy.Matrix:
     return m
 
 
+def _sl(size: int) -> list[sympy.Matrix]:
+    off = [_unit(size, i, j) for i in range(size) for j in range(size) if i != j]
+    return off + [_unit(size, i, i) - _unit(size, i + 1, i + 1) for i in range(size - 1)]
+
+
 def _sl3() -> list[sympy.Matrix]:
-    off = [_unit(3, i, j) for i in range(3) for j in range(3) if i != j]
-    return off + [_unit(3, 0, 0) - _unit(3, 1, 1), _unit(3, 1, 1) - _unit(3, 2, 2)]
+    return _sl(3)
 
 
 def _gl3() -> list[sympy.Matrix]:
@@ -52,6 +64,12 @@ def _gl3() -> list[sympy.Matrix]:
 
 def _so5() -> list[sympy.Matrix]:
     return [_unit(5, i, j) - _unit(5, j, i) for i in range(5) for j in range(i + 1, 5)]
+
+
+# [e3, e1] = e1, [e3, e2] = 2 e2
+BOOK_ALGEBRA = {"coordinates": ["x1", "x2", "x3"], "mode": "lie_algebra",
+                "structure_constants": [{"i": 2, "j": 0, "k": 0, "c": "1"},
+                                        {"i": 2, "j": 1, "k": 1, "c": "2"}]}
 
 
 def lie_document(basis: list[sympy.Matrix]) -> dict:
@@ -208,10 +226,7 @@ def test_lie_duals_agree_on_both_routes(monkeypatch, name, doc):
 def test_book_algebra_falls_back_to_syzygies(monkeypatch):
     # [e3, e1] = e1, [e3, e2] = 2 e2: the kernel 2 x2 dx1 - x1 dx2 is not exact,
     # and the only polynomial Casimirs are the constants
-    doc = {"coordinates": ["x1", "x2", "x3"], "mode": "lie_algebra",
-           "structure_constants": [{"i": 2, "j": 0, "k": 0, "c": "1"},
-                                   {"i": 2, "j": 1, "k": 1, "c": "2"}]}
-    report, iso = analyze_with_isotropy(monkeypatch, doc)
+    report, iso = analyze_with_isotropy(monkeypatch, BOOK_ALGEBRA)
     assert iso.route == "syzygy"
     assert report.data["casimirs"]["basis"] == ["1"]
     assert report.data["germinal_isotropy"]["generators"] == [["x2", "-1/2*x1", "0"]]
@@ -291,3 +306,77 @@ def test_only_modcalc_imports_the_groebner_engine():
         if "poiskit.modcalc.engine" in _imported_modules(path, package):
             offenders.append(str(path.relative_to(root)))
     assert not offenders
+
+
+# sha256 of to_text() and to_json() with default options, for inputs that
+# the corpus digests do not reach: gl(3)* has r = 3 and the book algebra
+# takes the syzygy route
+BEYOND_CORPUS_DIGESTS = {
+    "sl3": ("d74d6444151eca7c0678a3b90523b948a654dbeeb7fd6a79354334848c035c3f",
+            "b9e7998cc3c4c46f127451eee41bb54d0e89d5b6919c33819d369433f694d784"),
+    "gl3": ("9d9523bccfd027ba2c81d699b1b421433b99033352e17020cd4eff734bb82ec9",
+            "a0acf98cf26659adc9ebb383fa4733e6c5f1f46f24b9e67ac172120ab1721094"),
+    "so5": ("39afce4992c6b5929e977475fb63b9062f1c88d8052623a203ff23994eb265b2",
+            "65b16efcd22edc9d04943906aa6cd01cdd2c97e2359a4536b152f7504db19045"),
+    "book": ("aae32e8d2cb83f8b7fbecf5617d49c5654cff47be352db95f1f8c32386a27473",
+             "e358a8f5914f36f346a4c7df4408926ee486067575734e72840d3ac18f6ac7b8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEYOND_CORPUS_DIGESTS))
+def test_reports_beyond_the_corpus_are_pinned(name):
+    doc = BOOK_ALGEBRA if name == "book" else lie_document(
+        {"sl3": _sl3, "gl3": _gl3, "so5": _so5}[name]())
+    report = analyze(doc)
+    digests = tuple(hashlib.sha256(s.encode("utf-8")).hexdigest()
+                    for s in (report.to_text(), report.to_json()))
+    assert digests == BEYOND_CORPUS_DIGESTS[name]
+
+
+def test_no_casimir_route_gcd_of_the_lie_duals_reaches_the_engine(monkeypatch):
+    # the four input sets of the lie-duals benchmark at seed 0: the
+    # specialisation certificate decides every drop-ideal gcd
+    corpus = _corpus()
+    families, reached = [], []
+    gcd = poiskit.poisson.polynomial_gcd
+    monkeypatch.setattr(poiskit.poisson, "polynomial_gcd",
+                        lambda polys: families.append(polys) or gcd(polys))
+    monkeypatch.setattr(presentation, "_gcd_pair", lambda a, b: reached.append((a, b)))
+    for v in range(4):
+        for dual in corpus.lie_duals():
+            name = f"{dual.name}.{v}"
+            analyze(corpus.lie_document(dual, 0, name, corpus.structure_constants(dual.basis))[0])
+    assert len(families) == 32
+    assert not reached
+
+
+def test_gcd_certificate_decides_sl4_gradient_minors_within_a_second(monkeypatch):
+    # sl(4)*: n = 15, and its Casimirs of degree 2, 3 and 4 give r = 3
+    # gradients. The structure's eager wedge powers take seconds at n = 15, so
+    # the Casimirs are searched on the bivector's matrix alone.
+    doc = lie_document(_sl(4))
+    n = len(doc["coordinates"])
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for e in doc["structure_constants"]:
+        c[e["i"]][e["j"]][e["k"]] = QQ(e["c"])
+        c[e["j"]][e["i"]][e["k"]] = -QQ(e["c"])
+    pi = linear_bivector(c, doc["coordinates"])
+    casimirs = casimir_search(SimpleNamespace(variables=pi.variables,
+                                              pi_matrix=pi.component_matrix), 4)
+    assert [p.total_degree() for p in casimirs] == [0, 2, 3, 4, 4]
+    gradients = [[p.diff(i) for i in range(n)] for p in casimirs[1:4]]
+    minors = []
+    for rows in combinations(range(n), 3):
+        if d := _det([[gradients[k][i] for k in range(3)] for i in rows]):
+            minors.append(d)
+        if len(minors) == 8:
+            break
+
+    def engine_fold(a, b):
+        raise AssertionError("the certificate did not decide")
+
+    monkeypatch.setattr(presentation, "_gcd_pair", engine_fold)
+    started = time.perf_counter()
+    assert polynomial_gcd(minors) == Polynomial.one(pi.variables)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0, f"the certificate took {elapsed:.2f} s"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dense_reference import qq_det, qq_nullspace, qq_rank, qq_solve
 from poiskit._kernel import QQ
 from poiskit.polyalg import ChartMismatchError, Polynomial, degrevlex_key, parse_polynomial
 from poiskit.modcalc import (
+    RankProfile,
     SubmodulePresentation,
     colon_by_ideal,
     rank_profile,
@@ -580,6 +582,33 @@ def _sympy_rank(seed: int) -> int:
 @pytest.mark.parametrize("seed", range(12))
 def test_rank_profile_agrees_with_sympy(seed):
     assert rank_profile(_low_rank_matrix(seed)).generic_rank == _sympy_rank(seed)
+
+
+@st.composite
+def polynomial_matrices(draw):
+    """A 1-5 by 1-5 matrix on ``V2`` whose entries are 0 about half the time,
+    else up to three terms of degree at most 2."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    expo = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    entry = st.one_of(st.just({}), st.dictionaries(expo, st.integers(-3, 3), max_size=3))
+    return [[Polynomial(V2, draw(entry)) for _ in range(m)] for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_matrices())
+def test_minor_ideal_equals_one_det_per_minor(rows):
+    n, m = len(rows), len(rows[0])
+    expected = [[Polynomial.one(V2)]]
+    for s in range(1, min(n, m) + 2):
+        expected.append([d for ri in combinations(range(n), s)
+                         for ci in combinations(range(m), s)
+                         if (d := _det([[rows[i][j] for j in ci] for i in ri]))])
+    # the levels below are shared whichever s is asked for first
+    ascending, descending = RankProfile(rows, V2, 0), RankProfile(rows, V2, 0)
+    for s in range(min(n, m) + 2):
+        assert ascending.minor_ideal(s) == expected[s], s
+    for s in reversed(range(min(n, m) + 2)):
+        assert descending.minor_ideal(s) == expected[s], s
 
 
 def test_rank_at_refuses_a_float_point():

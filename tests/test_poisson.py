@@ -728,11 +728,14 @@ def test_casimir_rows_peel_like_one_row_at_a_time(chart):
     mat = structure.pi_matrix()
     scale = math.lcm(*(c.denominator for row in mat for p in row for c in p.terms.values()))
     left = [{c: v * scale for c, v in row.items() if c not in struck} for row in system]
-    rows = _casimir_rows(mat, monos, scale)
-    assert sorted(c for r in rows if len(r) == 1 for c in r) == sorted(struck)
-    assert all(r == {c: 1} for r in rows if len(r) == 1 for c in r)
-    assert (sorted(sorted(r.items()) for r in rows if len(r) > 1)
-            == sorted(sorted(r.items()) for r in left if len(r) > 1))
+    rows, live = _casimir_rows(mat, monos, scale)
+    # the live columns are the others, in order; no unit row stands in for
+    # a struck column, and no row left has one entry
+    assert live.tolist() == [c for c in range(len(monos)) if c not in struck]
+    assert all(len(r) > 1 for r in rows)
+    assert all(0 <= c < len(live) for r in rows for c in r)
+    assert (sorted(sorted((live[c].item(), v) for c, v in r.items()) for r in rows)
+            == sorted(sorted(r.items()) for r in left if r))
 
 
 @settings(max_examples=60, deadline=None)

@@ -137,9 +137,14 @@ def test_gcd_fold_ends_at_a_constant(monkeypatch):
     # a constant first: no pair is taken
     assert polynomial_gcd([P("3"), P("x"), P("y")]) == P("1")
     assert pairs == []
-    # the running gcd turns constant at the second pair; the last member is never paired
+    # the specialisation certificate proves gcd 1: no pair is taken
     assert polynomial_gcd([P("x*y"), P("x*z"), P("y*z"), P("x")]) == P("1")
-    assert pairs == [("x*y", "x*z"), ("x", "y*z")]
+    assert pairs == []
+    # at y = 3, z = 5 every member is a multiple of x, so the certificate does
+    # not decide; the running gcd turns constant at the second pair, and the
+    # last member is never paired
+    assert polynomial_gcd([P("x*y"), P("x*z"), P("y*z - 15"), P("x")]) == P("1")
+    assert pairs == [("x*y", "x*z"), ("x", "y*z - 15")]
     with pytest.raises(ChartMismatchError):
         polynomial_gcd([P("1"), parse_polynomial(("x", "y"), "x")])
 
@@ -225,6 +230,67 @@ def test_gcd_checks_the_syzygy_it_reads(monkeypatch):
     monkeypatch.setattr(presentation, "syzygies", unit)
     with pytest.raises(AssertionError, match="does not divide"):
         polynomial_gcd([P("x*y"), P("x*z")])
+
+
+@st.composite
+def gcd_families(draw, planted: bool):
+    """2-5 members in 2-4 variables with up to four terms of degree <= 2 and
+    coefficients in [-3, 3] (some 1/2); with ``planted``, each member times
+    one nonconstant factor."""
+    n = draw(st.integers(2, 4))
+    variables = tuple(f"v{i}" for i in range(n))
+    expo = st.tuples(*[st.integers(0, 2)] * n)
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3, QQ(1, 2), QQ(-3, 2)])
+    poly = st.dictionaries(expo, coeff, min_size=1, max_size=4).map(
+        lambda terms: Polynomial(variables, terms))
+    members = draw(st.lists(poly, min_size=2, max_size=5))
+    if planted:
+        factor = draw(poly.filter(lambda p: not p.is_constant()))
+        members = [factor * m for m in members]
+    return variables, members
+
+
+def _sympy_gcd(variables, members):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(variables)
+    exprs = [sympy.sympify(str(p).replace("^", "**"), locals=dict(zip(variables, xs)))
+             for p in members]
+    return sympy.Poly(sympy.gcd_list(exprs), *xs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(gcd_families(planted=False))
+def test_gcd_certificate_agrees_with_sympy(family):
+    from poiskit.modcalc.presentation import _coprime_by_specialisation
+
+    variables, members = family
+    if _coprime_by_specialisation(members):
+        assert _sympy_gcd(variables, members).is_ground
+        assert polynomial_gcd(members) == Polynomial.one(variables)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gcd_families(planted=True))
+def test_a_planted_common_factor_is_never_certified(family):
+    from poiskit.modcalc import presentation
+
+    variables, members = family
+    assert not presentation._coprime_by_specialisation(members)
+    pairs = []
+    gcd_pair = presentation._gcd_pair
+
+    def recorded(a, b):
+        pairs.append((a, b))
+        return gcd_pair(a, b)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(presentation, "_gcd_pair", recorded)
+        got = polynomial_gcd(members)
+    # the engine fold decides it, and finds the factor
+    assert pairs
+    expected = _sympy_gcd(variables, members)
+    assert not expected.is_ground
+    assert got == _normalize_primitive(_from_sympy(variables, expected.as_expr(), expected.gens))
 
 
 def test_divides_exactly():
