@@ -55,7 +55,7 @@ from .polyalg import (
 )
 from .modcalc.linalg import rank, solve
 from .modcalc.rank import _det
-from .poisson import PoissonStructure, germinal_isotropy, koszul_bracket
+from .poisson import PoissonStructure, _koszul, germinal_isotropy
 
 __all__ = [
     "GroupoidElement",
@@ -564,6 +564,7 @@ class MonodromyProblem:
             return sigma
 
         betas = [sigma_of_hamiltonian(Polynomial.variable(ext, ext[i])) for i in range(n)]
+        sharps = [pi_ext.sharp(beta) for beta in betas]
 
         # <R(V_i, V_j), dx_a> for pairs i < j in row-major order, then a
         self.curvature_scalars: list[Polynomial] = []
@@ -571,7 +572,7 @@ class MonodromyProblem:
             for j in range(i + 1, n):
                 # sigma of the Hamiltonian field of {x_i, x_j}
                 sigma_bracket = sigma_of_hamiltonian(pi_ext.components.get((i, j), zero))
-                curv = sigma_bracket - koszul_bracket(betas[i], betas[j], pi_ext)
+                curv = sigma_bracket - _koszul(betas[i], sharps[i], betas[j], sharps[j])
                 self.curvature_scalars.extend(curv.coefficients()[:n])
         self._pairs = np.triu_indices(n, 1)
         self._scalar_eval = FloatEvaluator(ext, self.curvature_scalars)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import lcm
+from itertools import combinations, combinations_with_replacement
+from math import factorial, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -31,8 +31,6 @@ from .polyalg import (
     lie_derivative,
     pair,
     schouten_bracket,
-    wedge,
-    wedge_power,
 )
 from .modcalc import (
     RankProfile,
@@ -94,6 +92,49 @@ def check_jacobi(bivector: MultivectorField) -> Verdict:
     return Verdict.no(witness={"indices": idx, "coefficient": bracket.components[idx]})
 
 
+def _top_power(bivector: MultivectorField) -> tuple[int, MultivectorField]:
+    """``(k, wedge^k pi)`` for the largest ``k`` with ``wedge^k pi != 0``,
+    from ``(wedge^k pi)_I = k! Pf(pi_I)`` over the principal submatrices.
+
+    The Pfaffians of the index sets of size ``2j + 2`` come from those of
+    size ``2j`` alone, by expansion along the first index ``i_0`` of ``I``:
+    ``Pf(I) = sum_m (-1)^(m+1) pi[i_0][i_m] Pf(I - {i_0, i_m})`` over the
+    positions ``m >= 1``. An absent entry or a zero sub-Pfaffian adds no
+    product, and only the previous level is kept. The first level whose
+    Pfaffians all vanish is ``k + 1``; the zero bivector has ``k = 0`` and
+    the scalar 1 as its top power."""
+    variables = bivector.variables
+    n = len(variables)
+    pi = bivector.components
+    level = {(): Polynomial.one(variables)}
+    k = 0
+    while 2 * (k + 1) <= n:
+        nxt = {}
+        for idx in combinations(range(n), 2 * k + 2):
+            first = idx[0]
+            pf = None
+            for m in range(1, len(idx)):
+                entry = pi.get((first, idx[m]))
+                if entry is None:
+                    continue
+                sub = level.get(idx[1:m] + idx[m + 1:])
+                if sub is None:
+                    continue
+                term = entry * sub
+                if pf is None:
+                    pf = term if m % 2 else -term
+                else:
+                    pf = pf + term if m % 2 else pf - term
+            if pf:
+                nxt[idx] = pf
+        if not nxt:
+            break
+        level, k = nxt, k + 1
+    scale = factorial(k)
+    return k, MultivectorField(variables, 2 * k,
+                               {idx: pf.scale(scale) for idx, pf in level.items()})
+
+
 _CHECK = object()
 
 
@@ -101,12 +142,13 @@ class PoissonStructure:
     """A polynomial bivector on a chart with its rank data cached eagerly.
 
     ``k`` is the largest integer with ``wedge^k pi != 0`` and ``top`` is that
-    power; the regular-locus ideal is generated by its coefficients. ``jacobi``
-    holds the proof of ``[pi, pi] = 0``: the constructor computes it with
-    :func:`check_jacobi`, :func:`linear_structure` takes it from the
-    structure constants, and :meth:`unchecked` leaves it ``None``. The
-    Casimir bases of :meth:`casimirs` are searched on first use, once per
-    degree.
+    power; the regular-locus ideal is generated by its coefficients. Both
+    come from the principal Pfaffians of ``pi``'s matrix (``_top_power``),
+    with no wedge product. ``jacobi`` holds the proof of ``[pi, pi] = 0``:
+    the constructor computes it with :func:`check_jacobi`,
+    :func:`linear_structure` takes it from the structure constants, and
+    :meth:`unchecked` leaves it ``None``. The Casimir bases of
+    :meth:`casimirs` are searched on first use, once per degree.
     """
 
     def __init__(self, bivector: MultivectorField, *, _jacobi=_CHECK):
@@ -119,18 +161,9 @@ class PoissonStructure:
             if not _jacobi.is_yes:
                 raise ValueError(f"Jacobi identity fails: {_jacobi.witness}")
         self.jacobi: Verdict | None = _jacobi
-        n = len(self.variables)
-        k = 0
-        power = wedge_power(bivector, 0)
-        while 2 * (k + 1) <= n:
-            nxt = wedge(power, bivector)
-            if nxt.is_zero:
-                break
-            power, k = nxt, k + 1
-        self.k = k
-        self.top = power
-        self.regular_ideal: list[Polynomial] = sorted(
-            power.components.values(), key=str) if k > 0 else [Polynomial.one(self.variables)]
+        self.k, self.top = _top_power(bivector)
+        # k = 0 makes top the scalar 1, the unit ideal
+        self.regular_ideal: list[Polynomial] = sorted(self.top.components.values(), key=str)
         self._casimirs: dict[int, tuple[Polynomial, ...]] = {}
 
     @classmethod
@@ -185,8 +218,13 @@ def koszul_bracket(alpha: DifferentialForm, beta: DifferentialForm,
     bivector = structure.bivector if isinstance(structure, PoissonStructure) else structure
     if alpha.grade != 1 or beta.grade != 1:
         raise ValueError("koszul_bracket needs grade-1 forms")
-    xa = bivector.sharp(alpha)
-    xb = bivector.sharp(beta)
+    return _koszul(alpha, bivector.sharp(alpha), beta, bivector.sharp(beta))
+
+
+def _koszul(alpha: DifferentialForm, xa: MultivectorField,
+            beta: DifferentialForm, xb: MultivectorField) -> DifferentialForm:
+    """:func:`koszul_bracket` from ``xa = #alpha`` and ``xb = #beta`` in
+    hand, for a caller that brackets each form with several others."""
     inner = pair(beta, xa)                    # pi(alpha, beta), from the xa in hand
     return lie_derivative(xa, beta) - lie_derivative(xb, alpha) - DifferentialForm.d_of(inner)
 

@@ -682,17 +682,18 @@ def test_blocked_integrator_keeps_the_row_loop_error_order(rows, error, message,
 
 
 def test_gauged_build_runs_sharp_once_per_form(monkeypatch):
-    """Building the gauged su(2) problem runs ``sharp`` 14 times: once in
+    """Building the gauged su(2) problem runs ``sharp`` 11 times: once in
     ``germinal_isotropy``, once for the Casimir check of ``|alpha|^2``, once
-    per gauged splitting (3 coordinate functions and 3 brackets), and twice
-    per Koszul bracket (3 pairs), which reads ``pi(alpha, beta)`` off the
-    ``#alpha`` it already holds."""
+    per gauged splitting (3 coordinate functions and 3 brackets), and once
+    per form ``beta_i`` (3), whose ``#beta_i`` every Koszul bracket of the
+    3 pairs shares; each reads ``pi(alpha, beta)`` off the ``#alpha`` it
+    already holds."""
     calls = []
     original = MultivectorField.sharp
     monkeypatch.setattr(MultivectorField, "sharp",
                         lambda self, alpha: calls.append(1) or original(self, alpha))
     gauged_su2_problem()
-    assert len(calls) == 14
+    assert len(calls) == 11
 
 
 def test_row_curvature_matches_exact_per_point_evaluation():

@@ -352,7 +352,7 @@ def test_no_casimir_route_gcd_of_the_lie_duals_reaches_the_engine(monkeypatch):
 
 def test_gcd_certificate_decides_sl4_gradient_minors_within_a_second(monkeypatch):
     # sl(4)*: n = 15, and its Casimirs of degree 2, 3 and 4 give r = 3
-    # gradients. The structure's eager wedge powers take seconds at n = 15, so
+    # gradients. The structure's rank data takes over a second at n = 15, so
     # the Casimirs are searched on the bivector's matrix alone.
     doc = lie_document(_sl(4))
     n = len(doc["coordinates"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import time
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from poiskit.polyalg import (
     MultivectorField,
     Polynomial,
     wedge,
+    wedge_power,
 )
 from poiskit.modcalc import SubmodulePresentation, colon_by_ideal, saturate, variety_emptiness
 from poiskit.modcalc import presentation
@@ -61,6 +63,7 @@ from conftest import (
 )
 from poiskit.report import parse_input
 from test_corpus_digest import documents
+from test_kernel_module import _gl3, _sl, _sl3, _so5, lie_document
 
 V3 = ("x", "y", "z")
 
@@ -123,6 +126,95 @@ def test_top_power_zero_bivector_errors():
     assert ps.regular_ideal == [Polynomial.one(V3)]
     with pytest.raises(ZeroBivectorError, match="k undefined"):
         logf_classify(ps)
+
+
+def _wedge_loop(bivector: MultivectorField) -> tuple[int, MultivectorField]:
+    """The reference rank data: wedge ``pi`` onto itself until the next
+    power is zero or would exceed the dimension."""
+    n = len(bivector.variables)
+    k, power = 0, wedge_power(bivector, 0)
+    while 2 * (k + 1) <= n:
+        nxt = wedge(power, bivector)
+        if nxt.is_zero:
+            break
+        power, k = nxt, k + 1
+    return k, power
+
+
+def _assert_wedge_rank_data(ps: PoissonStructure) -> None:
+    k, power = _wedge_loop(ps.bivector)
+    assert ps.k == k
+    assert ps.top == power
+    assert ps.regular_ideal == sorted(power.components.values(), key=str)
+
+
+@st.composite
+def skew_bivectors(draw) -> MultivectorField:
+    """A skew polynomial bivector on up to 8 variables, Poisson or not: its
+    entries are sparse (many zero) polynomials of degree <= 1, or ``f`` times
+    a constant bivector of rank at most 2r, a sum of r decomposable wedges
+    ``u ^ v``, so that several top levels vanish by cancellation."""
+    n = draw(st.integers(1, 8))
+    names = tuple(f"x{i}" for i in range(n))
+    small = st.integers(-2, 2)
+    # the exponent of 1 or of one variable
+    monomial = st.integers(-1, n - 1).map(lambda v: tuple(int(i == v) for i in range(n)))
+    poly = st.dictionaries(monomial, small.filter(bool), min_size=1, max_size=2).map(
+        lambda terms: Polynomial(names, terms))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if draw(st.booleans()):
+        entry = st.one_of(st.none(), poly, poly, poly)
+        return MultivectorField.bivector(names, {
+            ij: p for ij in pairs if (p := draw(entry)) is not None})
+    vector = st.lists(small, min_size=n, max_size=n)
+    wedges = draw(st.lists(st.tuples(vector, vector), min_size=1, max_size=max(1, n // 2 - 1)))
+    f = draw(poly)
+    return MultivectorField.bivector(names, {
+        (i, j): f * sum(u[i] * v[j] - u[j] * v[i] for u, v in wedges) for i, j in pairs})
+
+
+@settings(max_examples=120, deadline=None)
+@given(skew_bivectors())
+def test_pfaffian_rank_data_equals_the_wedge_loop(bivector):
+    # the Pfaffian identity does not use Jacobi, so unchecked inputs count
+    _assert_wedge_rank_data(PoissonStructure.unchecked(bivector))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_pfaffian_rank_data_of_the_zero_bivector(n):
+    names = tuple(f"x{i}" for i in range(n))
+    ps = PoissonStructure(MultivectorField.zero(names, 2))
+    assert ps.k == 0 and ps.top == wedge_power(ps.bivector, 0)
+    _assert_wedge_rank_data(ps)
+
+
+@pytest.mark.parametrize("basis", [_sl3, _gl3, _so5])
+def test_pfaffian_rank_data_of_lie_duals(basis):
+    _assert_wedge_rank_data(parse_input(lie_document(basis()))[0])
+
+
+def test_so5_rank_data_costs_under_1300_products(monkeypatch):
+    # parse_input makes 1,168 polynomial products on so(5)*; wedging pi onto
+    # itself up to pi^5 makes 3,450
+    doc = lie_document(_so5())
+    products = []
+    original = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        lambda self, other: products.append(1) or original(self, other))
+    ps = parse_input(doc)[0]
+    assert ps.k == 4
+    assert len(products) <= 1300
+
+
+def test_sl4_rank_data_within_a_generous_bound():
+    # n = 15: about 1.6 s on a 2-core host
+    doc = lie_document(_sl(4))
+    started = time.perf_counter()
+    ps = parse_input(doc)[0]
+    elapsed = time.perf_counter() - started
+    assert ps.k == 6
+    assert len(ps.regular_ideal) == 455
+    assert elapsed < 20.0
 
 
 # -- Koszul bracket ---------------------------------------------------------------------
