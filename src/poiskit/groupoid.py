@@ -52,6 +52,7 @@ from .polyalg import (
     FloatEvaluator,
     MultivectorField,
     Polynomial,
+    exterior_derivative,
 )
 from .modcalc.linalg import rank, solve
 from .modcalc.rank import _det
@@ -565,6 +566,7 @@ class MonodromyProblem:
 
         betas = [sigma_of_hamiltonian(Polynomial.variable(ext, ext[i])) for i in range(n)]
         sharps = [pi_ext.sharp(beta) for beta in betas]
+        d_betas = [exterior_derivative(beta) for beta in betas]
 
         # <R(V_i, V_j), dx_a> for pairs i < j in row-major order, then a
         self.curvature_scalars: list[Polynomial] = []
@@ -572,7 +574,8 @@ class MonodromyProblem:
             for j in range(i + 1, n):
                 # sigma of the Hamiltonian field of {x_i, x_j}
                 sigma_bracket = sigma_of_hamiltonian(pi_ext.components.get((i, j), zero))
-                curv = sigma_bracket - _koszul(betas[i], sharps[i], betas[j], sharps[j])
+                curv = sigma_bracket - _koszul(betas[i], sharps[i], d_betas[i],
+                                               betas[j], sharps[j], d_betas[j])
                 self.curvature_scalars.extend(curv.coefficients()[:n])
         self._pairs = np.triu_indices(n, 1)
         self._scalar_eval = FloatEvaluator(ext, self.curvature_scalars)

@@ -2,19 +2,24 @@
 and submodules, syzygies, colon and saturation, membership with
 certificates, rank stratification, and emptiness certificates.
 
-``SubmodulePresentation`` holds a submodule of ``R^rank`` by generators and
-answers membership (``contains``) from one Groebner engine built on first
-use. ``syzygies`` is the one kernel computation: ``colon_by_ideal`` is the
-syzygy module of one block matrix, ``saturate`` iterates that colon, and
-``polynomial_gcd`` first tries to certify gcd 1 by univariate gcds at
-rational specialisations, and otherwise reads the gcd of each pair off the
-syzygies of ``[a, b]``.
+``SubmodulePresentation`` holds a submodule of ``R^rank`` by generators.
+``groebner_basis`` computes the reduced basis on first use by one
+``buchberger`` run on the bare generators, with no syzygy tags, or reads it
+off the tagged engine if that is already built. Membership (``contains``)
+builds the tagged engine, whose unit tags carry the certificates, once on
+its first call. ``syzygies`` is the one kernel computation:
+``colon_by_ideal`` is the syzygy module of one block matrix, ``saturate``
+iterates that colon, and ``polynomial_gcd`` first tries to certify gcd 1 by
+univariate gcds at rational specialisations, and otherwise reads the gcd of
+each pair off the syzygies of ``[a, b]``.
 The Poisson layer builds the kernel module of ``pi`` as the
 ``groebner_basis`` of the presentation its Casimir differentials generate,
 and calls ``syzygies`` on ``pi``'s matrix only when that route does not
 apply (see ``poisson.germinal_isotropy``). Every Groebner basis comes from
-``ModuleEngine``; the ``engine`` module is internal to this package, and
-no module outside it imports it.
+the ``engine`` module's ``buchberger``, tagged (``ModuleEngine``) only where
+a certificate or a syzygy is read; the ``engine`` module is internal to this
+package, and no module outside it imports it. ``variety_emptiness`` answers
+an ideal with a nonzero constant generator without any basis.
 
 Two facts a caller may have proved cut the work short. ``saturate`` takes a
 ``target``: a saturated module that contains the input, hence every colon.

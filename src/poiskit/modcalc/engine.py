@@ -23,14 +23,19 @@ Polynomials become keyed vectors, and keyed vectors polynomials, only in
 ``vec_from_polys`` and ``polys_from_vec`` (through ``term_key`` and
 ``split_key``). For an ideal use rank 1.
 
-Syzygies and membership certificates both come from one construction: the
-generators are augmented with unit tags, ``c_i  ->  c_i (+) e_i``, and a
-Groebner basis of the augmented module is computed under the same
-position-over-term order (actual positions dominate tags, so this is an
-elimination order).  Then
+A caller that needs the reduced basis alone gets it from
+:func:`groebner_vectors`: one ``buchberger`` run on the bare generator
+vectors. The unit tags of :class:`ModuleEngine` serve membership
+certificates and syzygies only. There the generators are augmented,
+``c_i  ->  c_i (+) e_i``, and a Groebner basis of the augmented module is
+computed under the same position-over-term order (actual positions dominate
+tags, so this is an elimination order).  Then
 
 * augmented basis elements with zero actual part are syzygies,
-* the actual parts of the others form a reduced basis of the module,
+* the actual parts of the others form a reduced basis of the module, the
+  one :func:`groebner_vectors` gives (the reduced basis is unique for the
+  order; both list it by decreasing leading term, with each element's terms
+  in decreasing order),
 * the normal form of ``v (+) 0`` is ``r (+) -q`` with ``v = sum q_i c_i + r``.
 
 When ``r = 0`` the engine recombines ``sum q_i c_i`` in key space against
@@ -118,7 +123,8 @@ def _sugar(v: VecDict) -> int:
 
 
 def buchberger(generators: Iterable[VecDict]) -> list[VecDict]:
-    """Reduced Groebner basis, monic, sorted by decreasing leading term.
+    """Reduced Groebner basis, monic, sorted by decreasing leading term,
+    with each element's terms stored in decreasing order.
 
     Pair selection follows the sugar strategy; no coprimality shortcut is
     used (it is not sound for modules in general).
@@ -174,12 +180,16 @@ def _reduce_basis(basis: list[VecDict], leads: list[tuple]) -> list[VecDict]:
             keep.append(i)
     minimal = [basis[i] for i in keep]
     minimal_leads = [leads[i] for i in keep]
-    # inter-reduce tails and normalize to monic
+    # inter-reduce tails and normalize to monic; every element's terms come
+    # out in decreasing order, as _normal_form gives them
     reduced: list[VecDict] = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         other_leads = minimal_leads[:i] + minimal_leads[i + 1:]
-        r = _normal_form(g, others, other_leads) if others else dict(g)
+        if others:
+            r = _normal_form(g, others, other_leads)
+        else:
+            r = dict(sorted(g.items(), reverse=True))
         if not r:
             continue
         lc = r[max(r)]
@@ -188,6 +198,14 @@ def _reduce_basis(basis: list[VecDict], leads: list[tuple]) -> list[VecDict]:
         reduced.append(r)
     reduced.sort(key=max, reverse=True)
     return reduced
+
+
+def groebner_vectors(variables: tuple[str, ...], rank: int,
+                     generators: Sequence[Sequence[Polynomial]]) -> list[list[Polynomial]]:
+    """Reduced Groebner basis of the submodule of ``R^rank`` the generators
+    span, without tags: no certificate and no syzygy comes with it."""
+    basis = buchberger(vec_from_polys(g) for g in generators)
+    return [polys_from_vec(g, rank, variables) for g in basis]
 
 
 class ModuleEngine:

@@ -12,7 +12,7 @@ from ..polyalg.polynomial import (
     _normalize_primitive,
     divides_exactly,
 )
-from .engine import ModuleEngine
+from .engine import ModuleEngine, groebner_vectors
 from .rank import _PROBE_SEEDS
 from .verdict import Verdict
 
@@ -22,9 +22,12 @@ SATURATION_CAP = 50
 class SubmodulePresentation:
     """A submodule of ``R^rank`` over ``Q[variables]`` given by generators.
 
-    Immutable; the Groebner engine is built once on first use and reused
-    (recomputation would be idempotent, the basis is deterministic).
-    Ideals are the rank-1 case.
+    Immutable. ``groebner_basis`` computes the reduced basis without tags
+    on first use, unless the tagged engine is already built, and keeps it;
+    ``contains`` builds the tagged engine once on first use and reuses it,
+    since its certificates need the tags. Either computation is
+    deterministic, and both give the same reduced basis. Ideals are the
+    rank-1 case.
     """
 
     def __init__(self, variables: Sequence[str], rank: int,
@@ -34,6 +37,7 @@ class SubmodulePresentation:
         gens = (self._vector(g, "generator") for g in generators)
         self.generators = tuple(g for g in gens if any(not p.is_zero for p in g))
         self._engine: ModuleEngine | None = None
+        self._basis: list[tuple[Polynomial, ...]] | None = None
 
     def _vector(self, v: Sequence[Polynomial], what: str) -> tuple[Polynomial, ...]:
         """``v`` as a tuple, once it has ``rank`` entries on this chart."""
@@ -75,8 +79,14 @@ class SubmodulePresentation:
     # -- core queries -----------------------------------------------------------
 
     def groebner_basis(self) -> list[tuple[Polynomial, ...]]:
-        """Reduced basis, unique for the module under the engine's order."""
-        return [tuple(v) for v in self.engine.groebner_vectors()]
+        """Reduced basis, unique for the module under the engine's order:
+        read off the tagged engine when one is built, else one tag-free
+        ``buchberger`` run."""
+        if self._basis is None:
+            vectors = (self._engine.groebner_vectors() if self._engine is not None
+                       else groebner_vectors(self.variables, self.rank, self.generators))
+            self._basis = [tuple(v) for v in vectors]
+        return list(self._basis)
 
     def contains(self, element: Sequence[Polynomial]) -> Verdict:
         """Membership with an exact certificate on yes, the nonzero normal

@@ -1,16 +1,20 @@
 """Emptiness certificates for polynomial zero sets.
 
-Real emptiness is deliberately incomplete. The origin is tried first,
-before any Groebner basis: a common zero there is returned at once as a
-rational witness (every homogeneous ideal of positive degree, such as the
-minor ideal of a linear structure, vanishes there). Then level (a) is
-complex emptiness (reduced basis {1}), level (b) a syntactic positivity
+Real emptiness is deliberately incomplete. Two cheap checks come first,
+before any Groebner basis. An ideal with a nonzero constant generator holds
+a unit, so its reduced basis is {1}: it is complex-empty at once, with the
+certificate that basis would give. Otherwise the origin is tried: a common
+zero there is returned at once as a rational witness (every homogeneous
+ideal of positive degree, such as the minor ideal of a linear structure,
+vanishes there). Then level (a) is complex emptiness (the reduced basis,
+computed without syzygy tags, is {1}), level (b) a syntactic positivity
 certificate (sum of even-exponent terms with positive coefficients plus a
 positive constant), and otherwise an exact witness search over a
 deterministic integer grid followed by seeded random rational points in
 [-3, 3]^n. Anything unresolved is reported inconclusive with the ideal
 attached, never guessed. ``samples`` (the CLI's ``--samples``) sets how many
-random points are tried.
+random points are tried. Generators on different charts are a
+``ChartMismatchError``.
 
 Trying the origin first cannot turn a ``yes`` into a ``no``: a basis {1} or
 a positive polynomial in the ideal leaves no real zero. The grid yields the
@@ -26,12 +30,16 @@ import random
 from typing import Sequence
 
 from .._kernel import QQ
-from ..polyalg.polynomial import Polynomial
+from ..polyalg.polynomial import ChartMismatchError, Polynomial
 from .presentation import SubmodulePresentation
 from .verdict import Verdict
 
 _GRID_RANGE = (0, 1, -1, 2, -2)
 _GRID_LIMIT = 20000
+
+
+def _complex_empty() -> Verdict:
+    return Verdict.yes(certificate={"level": "complex-empty", "basis": ["1"]})
 
 
 def _is_unit_basis(basis: list[tuple[Polynomial, ...]]) -> bool:
@@ -71,6 +79,10 @@ def variety_emptiness(ideal_gens: Sequence[Polynomial], seed: int = 0,
         nvars = len(some.variables) if some is not None else 0
         return Verdict.no(witness={"point": [QQ(0)] * nvars, "kind": "rational"})
     variables = gens[0].variables
+    if any(g.variables != variables for g in gens):
+        raise ChartMismatchError("ideal generators on different charts")
+    if any(g.is_constant() for g in gens):
+        return _complex_empty()
     nvars = len(variables)
     origin = [QQ(0)] * nvars
     if _vanishes_at(gens, origin):
@@ -78,7 +90,7 @@ def variety_emptiness(ideal_gens: Sequence[Polynomial], seed: int = 0,
     ideal = SubmodulePresentation.ideal(variables, gens)
     basis = ideal.groebner_basis()
     if _is_unit_basis(basis):
-        return Verdict.yes(certificate={"level": "complex-empty", "basis": ["1"]})
+        return _complex_empty()
 
     for p in list(gens) + [b[0] for b in basis]:
         if _positivity_certificate(p):

@@ -28,8 +28,8 @@ from .polyalg import (
     DifferentialForm,
     MultivectorField,
     Polynomial,
-    lie_derivative,
-    pair,
+    exterior_derivative,
+    interior_product,
     schouten_bracket,
 )
 from .modcalc import (
@@ -218,15 +218,24 @@ def koszul_bracket(alpha: DifferentialForm, beta: DifferentialForm,
     bivector = structure.bivector if isinstance(structure, PoissonStructure) else structure
     if alpha.grade != 1 or beta.grade != 1:
         raise ValueError("koszul_bracket needs grade-1 forms")
-    return _koszul(alpha, bivector.sharp(alpha), beta, bivector.sharp(beta))
+    return _koszul(alpha, bivector.sharp(alpha), exterior_derivative(alpha),
+                   beta, bivector.sharp(beta), exterior_derivative(beta))
 
 
-def _koszul(alpha: DifferentialForm, xa: MultivectorField,
-            beta: DifferentialForm, xb: MultivectorField) -> DifferentialForm:
-    """:func:`koszul_bracket` from ``xa = #alpha`` and ``xb = #beta`` in
-    hand, for a caller that brackets each form with several others."""
-    inner = pair(beta, xa)                    # pi(alpha, beta), from the xa in hand
-    return lie_derivative(xa, beta) - lie_derivative(xb, alpha) - DifferentialForm.d_of(inner)
+def _koszul(alpha: DifferentialForm, xa: MultivectorField, d_alpha: DifferentialForm,
+            beta: DifferentialForm, xb: MultivectorField, d_beta: DifferentialForm
+            ) -> DifferentialForm:
+    """:func:`koszul_bracket` from ``xa = #alpha``, ``xb = #beta`` and the
+    derivatives ``d_alpha``, ``d_beta`` in hand, for a caller that brackets
+    each form with several others. Each Lie derivative is the Cartan formula
+    of ``lie_derivative``, ``L_X b = d(iota_X b) + iota_X db``, and
+    ``pi(alpha, beta)`` is read off the ``iota_xa beta`` it already holds."""
+    xa_beta = interior_product(xa, beta)      # pi(alpha, beta), as a grade-0 form
+    xb_alpha = interior_product(xb, alpha)
+    lie_a = exterior_derivative(xa_beta) + interior_product(xa, d_beta)
+    lie_b = exterior_derivative(xb_alpha) + interior_product(xb, d_alpha)
+    inner = xa_beta.components.get((), Polynomial.zero(alpha.variables))
+    return lie_a - lie_b - DifferentialForm.d_of(inner)
 
 
 def casimir_test(structure: PoissonStructure, f: Polynomial) -> Verdict:

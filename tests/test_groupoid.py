@@ -696,6 +696,32 @@ def test_gauged_build_runs_sharp_once_per_form(monkeypatch):
     assert len(calls) == 11
 
 
+def test_gauged_build_differentiates_each_form_once(monkeypatch):
+    """Building the gauged su(2) problem takes ``d beta_i`` once per form
+    (3) and, per pair (3), ``d`` of the two contractions ``iota_{#beta_i}
+    beta_j`` and ``iota_{#beta_j} beta_i``: 9 exterior derivatives. Its
+    contractions are those two and ``iota_{#beta_i} d beta_j``, ``iota_{#beta_j}
+    d beta_i`` per pair, 12 in all: ``pi(beta_i, beta_j)`` is read off the
+    contraction the Lie derivative already holds."""
+    import poiskit.groupoid
+    import poiskit.poisson
+    import poiskit.polyalg.multivector as multivector
+
+    calls = {"exterior_derivative": 0, "interior_product": 0}
+    for name in calls:
+        original = getattr(multivector, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (multivector, poiskit.poisson, poiskit.groupoid):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    gauged_su2_problem()
+    assert calls == {"exterior_derivative": 9, "interior_product": 12}
+
+
 def test_row_curvature_matches_exact_per_point_evaluation():
     problem = gauged_su2_problem()
     theta = 0.7

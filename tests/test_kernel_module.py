@@ -14,13 +14,16 @@ routes; the tests force the syzygy route by setting
 constant Casimir. The drop-ideal gcd is certified by specialisation: no
 lie-duals family reaches the engine fold, and eight sl(4)* gradient minors
 are decided within a second. The reports of sl(3)*, gl(3)*, so(5)* and the
-book algebra are pinned by digest."""
+book algebra are pinned by digest. Spies check that the Casimir route and
+the emptiness check build no tagged Groebner engine, and that no corpus
+presentation computes its basis both without and with tags."""
 
 from __future__ import annotations
 
 import ast
 import hashlib
 import json
+import sys
 import time
 from functools import reduce
 from itertools import combinations
@@ -35,7 +38,7 @@ import poiskit.poisson
 from poiskit._kernel import QQ
 from poiskit.cli import main
 from poiskit.groupoid import MonodromyProblem, round_sphere
-from poiskit.modcalc import polynomial_gcd, presentation
+from poiskit.modcalc import SubmodulePresentation, engine, polynomial_gcd, presentation
 from poiskit.polyalg import Polynomial
 from poiskit.poisson import casimir_search, germinal_isotropy, linear_bivector
 from poiskit.report import AnalysisOptions, analyze
@@ -380,3 +383,86 @@ def test_gcd_certificate_decides_sl4_gradient_minors_within_a_second(monkeypatch
     assert polynomial_gcd(minors) == Polynomial.one(pi.variables)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"the certificate took {elapsed:.2f} s"
+
+
+# -- which Groebner computation each caller runs ----------------------------------------
+
+_TAG_FREE_CALLERS = ("_casimir_kernel", "variety_emptiness")
+
+
+def _innermost_caller() -> str | None:
+    """The innermost frame of the stack that runs one of
+    ``_TAG_FREE_CALLERS``, by name, or ``None``."""
+    frame = sys._getframe(2)
+    while frame is not None:
+        if frame.f_code.co_name in _TAG_FREE_CALLERS:
+            return frame.f_code.co_name
+        frame = frame.f_back
+    return None
+
+
+def _spy_groebner_work(monkeypatch) -> SimpleNamespace:
+    """Record, by the caller ``_innermost_caller`` names, each tagged engine
+    build (``builds``) and each ``buchberger`` run (``runs``); the
+    presentations whose tagged engine is built after their tag-free basis
+    (``both``); and the membership ``yes`` answers and the certificate
+    recombinations."""
+    spy = SimpleNamespace(builds=[], runs=[], both=0, yes=0, recombined=0)
+    build, run = engine.ModuleEngine.__init__, engine.buchberger
+    check, contains = engine.ModuleEngine._check_certificate, SubmodulePresentation.contains
+    tagged = SubmodulePresentation.engine.fget
+
+    def counted_build(self, *args):
+        spy.builds.append(_innermost_caller())
+        build(self, *args)
+
+    def counted_run(generators):
+        spy.runs.append(_innermost_caller())
+        return run(generators)
+
+    def counted_engine(self):
+        spy.both += self._engine is None and self._basis is not None
+        return tagged(self)
+
+    def counted_check(self, *args):
+        spy.recombined += 1
+        check(self, *args)
+
+    def counted_contains(self, element):
+        verdict = contains(self, element)
+        spy.yes += verdict.is_yes
+        return verdict
+
+    monkeypatch.setattr(engine.ModuleEngine, "__init__", counted_build)
+    monkeypatch.setattr(engine, "buchberger", counted_run)
+    monkeypatch.setattr(SubmodulePresentation, "engine", property(counted_engine))
+    monkeypatch.setattr(engine.ModuleEngine, "_check_certificate", counted_check)
+    monkeypatch.setattr(SubmodulePresentation, "contains", counted_contains)
+    return spy
+
+
+def _bivector_document(structure) -> dict:
+    return {"coordinates": list(structure.variables), "mode": "bivector",
+            "bivector": [{"i": i, "j": j, "coeff": str(p)}
+                         for (i, j), p in sorted(structure.bivector.components.items())]}
+
+
+@pytest.mark.parametrize("doc", [
+    _bivector_document(su2_structure()),
+    documents("chart-batch", 0)["heis3xlogsymp4.0"],
+], ids=["su2", "heis3xlogsymp4"])
+def test_the_casimir_kernel_and_emptiness_build_no_tagged_engine(monkeypatch, doc):
+    spy = _spy_groebner_work(monkeypatch)
+    analyze(doc)
+    assert not any(spy.builds), spy.builds
+    assert "_casimir_kernel" in spy.runs             # its basis is computed, tag-free
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_no_presentation_runs_both_groebner_computations(monkeypatch, workload):
+    spy = _spy_groebner_work(monkeypatch)
+    for doc in documents(workload, 0).values():
+        analyze(doc)
+    assert spy.both == 0
+    assert spy.builds and len(spy.runs) > len(spy.builds)
+    assert spy.yes and spy.recombined == spy.yes

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import qq_det, qq_nullspace, qq_rank, qq_solve
+from test_exact_coefficients import polys
 from poiskit._kernel import QQ
 from poiskit.polyalg import ChartMismatchError, Polynomial, degrevlex_key, parse_polynomial
 from poiskit.modcalc import (
@@ -144,6 +145,35 @@ def test_membership_agrees_with_sympy_on_random_modules(rank, seed):
             assert verdict.is_yes == expected
             answers.append(expected)
     assert answers[0::2] == [True] * 3
+
+
+@st.composite
+def _presentations(draw):
+    """A rank 1-3 presentation over ``V2`` or ``V3`` with rational
+    coefficients, whose generators may be zero or repeated."""
+    variables = draw(st.sampled_from([V2, V3]))
+    rank = draw(st.integers(1, 3))
+    vectors = st.lists(polys(variables, 3, 2), min_size=rank, max_size=rank)
+    gens = draw(st.lists(vectors, max_size=3))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=2)) if gens else []
+    gens += [[Polynomial.zero(variables)] * rank] * draw(st.integers(0, 1))
+    return variables, rank, draw(st.permutations(gens))
+
+
+def _exact_terms(vectors):
+    """Each entry's terms in their order, with each coefficient's type."""
+    return [[[(e, type(c), c) for e, c in p.terms.items()] for p in v] for v in vectors]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_presentations())
+def test_tag_free_basis_equals_the_tagged_engines(presentation_data):
+    variables, rank, gens = presentation_data
+    tag_free = SubmodulePresentation(variables, rank, gens)
+    basis = tag_free.groebner_basis()
+    assert tag_free._engine is None
+    tagged = SubmodulePresentation(variables, rank, gens).engine.groebner_vectors()
+    assert _exact_terms(basis) == _exact_terms(tagged)
 
 
 def test_basis_generates_same_module():
@@ -667,17 +697,39 @@ V7 = tuple(f"x{i}" for i in range(1, 8))
 HOMOGENEOUS_7 = ("x1*x2 - x3^2", "x4*x5 + x6*x7", "x1^3 - x7^3")
 
 
-def test_origin_witness_needs_no_groebner_basis(monkeypatch):
+def _refuse_groebner_bases(monkeypatch):
+    """Make the tagged engine and the tag-free ``buchberger`` run fail."""
     from poiskit.modcalc import engine
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Groebner basis was built")
 
     monkeypatch.setattr(engine.ModuleEngine, "__init__", refuse)
+    monkeypatch.setattr(engine, "buchberger", refuse)
+
+
+def test_origin_witness_needs_no_groebner_basis(monkeypatch):
+    _refuse_groebner_bases(monkeypatch)
     gens = [parse_polynomial(V7, t) for t in HOMOGENEOUS_7]
     verdict = variety_emptiness(gens)
     assert verdict.is_no
     assert verdict.witness == {"point": [QQ(0)] * 7, "kind": "rational"}
+
+
+@pytest.mark.parametrize("gens", [
+    [P2("x"), Polynomial.constant(V2, 3)],
+    [P2("x*y - 1"), Polynomial.constant(V2, QQ(-1, 2))],
+], ids=["x, 3", "xy - 1, -1/2"])
+def test_a_constant_generator_is_complex_empty_without_a_basis(monkeypatch, gens):
+    _refuse_groebner_bases(monkeypatch)
+    verdict = variety_emptiness(gens)
+    assert verdict.is_yes
+    assert verdict.certificate == {"level": "complex-empty", "basis": ["1"]}
+
+
+def test_emptiness_refuses_generators_on_different_charts():
+    with pytest.raises(ChartMismatchError):
+        variety_emptiness([P2("x"), parse_polynomial(("a", "b"), "1")])
 
 
 @pytest.mark.parametrize("variables, gens, point", [
