@@ -48,10 +48,12 @@ def _echelon(rows: Iterable[dict], ncols: int) -> dict[int, dict[int, int]]:
     each row is made integer (a rational row is scaled by its common
     denominator) and reduced against the pivot at its leading column (its
     smallest column) by ``r <- a*r - b*pivot``, then divided by its content,
-    until it is 0 or leads at a new pivot. Every pivot row is primitive. The
-    leading columns are the pivot columns of the reduced echelon form. A
-    column outside ``range(ncols)`` is a ``ValueError``; the caller's dicts
-    are never modified.
+    until it is 0 or leads at a new pivot. A row that needs a reduction is
+    copied once, before the first, and every step then updates that copy in
+    place; its content is still removed after each step, so the entries stay
+    small. Every pivot row is primitive. The leading columns are the pivot
+    columns of the reduced echelon form. A column outside ``range(ncols)`` is
+    a ``ValueError``; the caller's dicts are never modified.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -62,25 +64,32 @@ def _echelon(rows: Iterable[dict], ncols: int) -> dict[int, dict[int, int]]:
         if not all(row.values()):
             row = {c: v for c, v in row.items() if v}
         r = _integer_row(row)
+        owned = False       # r may still be the caller's dict until copied
         while r:
             lead = min(r)
             piv = pivots.get(lead)
             if piv is None:
-                pivots[lead] = _primitive(r)
+                pivots[lead] = r if owned else _primitive(r)
                 break
             a, b = piv[lead], r[lead]
             g = gcd(a, b)
             a, b = a // g, b // g
-            # r may still be the caller's dict: reduce a copy
-            r = {c: a * v for c, v in r.items()} if a != 1 else r.copy()
+            if not owned:
+                r, owned = r.copy(), True
+            if a != 1:
+                for c in r:
+                    r[c] *= a
             for c, v in piv.items():
                 s = r.get(c, 0) - b * v
                 if s:
                     r[c] = s
                 else:
-                    r.pop(c, None)
+                    del r[c]        # b * v != 0, so a zero sum had an entry at c
             if r:
-                r = _primitive(r)
+                g = gcd(*r.values())
+                if g != 1:
+                    for c in r:
+                        r[c] //= g
     return pivots
 
 

@@ -119,7 +119,11 @@ class SubmodulePresentation:
         return Verdict.yes(certificate={"forward": fwd.certificate, "backward": bwd.certificate})
 
     def verify_basis(self) -> bool:
-        """Two-sided check that the cached basis generates the same module."""
+        """Two-sided check that the cached basis generates the same module.
+
+        The tagged engine is built first: the backward membership needs it,
+        and the basis is then read off it, not computed a second time."""
+        self.engine         # built here, so the basis below is read off it
         basis = self.groebner_basis()
         as_module = SubmodulePresentation(self.variables, self.rank, basis)
         return self.equals_module(as_module).is_yes

@@ -144,7 +144,22 @@ class PoissonStructure:
     ``k`` is the largest integer with ``wedge^k pi != 0`` and ``top`` is that
     power; the regular-locus ideal is generated by its coefficients. Both
     come from the principal Pfaffians of ``pi``'s matrix (``_top_power``),
-    with no wedge product. ``jacobi`` holds the proof of ``[pi, pi] = 0``:
+    with no wedge product.
+
+    ``spanning_rows`` is ``K = min(top.components)``, the first index set
+    of size ``2k`` with ``(wedge^k pi)_K = k! Pf(pi_K) != 0``: ``()`` for the
+    zero bivector, every index when ``2k = n``. The principal submatrix
+    ``PI[K][K]`` has determinant ``Pf(pi_K)^2 != 0``, so rows ``K`` of the
+    component matrix ``PI`` are independent over the fraction field, and as
+    ``PI`` has rank ``2k`` they span its row space there: every other row is
+    a rational-function combination of rows ``K``. So a vector ``v`` with
+    ``PI[j] . v = 0`` for every ``j`` in ``K`` has ``PI v = 0``. On the dense
+    set where ``Pf(pi_K) != 0`` the fields ``X_(x_j)``, ``j`` in ``K``, span
+    the symplectic distribution (Weinstein, J. Differential Geom. 18, 1983).
+    ``casimir_search``, ``center_check`` and the syzygy route of
+    ``germinal_isotropy`` solve the equations of rows ``K`` alone.
+
+    ``jacobi`` holds the proof of ``[pi, pi] = 0``:
     the constructor computes it with :func:`check_jacobi`,
     :func:`linear_structure` takes it from the structure constants, and
     :meth:`unchecked` leaves it ``None``. The Casimir bases of
@@ -162,6 +177,7 @@ class PoissonStructure:
                 raise ValueError(f"Jacobi identity fails: {_jacobi.witness}")
         self.jacobi: Verdict | None = _jacobi
         self.k, self.top = _top_power(bivector)
+        self.spanning_rows: tuple[int, ...] = min(self.top.components)
         # k = 0 makes top the scalar 1, the unit ideal
         self.regular_ideal: list[Polynomial] = sorted(self.top.components.values(), key=str)
         self._casimirs: dict[int, tuple[Polynomial, ...]] = {}
@@ -277,11 +293,12 @@ class _CasimirEntries(NamedTuple):
     radix: int
 
 
-def _casimir_entries(mat: list[list[Polynomial]], monos: Sequence | np.ndarray,
-                     scale: int | None = None) -> _CasimirEntries:
-    """Coefficients of ``sharp(d x^a)`` for each monomial ``x^a`` (column
-    ``c`` for ``a = monos[c]``; ``monos`` is a list of exponent tuples or an
-    ``(ncols, n)`` integer array), read off the component matrix:
+def _casimir_entries(mat: list[list[Polynomial]], columns: Sequence[int],
+                     monos: Sequence | np.ndarray, scale: int | None = None) -> _CasimirEntries:
+    """Coefficients of the components ``j`` in ``columns`` of ``sharp(d x^a)``
+    for each monomial ``x^a`` (column ``c`` for ``a = monos[c]``; ``monos``
+    is a list of exponent tuples or an ``(ncols, n)`` integer array), read
+    off columns ``columns`` of the component matrix:
     ``sharp(d x^a)_j = sum_i a_i x^(a - e_i) PI[i][j]``. With ``scale`` (a
     common denominator of the matrix) they are those of ``scale * PI``, in
     integers; scaling keeps the kernel.
@@ -295,9 +312,9 @@ def _casimir_entries(mat: list[list[Polynomial]], monos: Sequence | np.ndarray,
     otherwise the same code runs on ``dtype=object``."""
     n = len(mat)
     expos = np.asarray(monos, dtype=np.int64).reshape(len(monos), n)
-    # row i of PI as (j, exponent, coefficient) triples
+    # row i of PI, at the columns read, as (j, exponent, coefficient) triples
     pi_rows = [[(j, e, c if scale is None else int(c * scale))
-                for j in range(n) for e, c in mat[i][j].terms.items()]
+                for j in columns for e, c in mat[i][j].terms.items()]
                for i in range(n)]
     terms = [t for pi_row in pi_rows for t in pi_row]
     degree = int(expos.sum(axis=1).max(initial=0))
@@ -337,8 +354,9 @@ def _casimir_entries(mat: list[list[Polynomial]], monos: Sequence | np.ndarray,
     return _CasimirEntries(np.cumsum(new_row) - 1, col, val, key[new_row], radix)
 
 
-def _casimir_rows(mat: list[list[Polynomial]], monos: Sequence | np.ndarray,
-                  scale: int | None = None) -> tuple[list[dict[int, object]], np.ndarray]:
+def _casimir_rows(mat: list[list[Polynomial]], columns: Sequence[int],
+                  monos: Sequence | np.ndarray, scale: int | None = None
+                  ) -> tuple[list[dict[int, object]], np.ndarray]:
     """The Casimir system (see ``_casimir_entries``) with its forced-zero
     columns peeled, as rows for ``sparse_nullspace`` over the live columns.
 
@@ -349,7 +367,7 @@ def _casimir_rows(mat: list[list[Polynomial]], monos: Sequence | np.ndarray,
     in order (``np.cumsum(~struck) - 1``), and only the rows left become
     ``{live column: value}`` dicts. Returns those rows and ``live``, the
     original column of each live column."""
-    entries = _casimir_entries(mat, monos, scale)
+    entries = _casimir_entries(mat, columns, monos, scale)
     row, col, val = entries.row, entries.col, entries.val
     struck = np.zeros(len(monos), dtype=bool)
     while True:
@@ -369,7 +387,13 @@ def casimir_search(structure: PoissonStructure, max_degree: int) -> list[Polynom
     """Basis of the space of polynomial Casimirs of degree <= max_degree.
 
     ``sharp(df) = 0`` is a linear system on the coefficients of ``f``, one
-    column per monomial. It is built as integer arrays from the component
+    column per monomial. Only its components ``j`` in
+    ``structure.spanning_rows`` (the index set ``K`` of a nonzero top
+    Pfaffian, see ``PoissonStructure``) are built: ``sharp(df)_j`` is
+    ``-PI[j] . grad f``, and rows ``K`` of ``PI`` span its row space over
+    the fraction field, so ``sharp(df)_K = 0`` forces ``sharp(df) = 0``. The
+    kernel is that of the whole system, hence so is its basis below. The
+    system is built as integer arrays from columns ``K`` of the component
     matrix times the lcm of its coefficient denominators, and the columns
     that single-entry rows force to 0 are peeled there (``_casimir_rows``).
     Only the rows left are solved, fraction-free by ``sparse_nullspace``,
@@ -382,8 +406,10 @@ def casimir_search(structure: PoissonStructure, max_degree: int) -> list[Polynom
     variables = structure.variables
     expos = _monomial_array(len(variables), max_degree)
     mat = structure.pi_matrix()
-    scale = lcm(*(int(c.denominator) for row in mat for p in row for c in p.terms.values()))
-    rows, live = _casimir_rows(mat, expos, scale)
+    columns = structure.spanning_rows
+    scale = lcm(*(int(c.denominator)
+                  for row in mat for j in columns for c in row[j].terms.values()))
+    rows, live = _casimir_rows(mat, columns, expos, scale)
     live_expos = expos[live]
     basis = [Polynomial(variables, dict(zip(map(tuple, live_expos[list(vec)].tolist()), vec.values())))
              for vec in sparse_nullspace(rows, len(live))]
@@ -472,7 +498,11 @@ def germinal_isotropy(structure: PoissonStructure) -> GerminalIsotropy:
       they are the ones ``syzygies`` would return.
     * ``"syzygy"``: otherwise (fewer than ``r`` independent differentials
       among those Casimirs, or a minor gcd that is not 1), the syzygies of
-      the component matrix.
+      rows ``structure.spanning_rows`` of the component matrix: ``2k`` rows,
+      not ``n``. They span its row space over the fraction field (see
+      ``PoissonStructure``), so a syzygy of those rows is one of all ``n``:
+      the module is the same, and so are its generators, the reduced
+      Groebner basis of the syzygies.
 
     The route depends on the structure alone: the Casimir search runs once
     per structure and serves every later call, and no caller option changes
@@ -497,7 +527,8 @@ def germinal_isotropy(structure: PoissonStructure) -> GerminalIsotropy:
         else:
             if found := _casimir_kernel(structure, r):
                 yield "casimir", found
-            yield "syzygy", syzygies(structure.pi_matrix(), variables)
+            mat = structure.pi_matrix()
+            yield "syzygy", syzygies([mat[i] for i in structure.spanning_rows], variables)
 
     for route, module in routes():
         for g in module.generators:
@@ -751,14 +782,21 @@ def center_check(structure: PoissonStructure,
     """Center of the Lie algebra of a linear structure, read off ``pi`` (the
     ``v`` with ``sum_i v_i c^k_ij = 0`` for all ``j, k``, ``c^k_ij`` the
     coefficient of ``x_k`` in ``PI[i][j]``), and whether the kernel module at
-    the origin spans exactly the center. ``ValueError`` unless ``pi`` is linear."""
+    the origin spans exactly the center. ``ValueError`` unless ``pi`` is linear.
+
+    The system has ``2k n`` rows, not ``n^2``: ``j`` runs over
+    ``structure.spanning_rows`` alone. Column ``j`` of ``PI`` is ``-PI[j]``,
+    and those rows span its row space over the fraction field (see
+    ``PoissonStructure``), so ``v . PI[:, j] = 0`` for those ``j`` forces
+    ``v . PI = 0``. The kernel, and its reduced-echelon basis, are those of
+    all ``n^2`` rows."""
     n = len(structure.variables)
     if any(sum(e) != 1 for p in structure.bivector.components.values() for e in p.terms):
         raise ValueError("center_check needs a linear structure")
     mat = structure.pi_matrix()
     units = [tuple(int(m == k) for m in range(n)) for k in range(n)]
     rows = [[mat[i][j].terms.get(units[k], 0) for i in range(n)]
-            for j in range(n) for k in range(n)]
+            for j in structure.spanning_rows for k in range(n)]
     center = nullspace(rows, n)
 
     origin = [QQ(0)] * n

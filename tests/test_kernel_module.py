@@ -356,7 +356,8 @@ def test_no_casimir_route_gcd_of_the_lie_duals_reaches_the_engine(monkeypatch):
 def test_gcd_certificate_decides_sl4_gradient_minors_within_a_second(monkeypatch):
     # sl(4)*: n = 15, and its Casimirs of degree 2, 3 and 4 give r = 3
     # gradients. The structure's rank data takes over a second at n = 15, so
-    # the Casimirs are searched on the bivector's matrix alone.
+    # the Casimirs are searched on the bivector's matrix alone, over all n
+    # rows, which always span its row space.
     doc = lie_document(_sl(4))
     n = len(doc["coordinates"])
     c = [[[0] * n for _ in range(n)] for _ in range(n)]
@@ -365,7 +366,8 @@ def test_gcd_certificate_decides_sl4_gradient_minors_within_a_second(monkeypatch
         c[e["j"]][e["i"]][e["k"]] = -QQ(e["c"])
     pi = linear_bivector(c, doc["coordinates"])
     casimirs = casimir_search(SimpleNamespace(variables=pi.variables,
-                                              pi_matrix=pi.component_matrix), 4)
+                                              pi_matrix=pi.component_matrix,
+                                              spanning_rows=range(n)), 4)
     assert [p.total_degree() for p in casimirs] == [0, 2, 3, 4, 4]
     gradients = [[p.diff(i) for i in range(n)] for p in casimirs[1:4]]
     minors = []

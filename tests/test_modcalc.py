@@ -181,6 +181,24 @@ def test_basis_generates_same_module():
     assert module.verify_basis()
 
 
+def test_verify_basis_reads_the_basis_off_the_tagged_engine(monkeypatch):
+    # one tagged engine for the module, one for its basis: the untagged
+    # basis of the module is never computed beside the engine's
+    from poiskit.modcalc import engine
+
+    runs = []
+    real = engine.buchberger
+
+    def counted(generators):
+        runs.append(1)
+        return real(generators)
+
+    monkeypatch.setattr(engine, "buchberger", counted)
+    module = SubmodulePresentation(V2, 2, [[P2("x"), P2("y")], [P2("y"), P2("x^2")]])
+    assert module.verify_basis()
+    assert len(runs) == 2
+
+
 # -- syzygies --------------------------------------------------------------------
 
 
