@@ -20,7 +20,7 @@ from .polyalg import (
     divides_exactly,
     pair,
 )
-from .modcalc import SubmodulePresentation, Verdict, polynomial_gcd, variety_emptiness
+from .modcalc import Verdict, polynomial_gcd, variety_emptiness
 from .modcalc.linalg import nullspace, rank, solve
 from .modcalc.rank import _det
 from .poisson import (
@@ -413,13 +413,14 @@ def restrict_to_leaf(structure: PoissonStructure, fixed: Mapping[str, object],
     spanned = []
     for i in range(n):
         unit = [one if j == i else zero for j in range(n)]
-        if module.contains(unit).is_yes:
+        if module.is_member(unit):
             spanned.append(i)
-    coord_module = SubmodulePresentation(
-        variables, n, [[one if j == i else zero for j in range(n)] for i in spanned])
-    if not module.equals_module(coord_module).is_yes:
+    # the spanned unit vectors lie in the module, so they span it exactly
+    # when no generator has an entry off them
+    off = [i for i in range(n) if i not in spanned]
+    if any(not g[i].is_zero for g in module.generators for i in off):
         raise ValueError("distribution is not spanned by coordinate directions")
-    transverse = [variables[i] for i in range(n) if i not in spanned]
+    transverse = [variables[i] for i in off]
     if set(fixed) != set(transverse):
         raise ValueError(
             f"slice not transverse to the distribution complement: fix exactly {transverse}")

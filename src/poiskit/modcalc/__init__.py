@@ -5,9 +5,15 @@ certificates, rank stratification, and emptiness certificates.
 ``SubmodulePresentation`` holds a submodule of ``R^rank`` by generators.
 ``groebner_basis`` computes the reduced basis on first use by one
 ``buchberger`` run on the bare generators, with no syzygy tags, or reads it
-off the tagged engine if that is already built. Membership (``contains``)
-builds the tagged engine, whose unit tags carry the certificates, once on
-its first call. ``syzygies`` is the one kernel computation:
+off the tagged engine if that is already built. Two kinds are born with
+their reduced basis and run no ``buchberger`` for it: ``full``, whose unit
+vectors are that basis, and the result of ``syzygies``, the syzygy part of
+the engine's reduced augmented basis. Membership has two paths.
+``is_member`` answers yes or no by the normal form on the untagged reduced
+basis; every caller that reads no cofactor uses it. ``contains`` builds
+the tagged engine, whose unit tags carry the certificates, once on its
+first call, and is the only path that returns one. ``syzygies`` is the one
+kernel computation:
 ``colon_by_ideal`` is the syzygy module of one block matrix, ``saturate``
 iterates that colon, and ``polynomial_gcd`` first tries to certify gcd 1 by
 univariate gcds at rational specialisations, and otherwise reads the gcd of

@@ -12,7 +12,7 @@ from ..polyalg.polynomial import (
     _normalize_primitive,
     divides_exactly,
 )
-from .engine import ModuleEngine, groebner_vectors
+from .engine import ModuleEngine, _normal_form, groebner_vectors, vec_from_polys
 from .rank import _PROBE_SEEDS
 from .verdict import Verdict
 
@@ -28,6 +28,13 @@ class SubmodulePresentation:
     since its certificates need the tags. Either computation is
     deterministic, and both give the same reduced basis. Ideals are the
     rank-1 case.
+
+    Membership has two paths. ``is_member`` answers yes or no by the normal
+    form on the untagged reduced basis, whose keyed vectors and leads it
+    keeps; ``contains`` is the one path that returns a certificate. Some
+    presentations are born with their reduced basis, so their
+    ``groebner_basis`` runs no ``buchberger``: the unit vectors of
+    ``full``, and the syzygy modules ``syzygies`` returns.
     """
 
     def __init__(self, variables: Sequence[str], rank: int,
@@ -38,6 +45,7 @@ class SubmodulePresentation:
         self.generators = tuple(g for g in gens if any(not p.is_zero for p in g))
         self._engine: ModuleEngine | None = None
         self._basis: list[tuple[Polynomial, ...]] | None = None
+        self._keyed: tuple[list[dict], list[tuple]] | None = None
 
     def _vector(self, v: Sequence[Polynomial], what: str) -> tuple[Polynomial, ...]:
         """``v`` as a tuple, once it has ``rank`` entries on this chart."""
@@ -60,11 +68,22 @@ class SubmodulePresentation:
 
     @classmethod
     def full(cls, variables: Sequence[str], rank: int) -> "SubmodulePresentation":
+        """``R^rank``, generated by its unit vectors ``e_0 .. e_(rank-1)``:
+        monic, with leads in decreasing order, they are its reduced basis."""
         variables = tuple(variables)
         one = Polynomial.one(variables)
         zero = Polynomial.zero(variables)
         gens = [[one if i == j else zero for j in range(rank)] for i in range(rank)]
-        return cls(variables, rank, gens)
+        return cls._reduced(variables, rank, gens)
+
+    @classmethod
+    def _reduced(cls, variables: Sequence[str], rank: int,
+                 basis: Sequence[Sequence[Polynomial]]) -> "SubmodulePresentation":
+        """The module generated by ``basis``, a reduced Groebner basis in the
+        order ``groebner_basis`` lists it, which is kept as the basis."""
+        module = cls(variables, rank, basis)
+        module._basis = list(module.generators)
+        return module
 
     @property
     def engine(self) -> ModuleEngine:
@@ -87,6 +106,17 @@ class SubmodulePresentation:
                        else groebner_vectors(self.variables, self.rank, self.generators))
             self._basis = [tuple(v) for v in vectors]
         return list(self._basis)
+
+    def is_member(self, element: Sequence[Polynomial]) -> bool:
+        """Whether ``element`` lies in the module: its full normal form on the
+        untagged reduced basis is zero. No certificate and no tagged engine;
+        the same answer as ``contains(element).is_yes``. ``ValueError`` and
+        ``ChartMismatchError`` as for ``contains``."""
+        element = self._vector(element, "element")
+        if self._keyed is None:
+            vectors = [vec_from_polys(g) for g in self.groebner_basis()]
+            self._keyed = vectors, [max(v) for v in vectors]
+        return not _normal_form(vec_from_polys(element), *self._keyed)
 
     def contains(self, element: Sequence[Polynomial]) -> Verdict:
         """Membership with an exact certificate on yes, the nonzero normal
@@ -142,7 +172,14 @@ def syzygies(matrix_rows: Sequence[Sequence[Polynomial]],
     of R^m of vectors s with ``matrix . s = 0``. ``ValueError`` if the
     matrix has no entry or rows of different lengths, ``ChartMismatchError``
     if an entry is on another chart than ``variables`` (by default the chart
-    of the first entry)."""
+    of the first entry).
+
+    The generators are the syzygy part of the engine's reduced augmented
+    basis. The order is an elimination order, so that part is a Groebner
+    basis of the syzygy module; it is reduced and monic because the whole
+    basis is, and shifting the tag positions down by the matrix's row count
+    keeps the order of its leads and terms. So it is the module's reduced
+    basis, and the presentation keeps it as such."""
     rows = [list(r) for r in matrix_rows]
     if not rows or not rows[0]:
         raise ValueError("empty matrix")
@@ -154,7 +191,7 @@ def syzygies(matrix_rows: Sequence[Sequence[Polynomial]],
         raise ChartMismatchError("matrix entry on a different chart")
     columns = [[rows[i][j] for i in range(len(rows))] for j in range(m)]
     engine = ModuleEngine(variables, len(rows), columns)
-    return SubmodulePresentation(variables, m, engine.syzygy_vectors())
+    return SubmodulePresentation._reduced(variables, m, engine.syzygy_vectors())
 
 
 def polynomial_gcd(polys: Sequence[Polynomial]) -> Polynomial:
@@ -374,7 +411,7 @@ def saturate(module: SubmodulePresentation, ideal_gens: Sequence[Polynomial],
                 return SaturationResult(target, k, True, Verdict.yes(certificate=certificate))
         if k:
             nxt = colon_by_ideal(current, gens)
-            if nxt.is_submodule_of(current).is_yes:
+            if all(map(current.is_member, nxt.generators)):
                 return SaturationResult(current, k - 1, True)
             current = nxt
     return SaturationResult(current, cap, False)

@@ -211,10 +211,20 @@ class PoissonStructure:
 
     def casimirs(self, max_degree: int) -> tuple[Polynomial, ...]:
         """The :func:`casimir_search` basis to ``max_degree``, searched on
-        the first call for that degree."""
+        the first call for that degree.
+
+        At full rank, ``2k = n``, nothing is searched for a degree
+        ``>= 0``: the basis is ``(1,)``. ``PI`` is then invertible over the
+        fraction field, so ``sharp(df) = -PI grad f = 0`` forces
+        ``grad f = 0``, and over Q only the constants have zero gradient.
+        ``casimir_search`` would return the same basis, the constant ``1``."""
         found = self._casimirs.get(max_degree)
         if found is None:
-            found = self._casimirs[max_degree] = tuple(casimir_search(self, max_degree))
+            if 2 * self.k == len(self.variables) and max_degree >= 0:
+                found = (Polynomial.one(self.variables),)
+            else:
+                found = tuple(casimir_search(self, max_degree))
+            self._casimirs[max_degree] = found
         return found
 
     def columns_module(self) -> SubmodulePresentation:
@@ -563,7 +573,8 @@ class DistributionPresentation:
 
 
 def _annihilator_module(iso: GerminalIsotropy, variables, n: int) -> SubmodulePresentation:
-    """Vector fields paired to zero by every kernel generator."""
+    """Vector fields paired to zero by every kernel generator, as a
+    presentation that holds its reduced basis from the start."""
     if not iso.module.generators:
         return SubmodulePresentation.full(variables, n)
     rows = [list(g) for g in iso.module.generators]
@@ -648,7 +659,7 @@ def _unclosed_bracket(variables: Sequence[str], generators: Sequence[Sequence[Po
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
             bracket = schouten_bracket(fields[i], fields[j])
-            if not module.contains(bracket.coefficients()).is_yes:
+            if not module.is_member(bracket.coefficients()):
                 return (i, j), bracket
     return None
 
@@ -656,7 +667,15 @@ def _unclosed_bracket(variables: Sequence[str], generators: Sequence[Sequence[Po
 def verify_distribution(dist: DistributionPresentation, structure: PoissonStructure,
                         *, seed: int = 0, samples: int = 10000) -> Verdict:
     """Involutivity, invariance (columns of pi are sections), and pointwise
-    rank ``2k`` everywhere."""
+    rank ``2k`` everywhere.
+
+    The first two are memberships in ``dist.module``, answered by
+    ``SubmodulePresentation.is_member`` on its untagged reduced basis: a
+    ``yes`` carries no cofactors, and no tagged engine is built. The
+    annihilator that ``almost_regular_decide`` returns is born with its
+    reduced basis (a ``syzygies`` result, or the unit vectors), so the
+    checks run no ``buchberger`` for it either. A caller that wants the
+    cofactors asks ``dist.module.contains`` for them."""
     variables = structure.variables
     module = dist.module
 
@@ -669,8 +688,7 @@ def verify_distribution(dist: DistributionPresentation, structure: PoissonStruct
 
     poisson_cols: Verdict = Verdict.yes()
     for col in structure.bivector.columns():
-        member = module.contains(col)
-        if not member.is_yes:
+        if not module.is_member(col):
             poisson_cols = Verdict.no(witness={"column": [str(p) for p in col]})
             break
 

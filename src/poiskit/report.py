@@ -366,9 +366,11 @@ def analyze(document: dict, options: AnalysisOptions | None = None) -> AnalysisR
                                                     len(structure.variables), declared)
             checked = DistributionPresentation(declared_module, dist.rank,
                                                provenance={"declared": True})
+            same = (all(map(dist.module.is_member, declared_module.generators))
+                    and all(map(declared_module.is_member, dist.module.generators)))
             data["declared_distribution"] = {
                 "generators": _gen_list(declared),
-                "equals_computed": declared_module.equals_module(dist.module).outcome,
+                "equals_computed": "yes" if same else "no",
             }
             target = checked
         else:

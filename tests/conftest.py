@@ -7,6 +7,17 @@ import pytest
 from poiskit.poisson import PoissonStructure
 
 
+def _refuse_groebner_bases(monkeypatch):
+    """Make the tagged engine and the tag-free ``buchberger`` run fail."""
+    from poiskit.modcalc import engine
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Groebner basis was built")
+
+    monkeypatch.setattr(engine.ModuleEngine, "__init__", refuse)
+    monkeypatch.setattr(engine, "buchberger", refuse)
+
+
 def su2_structure() -> PoissonStructure:
     """Linear structure on R^3 with leaves the concentric spheres."""
     return PoissonStructure.from_components(

@@ -15,8 +15,10 @@ constant Casimir. The drop-ideal gcd is certified by specialisation: no
 lie-duals family reaches the engine fold, and eight sl(4)* gradient minors
 are decided within a second. The reports of sl(3)*, gl(3)*, so(5)* and the
 book algebra are pinned by digest. Spies check that the Casimir route and
-the emptiness check build no tagged Groebner engine, and that no corpus
-presentation computes its basis both without and with tags."""
+the emptiness check build no tagged Groebner engine, that the distribution
+checks build no Groebner basis at all, that no corpus presentation computes
+its basis both without and with tags, and that a full-rank structure
+solves no Casimir system."""
 
 from __future__ import annotations
 
@@ -40,9 +42,15 @@ from poiskit.cli import main
 from poiskit.groupoid import MonodromyProblem, round_sphere
 from poiskit.modcalc import SubmodulePresentation, engine, polynomial_gcd, presentation
 from poiskit.polyalg import Polynomial
-from poiskit.poisson import casimir_search, germinal_isotropy, linear_bivector
-from poiskit.report import AnalysisOptions, analyze
-from conftest import su2_structure
+from poiskit.poisson import (
+    almost_regular_decide,
+    casimir_search,
+    germinal_isotropy,
+    linear_bivector,
+    verify_distribution,
+)
+from poiskit.report import AnalysisOptions, analyze, parse_input
+from conftest import _refuse_groebner_bases, su2_structure
 from test_corpus_digest import WORKLOADS, _corpus, documents
 
 
@@ -250,11 +258,32 @@ def _count_searches(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_one_casimir_search_serves_the_route_and_the_report(monkeypatch, workload):
+    # at full rank (2k = n) the only Casimirs are the constants: no search
     calls = _count_searches(monkeypatch)
     for name, doc in sorted(documents(workload, 0).items()):
         calls.clear()
-        analyze(doc)
-        assert calls == [4], name
+        report = analyze(doc)
+        full_rank = 2 * report.structure.k == len(report.structure.variables)
+        assert calls == ([] if full_rank else [4]), name
+
+
+@pytest.mark.parametrize("workload, name", [
+    ("chart-batch", "symp4.0"), ("chart-batch", "logsymp6.0"), ("lie-duals", "aff2.0"),
+])
+def test_full_rank_casimirs_are_the_constants_without_a_search(monkeypatch, workload, name):
+    structure = parse_input(documents(workload, 0)[name])[0]
+    assert 2 * structure.k == len(structure.variables)
+    searched = [casimir_search(structure, d) for d in range(5)]
+
+    def refuse(structure, max_degree):
+        raise AssertionError("a Casimir system was solved")
+
+    monkeypatch.setattr(poiskit.poisson, "casimir_search", refuse)
+    for d in range(5):
+        found = structure.casimirs(d)
+        assert found == (Polynomial.one(structure.variables),)
+        assert [(p.terms, list(map(type, p.terms.values()))) for p in found] == \
+            [(p.terms, list(map(type, p.terms.values()))) for p in searched[d]]
 
 
 def test_a_max_degree_other_than_4_costs_one_more_search(monkeypatch, tmp_path, capsys):
@@ -458,6 +487,22 @@ def test_the_casimir_kernel_and_emptiness_build_no_tagged_engine(monkeypatch, do
     analyze(doc)
     assert not any(spy.builds), spy.builds
     assert "_casimir_kernel" in spy.runs             # its basis is computed, tag-free
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_distribution_checks_build_no_groebner_basis(monkeypatch, workload):
+    # the annihilator is born with its reduced basis, and the memberships
+    # read it without tags
+    decided = []
+    for name, doc in documents(workload, 0).items():
+        structure = parse_input(doc)[0]
+        decision = almost_regular_decide(structure)
+        if decision.is_yes:
+            decided.append((name, structure, decision.payload["distribution"]))
+    assert decided
+    _refuse_groebner_bases(monkeypatch)
+    for name, structure, dist in decided:
+        assert verify_distribution(dist, structure).is_yes, name
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

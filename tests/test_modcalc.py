@@ -8,9 +8,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _refuse_groebner_bases
 from dense_reference import qq_det, qq_nullspace, qq_rank, qq_solve
 from test_exact_coefficients import polys
 from poiskit._kernel import QQ
@@ -25,7 +26,7 @@ from poiskit.modcalc import (
     variety_emptiness,
 )
 from poiskit.modcalc import presentation
-from poiskit.modcalc.engine import _divides, _lcm, split_key, term_key
+from poiskit.modcalc.engine import _divides, _lcm, groebner_vectors, split_key, term_key
 from poiskit.modcalc.linalg import nullspace, rank, solve, sparse_nullspace
 from poiskit.modcalc.rank import _det
 
@@ -174,6 +175,50 @@ def test_tag_free_basis_equals_the_tagged_engines(presentation_data):
     assert tag_free._engine is None
     tagged = SubmodulePresentation(variables, rank, gens).engine.groebner_vectors()
     assert _exact_terms(basis) == _exact_terms(tagged)
+
+
+@st.composite
+def _membership_cases(draw):
+    """A ``_presentations`` module, a random combination of its generators
+    (a member) and a random vector (mostly not one)."""
+    variables, rank, gens = draw(_presentations())
+    cofactors = draw(st.lists(polys(variables, 2, 1), min_size=len(gens), max_size=len(gens)))
+    zero = Polynomial.zero(variables)
+    member = [sum((q * g[i] for q, g in zip(cofactors, gens)), zero) for i in range(rank)]
+    other = draw(st.lists(polys(variables, 3, 2), min_size=rank, max_size=rank))
+    return variables, rank, gens, member, other
+
+
+@settings(max_examples=60, deadline=None)
+@given(_membership_cases())
+def test_tag_free_membership_answers_as_contains(case):
+    variables, rank, gens, member, other = case
+    module = SubmodulePresentation(variables, rank, gens)
+    assert module.is_member(member)
+    answer = module.is_member(other)
+    assert module._engine is None
+    assert module.contains(member).is_yes
+    assert answer == module.contains(other).is_yes
+
+
+@settings(max_examples=60, deadline=None)
+@given(_presentations())
+def test_syzygies_are_born_with_their_reduced_basis(presentation_data):
+    variables, rank, gens = presentation_data
+    assume(gens)
+    syz = syzygies([[g[i] for g in gens] for i in range(rank)], variables)
+    assert syz._basis == list(syz.generators)
+    fresh = groebner_vectors(variables, len(gens), syz.generators)
+    assert _exact_terms(syz.generators) == _exact_terms(fresh)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_the_full_module_is_born_with_its_reduced_basis(monkeypatch, rank):
+    full = SubmodulePresentation.full(V3, rank)
+    fresh = groebner_vectors(V3, rank, full.generators)
+    _refuse_groebner_bases(monkeypatch)
+    assert _exact_terms(full.groebner_basis()) == _exact_terms(fresh)
+    assert full.is_member([P3("x*y - 1/2")] + [P3("z")] * (rank - 1))
 
 
 def test_basis_generates_same_module():
@@ -713,17 +758,6 @@ def test_inconclusive_when_zero_set_is_out_of_range():
 V7 = tuple(f"x{i}" for i in range(1, 8))
 # homogeneous, so the origin is a common zero; 7 variables put the grid out of reach
 HOMOGENEOUS_7 = ("x1*x2 - x3^2", "x4*x5 + x6*x7", "x1^3 - x7^3")
-
-
-def _refuse_groebner_bases(monkeypatch):
-    """Make the tagged engine and the tag-free ``buchberger`` run fail."""
-    from poiskit.modcalc import engine
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a Groebner basis was built")
-
-    monkeypatch.setattr(engine.ModuleEngine, "__init__", refuse)
-    monkeypatch.setattr(engine, "buchberger", refuse)
 
 
 def test_origin_witness_needs_no_groebner_basis(monkeypatch):
