@@ -22,7 +22,7 @@ from .polyalg import (
 )
 from .modcalc import Verdict, polynomial_gcd, variety_emptiness
 from .modcalc.linalg import nullspace, rank, solve
-from .modcalc.rank import _det
+from .modcalc.rank import minor
 from .poisson import (
     DistributionPresentation,
     PoissonStructure,
@@ -132,6 +132,8 @@ def _w_basis_matrix(structure: PoissonStructure, w_basis) -> list[list]:
     w = [[to_qq(x) for x in vec] for vec in w_basis]
     if any(len(row) != len(structure.variables) for row in w):
         raise ValueError("W basis vectors must have the chart dimension")
+    if rank(w) < len(w):
+        raise ValueError("W basis vectors must be linearly independent")
     return w
 
 
@@ -191,16 +193,17 @@ def induced_bivector_at(structure: PoissonStructure, w_basis, point: Sequence):
     rows = [[bmat[i][c] for i in range(n)] for c in range(n)]
     ext = [solve(rows, [0] * (n - p) + [1 if b == a else 0 for b in range(p)])
            for a in range(p)]
-    out = [[None] * p for _ in range(p)]
-    for a in range(p):
-        for b in range(p):
-            acc = QQ(0)
-            for i in range(n):
-                for j in range(n):
-                    if pival[i][j]:
-                        acc = acc + ext[a][i] * pival[i][j] * ext[b][j]
-            out[a][b] = acc
-    return out
+    return _congruence(ext, pival, QQ(0))
+
+
+def _congruence(xi: Sequence[Sequence], pi: Sequence[Sequence], zero) -> list[list]:
+    """``xi · pi · xiᵀ`` over one commutative ring whose zero is ``zero``,
+    for ``xi`` with ``len(pi)`` columns; a zero entry of ``pi`` adds no
+    product."""
+    n = len(pi)
+    left = [[sum((x[i] * pi[i][j] for i in range(n) if pi[i][j]), zero) for j in range(n)]
+            for x in xi]
+    return [[sum((row[j] * x[j] for j in range(n)), zero) for x in xi] for row in left]
 
 
 def cosymplectic_reduce(structure: PoissonStructure, w_basis,
@@ -218,7 +221,9 @@ def cosymplectic_reduce(structure: PoissonStructure, w_basis,
     const = lambda c: Polynomial.constant(variables, c)
     bmat = [[sharp_cols[j][i] for j in range(q)] + [const(w[a][i]) for a in range(p)]
             for i in range(n)]
-    det = _det(bmat)
+    full = tuple(range(n))
+    minors = {((), ()): Polynomial.one(variables)}      # the empty minor, for n = 1
+    det = minor(bmat, full, full, minors)
     if det.is_zero:
         raise CosymplecticError("sharp(W°) ⊕ W fails identically", {"determinant": "0"})
     cert = variety_emptiness([det], seed=seed)
@@ -231,23 +236,18 @@ def cosymplectic_reduce(structure: PoissonStructure, w_basis,
                 f"cosymplectic condition fails at {witness}", exc.defect) from None
         raise CosymplecticError(f"cosymplectic condition fails at {witness}", {})
 
-    # adjugate: adj[i][j] = cofactor(j, i)
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[bmat[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            cof = _det(minor) if minor else Polynomial.one(variables)
-            adj[i][j] = cof if (i + j) % 2 == 0 else -cof
-    # numerator of the projection onto W along sharp(W°): B J adj(B)
+    # The numerator of the projection onto W along sharp(W°) is B J adj(B).
+    # B J is zero in its first q columns and w_a in column q + a, so it reads
+    # only rows q.. of adj(B): adj[c][j] is the cofactor of B at (j, c).
+    def cofactor(j: int, c: int) -> Polynomial:
+        d = minor(bmat, full[:j] + full[j + 1:], full[:c] + full[c + 1:], minors)
+        return -d if (j + c) % 2 else d
+
     zero = Polynomial.zero(variables)
-    bj = [[bmat[i][c] if c >= q else zero for c in range(n)] for i in range(n)]
-    proj_num = [[sum((bj[i][c] * adj[c][j] for c in range(n)), zero) for j in range(n)]
-                for i in range(n)]
-    pi_mat = structure.pi_matrix()
-    tmp = [[sum((proj_num[i][a] * pi_mat[a][b] for a in range(n)), zero) for b in range(n)]
-           for i in range(n)]
-    num = [[sum((tmp[i][b] * proj_num[j][b] for b in range(n)), zero) for j in range(n)]
-           for i in range(n)]
+    adj_w = [[cofactor(j, c) for j in range(n)] for c in range(q, n)]
+    proj_num = [[sum((adj_w[a][j] * w[a][i] for a in range(p) if w[a][i]), zero)
+                 for j in range(n)] for i in range(n)]
+    num = _congruence(proj_num, structure.pi_matrix(), zero)
     det2 = det * det
     comps: dict[tuple[int, int], Polynomial] = {}
     for i in range(n):

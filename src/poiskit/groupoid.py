@@ -55,7 +55,7 @@ from .polyalg import (
     exterior_derivative,
 )
 from .modcalc.linalg import rank, solve
-from .modcalc.rank import _det
+from .modcalc.rank import determinant
 from .poisson import PoissonStructure, _koszul, germinal_isotropy
 
 __all__ = [
@@ -309,7 +309,7 @@ def omega_form(model: LinearGroupoidModel, t) -> OmegaReport:
             mat[i][j] = c * model.pi[i][j]
         mat[i][d + i] = QQ(-1)
         mat[d + i][i] = QQ(1)
-    det = _det(mat)
+    det = determinant(mat)
     return OmegaReport(t=t, matrix=mat, determinant=det, nondegenerate=bool(det))
 
 

@@ -3,12 +3,12 @@ and submodules, syzygies, colon and saturation, membership with
 certificates, rank stratification, and emptiness certificates.
 
 ``SubmodulePresentation`` holds a submodule of ``R^rank`` by generators.
-``groebner_basis`` computes the reduced basis on first use by one
-``buchberger`` run on the bare generators, with no syzygy tags, or reads it
-off the tagged engine if that is already built. Two kinds are born with
-their reduced basis and run no ``buchberger`` for it: ``full``, whose unit
-vectors are that basis, and the result of ``syzygies``, the syzygy part of
-the engine's reduced augmented basis. Membership has two paths.
+A reduced basis is known at birth, or ``groebner_basis`` computes it on
+first use by one ``buchberger`` run on the bare generators, with no syzygy
+tags; it is never read off the tagged engine. Born with it are ``full``,
+whose unit vectors are that basis, the result of ``syzygies``, the syzygy
+part of the engine's reduced augmented basis, and the Poisson kernel module
+of Casimir differentials. Membership has two paths.
 ``is_member`` answers yes or no by the normal form on the untagged reduced
 basis; every caller that reads no cofactor uses it. ``contains`` builds
 the tagged engine, whose unit tags carry the certificates, once on its
@@ -24,7 +24,10 @@ and calls ``syzygies`` on ``pi``'s matrix only when that route does not
 apply (see ``poisson.germinal_isotropy``). Every Groebner basis comes from
 the ``engine`` module's ``buchberger``, tagged (``ModuleEngine``) only where
 a certificate or a syzygy is read; the ``engine`` module is internal to this
-package, and no module outside it imports it. ``variety_emptiness`` answers
+package, and no module outside it imports it. One expansion,
+``rank.minor``, gives every minor, cofactor and determinant: the minor
+ideals of ``RankProfile``, ``rank.determinant``, and the cofactors of the
+cosymplectic reduction. ``variety_emptiness`` answers
 an ideal with a nonzero constant generator without any basis.
 
 Two facts a caller may have proved cut the work short. ``saturate`` takes a

@@ -23,19 +23,18 @@ Polynomials become keyed vectors, and keyed vectors polynomials, only in
 ``vec_from_polys`` and ``polys_from_vec`` (through ``term_key`` and
 ``split_key``). For an ideal use rank 1.
 
-A caller that needs the reduced basis alone gets it from
-:func:`groebner_vectors`: one ``buchberger`` run on the bare generator
-vectors. The unit tags of :class:`ModuleEngine` serve membership
-certificates and syzygies only. There the generators are augmented,
-``c_i  ->  c_i (+) e_i``, and a Groebner basis of the augmented module is
-computed under the same position-over-term order (actual positions dominate
-tags, so this is an elimination order).  Then
+A reduced basis comes from :func:`groebner_vectors` alone: one
+``buchberger`` run on the bare generator vectors. The unit tags of
+:class:`ModuleEngine` serve membership certificates and syzygies only.
+There the generators are augmented, ``c_i  ->  c_i (+) e_i``, and a Groebner
+basis of the augmented module is computed under the same position-over-term
+order (actual positions dominate tags, so this is an elimination order).  Then
 
 * augmented basis elements with zero actual part are syzygies,
-* the actual parts of the others form a reduced basis of the module, the
-  one :func:`groebner_vectors` gives (the reduced basis is unique for the
-  order; both list it by decreasing leading term, with each element's terms
-  in decreasing order),
+* the actual parts of the others are the reduced basis
+  :func:`groebner_vectors` gives (unique for the order, and listed alike),
+  so normal forms on either decide membership alike; the engine never
+  reads that basis out,
 * the normal form of ``v (+) 0`` is ``r (+) -q`` with ``v = sum q_i c_i + r``.
 
 When ``r = 0`` the engine recombines ``sum q_i c_i`` in key space against
@@ -224,19 +223,11 @@ class ModuleEngine:
         self._aug_basis = buchberger(
             {**v, term_key(rank + i, zero_e): 1} for i, v in enumerate(self._gen_vecs))
         self._aug_leads = [max(g) for g in self._aug_basis]
-        self._basis: list[VecDict] = []
-        self._syz: list[VecDict] = []
-        for g in self._aug_basis:
-            top = {k: c for k, c in g.items() if k[0] > -rank}
-            if top:
-                self._basis.append(top)
-            else:
-                self._syz.append(g)
+        # a lead in a tag position puts every term there: zero actual part
+        self._syz = [g for g, lead in zip(self._aug_basis, self._aug_leads)
+                     if lead[0] <= -rank]
 
     # -- queries ------------------------------------------------------------
-
-    def groebner_vectors(self) -> list[list[Polynomial]]:
-        return [polys_from_vec(g, self.rank, self.variables) for g in self._basis]
 
     def syzygy_vectors(self) -> list[list[Polynomial]]:
         return [polys_from_vec(s, len(self.generators), self.variables, self.rank)

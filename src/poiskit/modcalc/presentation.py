@@ -22,19 +22,20 @@ SATURATION_CAP = 50
 class SubmodulePresentation:
     """A submodule of ``R^rank`` over ``Q[variables]`` given by generators.
 
-    Immutable. ``groebner_basis`` computes the reduced basis without tags
-    on first use, unless the tagged engine is already built, and keeps it;
+    Immutable. The reduced basis is known at birth or comes from one
+    ``buchberger`` run without tags, which ``groebner_basis`` makes on
+    first use and keeps; it is never read off the tagged engine.
     ``contains`` builds the tagged engine once on first use and reuses it,
-    since its certificates need the tags. Either computation is
-    deterministic, and both give the same reduced basis. Ideals are the
-    rank-1 case.
+    since its certificates need the tags; the engine serves certificates
+    and syzygies only. Ideals are the rank-1 case.
 
     Membership has two paths. ``is_member`` answers yes or no by the normal
     form on the untagged reduced basis, whose keyed vectors and leads it
-    keeps; ``contains`` is the one path that returns a certificate. Some
-    presentations are born with their reduced basis, so their
-    ``groebner_basis`` runs no ``buchberger``: the unit vectors of
-    ``full``, and the syzygy modules ``syzygies`` returns.
+    keeps; ``contains`` is the one path that returns a certificate.
+    Presentations built by ``_reduced`` are born with their reduced basis,
+    so their ``groebner_basis`` runs no ``buchberger``: the unit vectors of
+    ``full``, the syzygy modules ``syzygies`` returns, and the Poisson
+    layer's kernel module of Casimir differentials.
     """
 
     def __init__(self, variables: Sequence[str], rank: int,
@@ -99,12 +100,11 @@ class SubmodulePresentation:
 
     def groebner_basis(self) -> list[tuple[Polynomial, ...]]:
         """Reduced basis, unique for the module under the engine's order:
-        read off the tagged engine when one is built, else one tag-free
-        ``buchberger`` run."""
+        known at birth, or one tag-free ``buchberger`` run, never read off
+        the tagged engine."""
         if self._basis is None:
-            vectors = (self._engine.groebner_vectors() if self._engine is not None
-                       else groebner_vectors(self.variables, self.rank, self.generators))
-            self._basis = [tuple(v) for v in vectors]
+            self._basis = [tuple(v) for v in
+                           groebner_vectors(self.variables, self.rank, self.generators)]
         return list(self._basis)
 
     def is_member(self, element: Sequence[Polynomial]) -> bool:
@@ -149,14 +149,14 @@ class SubmodulePresentation:
         return Verdict.yes(certificate={"forward": fwd.certificate, "backward": bwd.certificate})
 
     def verify_basis(self) -> bool:
-        """Two-sided check that the cached basis generates the same module.
-
-        The tagged engine is built first: the backward membership needs it,
-        and the basis is then read off it, not computed a second time."""
-        self.engine         # built here, so the basis below is read off it
+        """Two-sided check that the cached basis generates the same module:
+        each generator reduces to zero on the basis (proof of membership,
+        Groebner basis or not), and each basis element has a recombined
+        certificate from this module's tagged engine."""
         basis = self.groebner_basis()
-        as_module = SubmodulePresentation(self.variables, self.rank, basis)
-        return self.equals_module(as_module).is_yes
+        spanned = SubmodulePresentation._reduced(self.variables, self.rank, basis)
+        return (all(map(spanned.is_member, self.generators))
+                and all(self.contains(b).is_yes for b in basis))
 
     def __repr__(self):
         return (f"SubmodulePresentation(rank={self.rank}, "

@@ -1,4 +1,8 @@
-"""Pointwise and generic rank of polynomial matrices, with minor ideals."""
+"""Pointwise and generic rank of polynomial matrices, with minor ideals.
+
+One expansion, :func:`minor`, gives every minor, cofactor and determinant in
+the package: ``RankProfile``'s minor ideals, ``determinant``, and the
+cosymplectic reduction's cofactors."""
 
 from __future__ import annotations
 
@@ -15,26 +19,46 @@ _PROBE_SEEDS = ((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37),
                 (-3, 5, -7, 2, -11, 17, -1, 13, -19, 23, -2, 3))
 
 
-def _det(rows: list[list]):
-    """Determinant by cofactor expansion along the sparsest row, over any
-    commutative ring whose zero is falsy (polynomials, rationals); fine for
-    the small matrices that occur here."""
-    n = len(rows)
-    if n == 0:
+def minor(rows: Sequence[Sequence], ri: tuple[int, ...], ci: tuple[int, ...],
+          cache: dict):
+    """The minor of ``rows`` on rows ``ri`` and columns ``ci`` (increasing
+    index tuples of one length), over any commutative ring whose zero is
+    falsy, expanded along its last column; a zero entry or a zero
+    (s-1)-minor adds no product, and the (s-1)-minor of a zero entry is
+    never computed. ``cache`` maps ``(ri, ci)`` to the minor; shared by all
+    minors of ``rows``, it computes each once, on first need."""
+    d = cache.get((ri, ci))
+    if d is not None:
+        return d
+    last, head = ci[-1], ci[:-1]
+    if not head:
+        d = rows[ri[0]][last]
+    else:
+        d = None
+        for k, i in enumerate(ri):
+            p = rows[i][last]
+            if not p:
+                continue
+            sub = minor(rows, ri[:k] + ri[k + 1:], head, cache)
+            if not sub:
+                continue
+            term = p * sub
+            if d is None:
+                d = -term if (len(head) - k) % 2 else term
+            else:
+                d = d - term if (len(head) - k) % 2 else d + term
+        if d is None:                   # no product: the ring's zero
+            d = rows[ri[0]][last] - rows[ri[0]][last]
+    cache[ri, ci] = d
+    return d
+
+
+def determinant(rows: Sequence[Sequence]):
+    """Determinant of a nonempty square matrix by :func:`minor`."""
+    if not rows:
         raise ValueError("empty determinant")
-    if n == 1:
-        return rows[0][0]
-    best = min(range(n), key=lambda i: sum(1 for p in rows[i] if p))
-    out = None
-    for j, p in enumerate(rows[best]):
-        if not p:
-            continue
-        sub = [[rows[i][k] for k in range(n) if k != j] for i in range(n) if i != best]
-        term = p * _det(sub)
-        if (best + j) % 2:
-            term = -term
-        out = term if out is None else out + term
-    return rows[best][0] if out is None else out     # a zero row: its entry is 0
+    full = tuple(range(len(rows)))
+    return minor(rows, full, full, {})
 
 
 @dataclass
@@ -53,13 +77,10 @@ class RankProfile:
 
     def minor_ideal(self, s: int) -> list[Polynomial]:
         """Generators (all nonzero s-minors) of the s-th determinantal ideal,
-        row sets and then column sets in ``combinations`` order.
-
-        The minors are shared across sizes: each s-minor is one Laplace
-        expansion along its last column over (s-1)-minors, and every minor
-        is computed once, on first need, and kept (``_minor_cache``) for
-        every other minor and size that reads it. So the ``(r+1)``-minors of
-        ``rank_profile`` leave most ``r``-minors of ``drop_ideal`` computed."""
+        row sets and then column sets in ``combinations`` order. One
+        :func:`minor` cache (``_minor_cache``) serves every size, so the
+        ``(r+1)``-minors of ``rank_profile`` leave most ``r``-minors of
+        ``drop_ideal`` computed."""
         if s <= 0:
             return [Polynomial.one(self.variables)]
         n, m = self.shape
@@ -69,37 +90,8 @@ class RankProfile:
         if ideal is None:
             ideal = self._ideal_cache[s] = [
                 d for ri in combinations(range(n), s) for ci in combinations(range(m), s)
-                if (d := self._minor(ri, ci))]
+                if (d := minor(self.rows, ri, ci, self._minor_cache))]
         return ideal
-
-    def _minor(self, ri: tuple[int, ...], ci: tuple[int, ...]) -> Polynomial:
-        """The minor on rows ``ri`` and columns ``ci``, expanded along its
-        last column; a zero entry or a zero (s-1)-minor adds no product, and
-        the (s-1)-minor of a zero entry is never computed."""
-        d = self._minor_cache.get((ri, ci))
-        if d is not None:
-            return d
-        last, head = ci[-1], ci[:-1]
-        if not head:
-            d = self.rows[ri[0]][last]
-        else:
-            d = None
-            for k, i in enumerate(ri):
-                p = self.rows[i][last]
-                if not p:
-                    continue
-                sub = self._minor(ri[:k] + ri[k + 1:], head)
-                if not sub:
-                    continue
-                term = p * sub
-                if d is None:
-                    d = -term if (len(head) - k) % 2 else term
-                else:
-                    d = d - term if (len(head) - k) % 2 else d + term
-            if d is None:
-                d = Polynomial.zero(self.variables)
-        self._minor_cache[ri, ci] = d
-        return d
 
     def drop_ideal(self) -> list[Polynomial]:
         """Ideal whose real zero set is exactly where the rank drops below

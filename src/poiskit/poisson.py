@@ -460,8 +460,8 @@ def _casimir_kernel(structure: PoissonStructure, r: int) -> SubmodulePresentatio
 
     The Casimirs are taken in basis order; each nonconstant one is kept when
     its gradient at the first rank probe point raises the rank of those kept.
-    With ``r`` kept, ``K'`` is free of rank ``r``. Its generators are its
-    reduced Groebner basis (``SubmodulePresentation.groebner_basis``).
+    With ``r`` kept, ``K'`` is free of rank ``r``, and born with its reduced
+    Groebner basis as its generators (``SubmodulePresentation._reduced``).
     Whether ``K'`` is the whole kernel is decided by ``germinal_isotropy``."""
     variables = structure.variables
     n = len(variables)
@@ -481,7 +481,7 @@ def _casimir_kernel(structure: PoissonStructure, r: int) -> SubmodulePresentatio
             values.append(row)
     if len(gradients) < r:
         return None
-    return SubmodulePresentation(
+    return SubmodulePresentation._reduced(
         variables, n, SubmodulePresentation(variables, n, gradients).groebner_basis())
 
 

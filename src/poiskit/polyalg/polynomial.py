@@ -364,6 +364,9 @@ class _Parser:
                 k2, v2, _ = self.take()
                 if k2 != "int":
                     self._err("expected denominator after '/'")
+                if not int(v2):
+                    self.i -= 1
+                    self._err("zero denominator")
                 return Polynomial.constant(self.variables, QQ(int(value), int(v2)))
             return Polynomial.constant(self.variables, int(value))
         if kind == "name":

@@ -333,6 +333,8 @@ def test_declared_distribution_accepts_strings_and_integers_and_empty_declares_n
     {**SU2, "bivector": 5},
     {**HEIS, "declared_distribution": 5},
     {**SU2, "declared_distribution": [[None, "0", "0"]]},
+    {**SU2, "bivector": [{"i": 0, "j": 1, "coeff": "3/0*x"}]},      # a zero denominator
+    {**HEIS, "declared_distribution": [["1", "0/0", "0"]]},
 ])
 def test_cli_batch_keeps_the_good_reports_when_an_input_is_malformed(tmp_path, capsys, bad):
     ok = write(tmp_path, "ok.json", SU2)

@@ -29,7 +29,7 @@ from poiskit.modcalc import SubmodulePresentation, linalg, polynomial_gcd
 from poiskit.modcalc import engine
 from poiskit.modcalc.engine import buchberger, vec_from_polys
 from poiskit.modcalc.linalg import nullspace, rank, solve, sparse_nullspace
-from poiskit.modcalc.rank import _det
+from poiskit.modcalc.rank import determinant
 from poiskit.polyalg import Polynomial
 from poiskit.polyalg.polynomial import divides_exactly
 from poiskit.poisson import PoissonStructure, casimir_search
@@ -216,7 +216,7 @@ def test_linear_algebra_kernels_are_canonical(rows, data):
 @settings(max_examples=150, deadline=None)
 @given(matrices(square=True))
 def test_determinant_stays_exact(rows):
-    det = _det(rows)
+    det = determinant(rows)
     assert det == qq_det(rows)
     assert_exact(det)
 

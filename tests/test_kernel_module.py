@@ -435,13 +435,14 @@ def _innermost_caller() -> str | None:
 def _spy_groebner_work(monkeypatch) -> SimpleNamespace:
     """Record, by the caller ``_innermost_caller`` names, each tagged engine
     build (``builds``) and each ``buchberger`` run (``runs``); the
-    presentations whose tagged engine is built after their tag-free basis
-    (``both``); and the membership ``yes`` answers and the certificate
+    presentations that run both Groebner computations (``both``), the
+    tagged engine after the tag-free basis or the tag-free basis after the
+    tagged engine; and the membership ``yes`` answers and the certificate
     recombinations."""
     spy = SimpleNamespace(builds=[], runs=[], both=0, yes=0, recombined=0)
     build, run = engine.ModuleEngine.__init__, engine.buchberger
     check, contains = engine.ModuleEngine._check_certificate, SubmodulePresentation.contains
-    tagged = SubmodulePresentation.engine.fget
+    tagged, basis = SubmodulePresentation.engine.fget, SubmodulePresentation.groebner_basis
 
     def counted_build(self, *args):
         spy.builds.append(_innermost_caller())
@@ -455,6 +456,10 @@ def _spy_groebner_work(monkeypatch) -> SimpleNamespace:
         spy.both += self._engine is None and self._basis is not None
         return tagged(self)
 
+    def counted_basis(self):
+        spy.both += self._basis is None and self._engine is not None
+        return basis(self)
+
     def counted_check(self, *args):
         spy.recombined += 1
         check(self, *args)
@@ -467,6 +472,7 @@ def _spy_groebner_work(monkeypatch) -> SimpleNamespace:
     monkeypatch.setattr(engine.ModuleEngine, "__init__", counted_build)
     monkeypatch.setattr(engine, "buchberger", counted_run)
     monkeypatch.setattr(SubmodulePresentation, "engine", property(counted_engine))
+    monkeypatch.setattr(SubmodulePresentation, "groebner_basis", counted_basis)
     monkeypatch.setattr(engine.ModuleEngine, "_check_certificate", counted_check)
     monkeypatch.setattr(SubmodulePresentation, "contains", counted_contains)
     return spy
@@ -487,6 +493,14 @@ def test_the_casimir_kernel_and_emptiness_build_no_tagged_engine(monkeypatch, do
     analyze(doc)
     assert not any(spy.builds), spy.builds
     assert "_casimir_kernel" in spy.runs             # its basis is computed, tag-free
+
+
+def test_the_kernel_module_is_born_with_its_reduced_basis(monkeypatch):
+    iso = germinal_isotropy(su2_structure())
+    assert iso.route == "casimir"
+    _refuse_groebner_bases(monkeypatch)
+    assert iso.module.groebner_basis() == list(iso.module.generators)
+    assert iso.module.is_member([2 * p for p in iso.module.generators[0]])
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from conftest import _refuse_groebner_bases
 from dense_reference import qq_det, qq_nullspace, qq_rank, qq_solve
 from test_exact_coefficients import polys
 from poiskit._kernel import QQ
+from poiskit.construct import cosymplectic_reduce, induced_bivector_at
 from poiskit.polyalg import ChartMismatchError, Polynomial, degrevlex_key, parse_polynomial
 from poiskit.modcalc import (
     RankProfile,
@@ -26,9 +28,11 @@ from poiskit.modcalc import (
     variety_emptiness,
 )
 from poiskit.modcalc import presentation
-from poiskit.modcalc.engine import _divides, _lcm, groebner_vectors, split_key, term_key
+from poiskit.modcalc.engine import (
+    _divides, _lcm, groebner_vectors, polys_from_vec, split_key, term_key)
 from poiskit.modcalc.linalg import nullspace, rank, solve, sparse_nullspace
-from poiskit.modcalc.rank import _det
+from poiskit.modcalc.rank import determinant, minor
+from poiskit.poisson import PoissonStructure
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -173,8 +177,12 @@ def test_tag_free_basis_equals_the_tagged_engines(presentation_data):
     tag_free = SubmodulePresentation(variables, rank, gens)
     basis = tag_free.groebner_basis()
     assert tag_free._engine is None
-    tagged = SubmodulePresentation(variables, rank, gens).engine.groebner_vectors()
-    assert _exact_terms(basis) == _exact_terms(tagged)
+    # the actual parts of the engine's augmented basis: equal to the tag-free
+    # basis, so ``contains`` and ``is_member`` reduce on the same basis
+    tagged = SubmodulePresentation(variables, rank, gens).engine
+    actual = [{k: c for k, c in g.items() if k[0] > -rank} for g in tagged._aug_basis]
+    actual = [polys_from_vec(a, rank, variables) for a in actual if a]
+    assert _exact_terms(basis) == _exact_terms(actual)
 
 
 @st.composite
@@ -226,9 +234,10 @@ def test_basis_generates_same_module():
     assert module.verify_basis()
 
 
-def test_verify_basis_reads_the_basis_off_the_tagged_engine(monkeypatch):
-    # one tagged engine for the module, one for its basis: the untagged
-    # basis of the module is never computed beside the engine's
+def test_verify_basis_runs_the_untagged_basis_and_one_tagged_engine(monkeypatch):
+    # the generators reduce on the untagged basis, and the basis elements
+    # get certificates from the module's tagged engine: no engine for the
+    # basis, and no basis read off an engine
     from poiskit.modcalc import engine
 
     runs = []
@@ -241,7 +250,7 @@ def test_verify_basis_reads_the_basis_off_the_tagged_engine(monkeypatch):
     monkeypatch.setattr(engine, "buchberger", counted)
     module = SubmodulePresentation(V2, 2, [[P2("x"), P2("y")], [P2("y"), P2("x^2")]])
     assert module.verify_basis()
-    assert len(runs) == 2
+    assert len(runs) == 2 and module._engine is not None
 
 
 # -- syzygies --------------------------------------------------------------------
@@ -678,10 +687,11 @@ def test_rank_profile_agrees_with_sympy(seed):
 
 
 @st.composite
-def polynomial_matrices(draw):
-    """A 1-5 by 1-5 matrix on ``V2`` whose entries are 0 about half the time,
-    else up to three terms of degree at most 2."""
-    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+def polynomial_matrices(draw, square=False, top=5):
+    """A 1-``top`` by 1-``top`` matrix on ``V2`` whose entries are 0 about
+    half the time, else up to three terms of degree at most 2."""
+    n = draw(st.integers(1, top))
+    m = n if square else draw(st.integers(1, top))
     expo = st.tuples(st.integers(0, 2), st.integers(0, 2))
     entry = st.one_of(st.just({}), st.dictionaries(expo, st.integers(-3, 3), max_size=3))
     return [[Polynomial(V2, draw(entry)) for _ in range(m)] for _ in range(n)]
@@ -695,13 +705,46 @@ def test_minor_ideal_equals_one_det_per_minor(rows):
     for s in range(1, min(n, m) + 2):
         expected.append([d for ri in combinations(range(n), s)
                          for ci in combinations(range(m), s)
-                         if (d := _det([[rows[i][j] for j in ci] for i in ri]))])
+                         if (d := determinant([[rows[i][j] for j in ci] for i in ri]))])
     # the levels below are shared whichever s is asked for first
     ascending, descending = RankProfile(rows, V2, 0), RankProfile(rows, V2, 0)
     for s in range(min(n, m) + 2):
         assert ascending.minor_ideal(s) == expected[s], s
     for s in reversed(range(min(n, m) + 2)):
         assert descending.minor_ideal(s) == expected[s], s
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_matrices(square=True, top=4))
+def test_determinant_and_cofactors_equal_sympys(rows):
+    """``determinant``, and the cofactors ``minor`` gives off one shared
+    cache, against sympy's ``det`` and ``adjugate``; the cache is seeded
+    with the empty minor, as ``cosymplectic_reduce`` seeds it, so a 1 x 1
+    matrix has adjugate ``[[1]]``."""
+    xs = sympy.symbols("x y")
+    n = len(rows)
+    theirs = sympy.Matrix([[_sympy_expr(xs, p.terms) for p in row] for row in rows])
+    det = determinant(rows)
+    assert sympy.expand(_sympy_expr(xs, det.terms) - theirs.det()) == 0
+    full, cache = tuple(range(n)), {((), ()): Polynomial.one(V2)}
+    adjugate = theirs.adjugate()
+    for i in range(n):
+        for j in range(n):
+            d = minor(rows, full[:j] + full[j + 1:], full[:i] + full[i + 1:], cache)
+            cofactor = -d if (i + j) % 2 else d
+            assert sympy.expand(_sympy_expr(xs, cofactor.terms) - adjugate[i, j]) == 0, (i, j)
+    assert minor(rows, full, full, cache) == det
+
+
+@pytest.mark.parametrize("w", [[[1, -1], [1, -1]], [[0, 0]], [[1, 0], [0, 1], [1, 1]]])
+def test_a_dependent_w_basis_is_refused(w):
+    # [sharp(W°) | W] is square, with a determinant and cofactors, only
+    # when the W vectors are independent
+    ps = PoissonStructure.from_components(V2, {(0, 1): "1"})
+    with pytest.raises(ValueError, match="linearly independent"):
+        cosymplectic_reduce(ps, w)
+    with pytest.raises(ValueError, match="linearly independent"):
+        induced_bivector_at(ps, w, [0, 0])
 
 
 def test_rank_at_refuses_a_float_point():
@@ -950,4 +993,4 @@ def test_solve_without_rows_and_with_a_zero_row():
 @given(rational_matrices(square=True))
 def test_det_equals_the_dense_reference(case):
     _, rows = case
-    assert _det(rows) == qq_det(rows)
+    assert determinant(rows) == qq_det(rows)

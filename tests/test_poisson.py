@@ -35,7 +35,7 @@ from poiskit.modcalc import (
 )
 from poiskit.modcalc import presentation
 from poiskit.modcalc.linalg import nullspace, sparse_nullspace
-from poiskit.modcalc.rank import _det
+from poiskit.modcalc.rank import determinant
 from poiskit.construct import logf_classify
 from poiskit.poisson import (
     DistributionPresentation,
@@ -972,7 +972,7 @@ def test_spanning_rows_carry_a_nonzero_top_pfaffian(structure):
     if rows:
         # det PI[K][K] = Pf(pi_K)^2, by cofactor expansion
         mat = structure.pi_matrix()
-        assert _det([[mat[i][j] for j in rows] for i in rows])
+        assert determinant([[mat[i][j] for j in rows] for i in rows])
 
 
 @settings(max_examples=60, deadline=None)

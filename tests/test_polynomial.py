@@ -67,6 +67,16 @@ def test_parse_errors_carry_position():
         parse_polynomial(V, "(x")
 
 
+@pytest.mark.parametrize("text, line, column", [
+    ("3/0*x", 1, 3), ("0/0", 1, 3), ("1/0", 1, 3), ("x + 1/2*y - 5/ 0", 1, 16),
+    ("x^2\n + 7/0", 2, 6),
+])
+def test_a_zero_denominator_is_a_parse_error_at_its_column(text, line, column):
+    with pytest.raises(PolyParseError, match="zero denominator") as err:
+        parse_polynomial(V, text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_chart_mismatch_raises():
     with pytest.raises(ChartMismatchError):
         P("x") + parse_polynomial(("a", "b"), "a")
